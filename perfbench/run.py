@@ -2,15 +2,18 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload exact_ladder --seed 0 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload exact_ladder --seed 0 --seconds 25 --trace 0
     python3 perfbench/run.py --smoke              # every workload once, then self-test
     python3 perfbench/run.py --workload verify_sweep --seed 3 --record   # write references
 
 One worker process at a time imports ``src/auctionbench`` from the checkout,
 builds the workload's inputs from ``--seed`` and runs the ops in passes until
 ``--seconds`` is spent (always at least one pass).  An op past its deadline
-is killed and counted as failed; the worker is restarted and the restart is
-charged to ``setup_s``.  BLAS/OpenMP threads are pinned to 1 in the worker.
+is killed and counted as failed; the worker is restarted, the restart is kept
+out of the pass time and counted as one more ``setup_s`` sample.  ``setup_s``
+is the median of set-ups timed before the first pass and between passes;
+``pass_s`` sums each op's median time over the run's passes.  BLAS/OpenMP
+threads are pinned to 1 in the worker.
 
 ``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` runs untraced
 passes for half the time, then installs span wrappers around every layer
@@ -21,18 +24,23 @@ Every run checks the outputs: against the recorded reference for the seed
 when one exists (``refs/``), across passes (the same op must give the same
 output every time, traced or not), and against independent oracles: HiGHS
 for every LP optimum and the exact benchmark for the m=4 Monte-Carlo
-estimate.  After the timed passes of a traced run, ``lp_oracle`` also runs
-the two pinned LP instances that fail at the seed commit (``pinned/``), each
-in a fresh worker under its deadline, and counts them as attempted and failed
-ops.  They stay out of the timed passes and the untraced runs because they
-cost about 50 s (one stalls until its 30 s deadline).
+estimate.  An ``lp_oracle`` reference holds each op's outcome ("solved" or
+what stopped it), not its optimum.  After the timed passes of a traced run,
+``lp_oracle`` also runs its defect probes (``workloads.lp_defects``): the
+seed's draws of the LP shape that fails on about half of the seeds at the
+seed commit, and the two pinned LP instances that fail there (``pinned/``).
+They run under their deadlines through the same gate, and count as attempted
+and failed ops.  They stay out of the timed passes and the untraced runs: the
+pinned ones cost about 60 s (one stalls until its 30 s deadline), and a
+seed's failing draws would set its pass time.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  ``correct`` is false
 when the outcome of a finished op (output, exit code or exception type)
-disagrees with a reference, an oracle or another pass.  An op killed at its
-deadline, or one that raises where no reference exists (the LP defects), is
-counted as failed but not as incorrect.
+disagrees with a reference, an oracle or another pass; an LP op may also
+solve where its reference failed, if HiGHS agrees.  An op killed at its
+deadline is counted as failed but not as incorrect, and so is an LP op that
+fails as it did in its reference (the known LP defects).
 """
 
 from __future__ import annotations
@@ -41,13 +49,15 @@ import argparse
 import contextlib
 import hashlib
 import json
-import multiprocessing
 import os
 import shutil
 import signal
+import socket
 import statistics
+import subprocess
 import sys
 import time
+from multiprocessing.connection import Connection
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -57,15 +67,15 @@ OUT = HERE / "out"
 REFS = HERE / "refs"
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ[_var] = "1"  # inherited by the spawned workers
+    os.environ[_var] = "1"  # inherited by the workers
 
 import oracles  # noqa: E402
 import workloads  # noqa: E402
-import worker  # noqa: E402
 
-SETUP_REPEATS = 7
-PROBES = ("gap", "stall")  # pinned LP instances that fail at the seed commit
-KILLED = ("killed", "worker died")  # error prefixes of ops that did not finish
+# set-ups timed before the first pass; one more is timed between passes, so
+# that setup_s samples the whole run, as pass_s does, not only its first seconds
+SETUP_REPEATS = 5
+KILLED = "killed"  # error prefix of an op stopped at its deadline
 SETUP_TIMEOUT = 60.0
 FINISH_TIMEOUT = 120.0
 
@@ -110,13 +120,24 @@ class OpTimeout(Exception):
 
 
 class Worker:
-    """One worker process and its pipe."""
+    """One worker process (``worker.py``) and its socket.
 
-    def __init__(self, ctx) -> None:
-        self.conn, child = ctx.Pipe()
-        self.proc = ctx.Process(target=worker.main, args=(child, str(SRC)), daemon=True)
-        self.proc.start()
-        child.close()
+    A plain subprocess rather than a multiprocessing one: multiprocessing's
+    spawn start method also starts a resource-tracker process that outlives
+    the benchmark.  Every worker is killed and waited for on the way out
+    (``reap``), and dies with the benchmark if the benchmark is killed.
+    """
+
+    live: set["Worker"] = set()
+
+    def __init__(self) -> None:
+        mine, theirs = socket.socketpair()
+        with theirs:
+            self.proc = subprocess.Popen(
+                [sys.executable, str(HERE / "worker.py"), str(theirs.fileno()), str(SRC), str(os.getpid())],
+                pass_fds=(theirs.fileno(),), stdin=subprocess.DEVNULL, stdout=sys.stderr)
+        self.conn = Connection(mine.detach())
+        Worker.live.add(self)
 
     def ask(self, msg: tuple, timeout: float) -> tuple:
         self.conn.send(msg)
@@ -126,8 +147,9 @@ class Worker:
 
     def kill(self) -> None:
         self.proc.kill()
-        self.proc.join()
+        self.proc.wait()
         self.conn.close()
+        Worker.live.discard(self)
 
     def finish(self, span_path: str | None = None) -> dict:
         try:
@@ -135,51 +157,63 @@ class Worker:
         except (OpTimeout, EOFError, OSError):
             self.kill()
             return {}
-        self.proc.join(FINISH_TIMEOUT)
-        if self.proc.is_alive():
-            self.proc.kill()
-            self.proc.join()
-        self.conn.close()
+        with contextlib.suppress(subprocess.TimeoutExpired):
+            self.proc.wait(FINISH_TIMEOUT)
+        self.kill()
         return stats
+
+    @classmethod
+    def reap(cls) -> None:
+        for w in list(cls.live):
+            w.kill()
 
 
 class Session:
     """Runs one workload's ops in passes on one worker at a time."""
 
     def __init__(self, workload: str, seed: int, workdir: Path, smoke: bool) -> None:
-        self.ctx = multiprocessing.get_context("spawn")
         self.workload, self.seed, self.workdir, self.smoke = workload, seed, workdir, smoke
         self.setup_samples: list[float] = []
-        self.restart_s = 0.0
+        self.restart_samples: list[float] = []
         self.traced = False
         self.worker: Worker | None = None
         self.ops: list[dict] = []
         self.versions: dict = {}
 
-    def start(self) -> float:
+    def _spawn(self) -> tuple[Worker, float]:
+        """A fresh worker, ready to run the ops, and the seconds that took."""
         t0 = time.perf_counter()
-        w = Worker(self.ctx)
+        w = Worker()
         try:
             msg = ("setup", self.workload, self.seed, str(self.workdir), self.smoke)
             _, self.ops, self.versions = w.ask(msg, SETUP_TIMEOUT)
         except (OpTimeout, EOFError, OSError):
             w.kill()
             raise
-        self.worker = w
-        return time.perf_counter() - t0
+        return w, time.perf_counter() - t0
+
+    def start(self) -> float:
+        self.worker, seconds = self._spawn()
+        return seconds
+
+    def sample_setup(self) -> None:
+        """One more set-up sample on a throwaway worker; the ops' worker stays as it is."""
+        w, seconds = self._spawn()
+        w.finish()
+        self.setup_samples.append(seconds)
 
     def setup(self) -> None:
-        for k in range(SETUP_REPEATS):
-            self.setup_samples.append(self.start())
-            if k < SETUP_REPEATS - 1:
-                self.worker.finish()
+        self.setup_samples.append(self.start())
+        for _ in range(SETUP_REPEATS - 1):
+            self.sample_setup()
 
-    def _restart(self) -> None:
+    def _restart(self) -> float:
+        """Replace a killed worker; returns the time taken, kept out of the pass time."""
         t0 = time.perf_counter()
-        self.start()
+        self.restart_samples.append(self.start())
         if self.traced:
             self.worker.ask(("trace_on",), SETUP_TIMEOUT)
-        self.restart_s += time.perf_counter() - t0
+        return time.perf_counter() - t0
 
     def trace_on(self) -> None:
         self.worker.ask(("trace_on",), SETUP_TIMEOUT)
@@ -193,9 +227,9 @@ class Session:
         except (OpTimeout, EOFError, OSError) as exc:
             self.worker.kill()
             self.worker = None
-            self._restart()
             return {"id": op["id"], "exit": None, "out": None, "t": op["deadline"],
-                    "error": f"killed: {exc}" if isinstance(exc, OpTimeout) else f"worker died: {exc!r}"}
+                    "error": f"{KILLED}: {exc}" if isinstance(exc, OpTimeout) else f"worker died: {exc!r}",
+                    "restart_s": self._restart()}
 
     def passes(self, budget: float) -> list[dict]:
         done: list[dict] = []
@@ -203,10 +237,12 @@ class Session:
         while True:
             t0 = time.perf_counter()
             recs = [self.run_op(k) for k in range(len(self.ops))]
-            done.append({"wall": time.perf_counter() - t0, "ops": recs, "traced": self.traced})
+            wall = time.perf_counter() - t0 - sum(rec.get("restart_s", 0.0) for rec in recs)
+            done.append({"wall": wall, "ops": recs, "traced": self.traced})
             elapsed = time.perf_counter() - t_start
             if self.smoke or elapsed + statistics.median(p["wall"] for p in done) > budget:
                 return done
+            self.sample_setup()
 
     def close(self, span_path: str | None = None) -> dict:
         stats = self.worker.finish(span_path) if self.worker is not None else {}
@@ -214,22 +250,14 @@ class Session:
         return stats
 
 
-def probe() -> list[dict]:
-    """Run each pinned failing LP instance in a fresh worker under its deadline."""
-    ctx = multiprocessing.get_context("spawn")
-    recs = []
-    for name in PROBES:
-        w = Worker(ctx)
-        _, (op,), _ = w.ask(("probe", name), SETUP_TIMEOUT)
-        try:
-            recs.append(w.ask(("run", 0), op["deadline"])[1])
-        except (OpTimeout, EOFError, OSError) as exc:
-            w.kill()
-            recs.append({"id": op["id"], "exit": None, "out": None, "t": op["deadline"],
-                         "error": f"killed: {exc}"})
-        else:
-            w.finish()
-    return recs
+def one_pass(op_set: str, seed: int, workdir: Path) -> tuple[list[dict], list[dict]]:
+    """One untimed pass over an op set on a fresh worker: (ops, passes)."""
+    session = Session(op_set, seed, workdir, smoke=False)
+    session.start()
+    try:
+        return session.ops, session.passes(0.0)
+    finally:
+        session.close()
 
 
 # correctness gate ----------------------------------------------------------
@@ -238,6 +266,11 @@ def probe() -> list[dict]:
 def _outcome(rec: dict) -> tuple:
     err = rec["error"].split(":")[0] if rec["error"] else None
     return (rec["exit"], rec["out"], err)
+
+
+def _lp_outcome(rec: dict) -> str:
+    """"solved", or what stopped the op: its exception type, "killed" or "worker died"."""
+    return "solved" if rec["out"] is not None else rec["error"].split(":")[0]
 
 
 def load_reference(workload: str, seed: int) -> dict | None:
@@ -257,7 +290,7 @@ def gate(workload: str, seed: int, ops: list[dict], passes: list[dict]) -> tuple
 
     # a kill is a timing outcome, already counted failed: compare finished ops only
     records = [(p, k, rec) for p, ps in enumerate(passes) for k, rec in enumerate(ps["ops"])
-               if not rec["error"] or not rec["error"].startswith(KILLED)]
+               if not (rec["error"] or "").startswith(KILLED)]
     first: dict = {}
     for p, k, rec in records:
         q, base = first.setdefault(k, (p, rec))
@@ -266,10 +299,16 @@ def gate(workload: str, seed: int, ops: list[dict], passes: list[dict]) -> tuple
     if not any(c["check"] == "same_output_every_pass" for c in checks):
         check("same_output_every_pass", True, f"{len(records)} records over {len(passes)} passes")
 
-    if workload == "lp_oracle":
-        check("reference", None, "LP optima are checked against HiGHS instead of a recording")
-    elif (ref := load_reference(workload, seed)) is None:
+    if (ref := load_reference(workload, seed)) is None:
         check("reference", None, f"no recorded reference for seed {seed}")
+    elif workload == "lp_oracle":
+        # the reference holds outcomes, not optima (HiGHS checks those below): a
+        # finished op solves, or fails as it did in the reference
+        wrong = [(p, k) for p, k, rec in records
+                 if _lp_outcome(rec) not in ("solved", ref.get(rec["id"], "solved"))]
+        names = sorted({passes[p]["ops"][k]["id"] for p, k in wrong})
+        check("reference", not wrong,
+              f"failed unlike the reference: {names}" if wrong else f"{len(records)} outcomes allowed", wrong)
     else:
         wrong = [(p, k) for p, k, rec in records
                  if rec["id"] not in ref or _outcome(rec) != tuple(ref[rec["id"]])]
@@ -317,31 +356,24 @@ def highs_checks(ops: list[dict], records: list, check) -> None:
           problems)
 
 
-def probe_checks(recs: list[dict], check_list: list[dict]) -> int:
-    """Gate the pinned instances, in ``PROBES`` order; returns how many failed."""
-    failed = 0
-    for name, rec in zip(PROBES, recs):
-        if rec["out"] is None:
-            failed += 1
-            check_list.append({"check": f"known_defect_{name}", "ok": True,
-                               "detail": f"FAILED as at the seed commit: {rec['error']}"})
-            continue
-        op = workloads.pinned_op(name)
-        want = oracles.highs_optimal_revenue(op["items"], op["n"])
-        ok = None if want is None else oracles.lp_agrees(float(rec["out"]), want)
-        failed += ok is False
-        check_list.append({"check": f"known_defect_{name}", "ok": ok,
-                           "detail": f"solved: {rec['out']} vs HiGHS {want}"})
-    return failed
-
-
 # metrics ---------------------------------------------------------------------
+
+
+def pass_time(passes: list[dict]) -> float:
+    """One full pass: the sum over ops of each op's median time over `passes`.
+
+    A burst of load on a shared machine slows a few ops of one pass; the
+    per-op median drops it where the median of whole passes would not.
+    """
+    return sum(statistics.median(p["ops"][k]["t"] for p in passes) for k in range(len(passes[0]["ops"])))
 
 
 def end_to_end(session: Session, passes: list[dict], peak_rss_mib: float) -> dict:
     return {
-        "setup_s": statistics.median(session.setup_samples) + session.restart_s,
-        "pass_s": statistics.median(p["wall"] for p in passes),
+        # a restart after a kill is one more set-up sample, so more kills in a
+        # run do not add up to a longer set-up
+        "setup_s": statistics.median(session.setup_samples + session.restart_samples),
+        "pass_s": pass_time(passes),
         "peak_rss_mib": peak_rss_mib,
     }
 
@@ -395,11 +427,11 @@ def _pass_layers(p: dict) -> dict:
 
 
 def per_layer(passes: list[dict]) -> dict:
-    plain = [p["wall"] for p in passes if not p["traced"]]
+    plain = [p for p in passes if not p["traced"]]
     traced = [p for p in passes if p["traced"]]
     rows = [_pass_layers(p) for p in traced]
     out = {name: statistics.median(r[name] for r in rows) for name in rows[0]}
-    out["trace.overhead_ratio"] = statistics.median(p["wall"] for p in traced) / statistics.median(plain)
+    out["trace.overhead_ratio"] = pass_time(traced) / pass_time(plain)
     return out
 
 
@@ -416,22 +448,14 @@ def meta(session: Session) -> dict:
 
 
 def git_commit() -> str:
-    head = ROOT / ".git" / "HEAD"
-    if not head.is_file():
-        return "unknown (not a git checkout)"
-    ref = head.read_text().strip()
-    if not ref.startswith("ref: "):
-        return ref
-    name = ref[5:]
-    loose = ROOT / ".git" / name
-    if loose.is_file():
-        return loose.read_text().strip()
-    packed = ROOT / ".git" / "packed-refs"
-    if packed.is_file():
-        for line in packed.read_text().splitlines():
-            if line.endswith(" " + name):
-                return line.split()[0]
-    return "unknown"
+    # the ceiling keeps git from finding a repository above the checkout
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(ROOT.parent))
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, env=env, capture_output=True,
+                              text=True, timeout=10)
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return done.stdout.strip() if done.returncode == 0 else "unknown (not a git checkout)"
 
 
 @contextlib.contextmanager
@@ -466,11 +490,14 @@ def _run(session: Session, seconds: float, trace: bool) -> dict:
     attempted = sum(len(p["ops"]) for p in passes)
     failed = sum(1 for p, ps in enumerate(passes) for k, rec in enumerate(ps["ops"])
                  if rec["error"] or (p, k) in bad)
-    probe_recs = []
+    probes: list[dict] = []
     if workload == "lp_oracle" and trace:
-        probe_recs = probe()
-        attempted += len(probe_recs)
-        failed += probe_checks(probe_recs, checks)
+        probe_ops, probe_passes = one_pass("lp_defects", seed, session.workdir)
+        probe_checks, probe_bad = gate(workload, seed, probe_ops, probe_passes)
+        checks += [dict(c, check=f"defect_probes.{c['check']}") for c in probe_checks]
+        probes = probe_passes[0]["ops"]
+        attempted += len(probes)
+        failed += sum(1 for k, rec in enumerate(probes) if rec["error"] or (0, k) in probe_bad)
     correct = all(c["ok"] is not False for c in checks)
     metrics = per_layer(passes) if trace else end_to_end(session, passes, stats["peak_rss_mib"])
     units = PER_LAYER if trace else END_TO_END
@@ -482,10 +509,11 @@ def _run(session: Session, seconds: float, trace: bool) -> dict:
         "failed": failed,
         "metrics": {k: {"value": metrics[k], "unit": units[k]} for k in units},
         "setup_samples_s": session.setup_samples,
+        "restart_samples_s": session.restart_samples,
         "passes": [{"wall": p["wall"], "traced": p["traced"],
                     "ops": [{k: rec.get(k) for k in ("id", "t", "exit", "error")} for rec in p["ops"]]}
                    for p in passes],
-        "probe": [{k: rec.get(k) for k in ("id", "t", "out", "error")} for rec in probe_recs],
+        "defect_probes": [{k: rec.get(k) for k in ("id", "t", "out", "error")} for rec in probes],
         "spans_file": span_path,
         "spans": stats.get("spans", 0),
     }
@@ -502,6 +530,8 @@ def report(result: dict) -> None:
     for c in result["checks"]:
         verdict = {True: "ok", False: "FAIL", None: "unchecked"}[c["ok"]]
         print(f"gate {c['check']}: {verdict} ({c['detail']})")
+    for rec in result["defect_probes"]:
+        print(f"defect probe {rec['id']}: " + (f"FAILED ({rec['error']})" if rec["error"] else f"solved {rec['out']}"))
     ratio = result["failed"] / result["attempted"]
     print(f"ops attempted={result['attempted']} failed={result['failed']} failed_ratio={ratio:.4f}")
     for name, v in result["metrics"].items():
@@ -513,18 +543,18 @@ def report(result: dict) -> None:
 def record(workload: str, seed: int) -> Path:
     """Write the reference outputs of one pass for `workload` at `seed`."""
     with _workdir(workload) as workdir:
-        session = Session(workload, seed, workdir, smoke=False)
-        session.start()
-        try:
-            recs = session.passes(0.0)[0]["ops"]
-        finally:
-            session.close()
-    bad = [rec["id"] for rec in recs if rec["error"]]
-    if bad:
+        recs = one_pass(workload, seed, workdir)[1][0]["ops"]
+        if workload == "lp_oracle":
+            recs += one_pass("lp_defects", seed, workdir)[1][0]["ops"]
+    if workload == "lp_oracle":  # LP failures are known defects: record them as outcomes
+        ref = {rec["id"]: _lp_outcome(rec) for rec in recs}
+    elif bad := [rec["id"] for rec in recs if rec["error"]]:
         raise SystemExit(f"not recording: ops failed: {bad}")
+    else:
+        ref = {rec["id"]: _outcome(rec) for rec in recs}
     path = REFS / workload / f"seed_{seed}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({rec["id"]: _outcome(rec) for rec in recs}, indent=0, sort_keys=True) + "\n")
+    path.write_text(json.dumps(ref, indent=0, sort_keys=True) + "\n")
     return path
 
 
@@ -544,8 +574,8 @@ def smoke() -> int:
                 problems.append(f"{workload} trace={int(trace)}: unlisted metrics {sorted(extra)}")
             if not result["checks"] or not result["correct"]:
                 problems.append(f"{workload} trace={int(trace)}: gate did not pass: {result['checks']}")
-            if workload == "lp_oracle" and trace and len(result["probe"]) != len(PROBES):
-                problems.append("lp_oracle trace=1: the pinned LP instances did not run")
+            if workload == "lp_oracle" and trace and not result["defect_probes"]:
+                problems.append("lp_oracle trace=1: the defect probes did not run")
             print(f"smoke {workload} trace={int(trace)}: {len(got)} metrics, {len(result['checks'])} checks, "
                   f"correct={result['correct']}, failed {result['failed']} of {result['attempted']}", flush=True)
     for p in problems:
@@ -555,12 +585,19 @@ def smoke() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # exit through SystemExit on SIGTERM, so the daemonic workers are reaped
+    # exit through SystemExit on SIGTERM, so the workers are reaped
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+    try:
+        return _main(argv)
+    finally:
+        Worker.reap()
+
+
+def _main(argv: list[str] | None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=workloads.WORKLOADS)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true", help="run every workload once and self-test")
     parser.add_argument("--record", action="store_true", help="write the reference for --workload/--seed")

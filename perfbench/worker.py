@@ -1,10 +1,10 @@
 """Worker process: imports auctionbench, builds a workload's inputs, runs ops.
 
-The orchestrator (``run.py``) starts one worker at a time and talks to it
-over a pipe.  Messages are tuples; the worker answers each with one tuple:
+The orchestrator (``run.py``) starts one worker at a time as
+``python3 worker.py <socket fd> <src dir> <orchestrator pid>`` and talks to
+it over the socket.  Messages are tuples; the worker answers each with one tuple:
 
 - ``("setup", workload, seed, workdir, smoke)`` -> ``("ready", ops, versions)``
-- ``("probe", name)`` -> ``("ready", [op], versions)`` for one pinned LP instance
 - ``("run", index)`` -> ``("done", record)``
 - ``("trace_on",)`` -> ``("ok",)``; installs the span wrappers
 - ``("finish", span_path | None)`` -> ``("stats", stats)`` and the worker exits
@@ -13,12 +13,18 @@ over a pipe.  Messages are tuples; the worker answers each with one tuple:
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import importlib
 import io
+import os
 import resource
+import signal
 import sys
 import time
+from multiprocessing.connection import Connection
 from pathlib import Path
+
+PR_SET_PDEATHSIG = 1
 
 
 def _setting(items: list[dict], n: int):
@@ -81,10 +87,6 @@ def main(conn, src_dir: str) -> None:
                 ops = workloads.smoke_subset(workload, ops)
             prepared = _prepare(ops)
             conn.send(("ready", ops, versions))
-        elif msg[0] == "probe":
-            ops = [workloads.pinned_op(msg[1])]
-            prepared = _prepare(ops)
-            conn.send(("ready", ops, versions))
         elif msg[0] == "run":
             k = msg[1]
             if recorder is not None:
@@ -103,3 +105,16 @@ def main(conn, src_dir: str) -> None:
             conn.send(("stats", {"peak_rss_mib": rss_kib / 1024.0, "spans": spans}))
             conn.close()
             return
+
+
+def _die_with(parent: int) -> None:
+    """Have the kernel kill this worker when the orchestrator dies (Linux)."""
+    with contextlib.suppress(OSError, AttributeError):
+        ctypes.CDLL(None, use_errno=True).prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:  # the orchestrator died before the line above
+        sys.exit(1)
+
+
+if __name__ == "__main__":
+    _die_with(int(sys.argv[3]))
+    main(Connection(int(sys.argv[1])), sys.argv[2])
