@@ -43,7 +43,6 @@ from .errors import (
 )
 from .generators import random_setting
 from .iu import build_iu_tables, iu, monte_carlo_iu, step2_inequality_check, tie_break_independence_check
-from .lp import optimal_revenue
 from .myerson import all_regular, iron, srev, srev_item, virtual_values
 from .report import AnalysisReport, CheckRecord
 from .simple_auctions import (
@@ -62,17 +61,34 @@ EXIT_CHECK_FAILED = 5
 
 
 def _decimal(x, what: str) -> float:
-    """Parse a decimal-string (or plain number) config field to binary64."""
+    """Parse a decimal-string (or plain number) config field to a finite binary64."""
     if isinstance(x, bool):
         raise ConfigParseError(f"{what}: expected a number, got a bool")
-    if isinstance(x, (int, float)):
-        return float(x)
+    if not isinstance(x, (int, float, str)):
+        raise ConfigParseError(f"{what}: expected a number or decimal string, got {type(x).__name__}")
+    try:
+        value = float(x)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigParseError(f"{what}: cannot parse {x!r} as a number") from exc
+    if not math.isfinite(value):
+        raise ConfigParseError(f"{what}: {x!r} is not a finite number")
+    return value
+
+
+def _integer(x, what: str) -> int:
+    """Parse an integer config field: an integer, an integral number or an integer string."""
+    if isinstance(x, bool):
+        raise ConfigParseError(f"{what}: expected an integer, got a bool")
+    if isinstance(x, int):
+        return x
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
     if isinstance(x, str):
         try:
-            return float(x)
+            return int(x)
         except ValueError as exc:
-            raise ConfigParseError(f"{what}: cannot parse {x!r} as a number") from exc
-    raise ConfigParseError(f"{what}: expected a number or decimal string, got {type(x).__name__}")
+            raise ConfigParseError(f"{what}: cannot parse {x!r} as an integer") from exc
+    raise ConfigParseError(f"{what}: expected an integer, got {x!r}")
 
 
 @dataclass
@@ -101,21 +117,26 @@ def parse_config(raw: dict) -> InstanceConfig:
         raise ConfigParseError("config must be a JSON object")
     try:
         items_raw = raw["items"]
-        n = int(raw["n"])
+        n = _integer(raw["n"], "n")
     except KeyError as exc:
         raise ConfigParseError(f"missing required field {exc.args[0]!r}") from exc
     if not isinstance(items_raw, list) or not items_raw:
         raise ConfigParseError("items must be a non-empty list")
     epsilon = _decimal(raw.get("epsilon", 1.0), "epsilon")
+    if not 0.0 < epsilon <= 1.0:
+        raise ConfigParseError(f"epsilon must lie in (0, 1], got {epsilon!r}")
     n_prime = raw.get("n_prime")
-    if n_prime is None:
-        if epsilon <= 0:
-            raise ConfigParseError("epsilon must be positive to derive n_prime")
-        n_prime = math.ceil(20.0 * n / epsilon)
+    n_prime = math.ceil(20.0 * n / epsilon) if n_prime is None else _integer(n_prime, "n_prime")
+    if n_prime < max(n, 2):
+        raise ConfigParseError(f"n_prime must be at least max(n, 2), got n_prime={n_prime}, n={n}")
     caps_raw = raw.get("caps", {})
+    if not isinstance(caps_raw, dict):
+        raise ConfigParseError("caps must be an object")
     caps = Caps(
-        product_support=int(caps_raw.get("product_support", DEFAULT_CAPS.product_support)),
-        joint_terms=int(caps_raw.get("joint_terms", DEFAULT_CAPS.joint_terms)),
+        product_support=_integer(
+            caps_raw.get("product_support", DEFAULT_CAPS.product_support), "caps.product_support"
+        ),
+        joint_terms=_integer(caps_raw.get("joint_terms", DEFAULT_CAPS.joint_terms), "caps.joint_terms"),
     )
     items = []
     for k, entry in enumerate(items_raw):
@@ -132,16 +153,19 @@ def parse_config(raw: dict) -> InstanceConfig:
     if mode not in ("exact", "monte_carlo"):
         raise ConfigParseError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
     try:
-        setting = AuctionSetting(items=tuple(items), n=n, n_prime=int(n_prime), epsilon=epsilon, caps=caps)
+        setting = AuctionSetting(items=tuple(items), n=n, n_prime=n_prime, epsilon=epsilon, caps=caps)
     except EnumerationCapExceeded:
         raise
     except AuctionBenchError as exc:
         raise ConfigParseError(str(exc)) from exc
+    samples = _integer(raw.get("samples", 100_000), "samples")
+    if samples < 1:
+        raise ConfigParseError(f"samples must be >= 1, got {samples}")
     return InstanceConfig(
         setting=setting,
         mode=mode,
-        samples=int(raw.get("samples", 100_000)),
-        seed=int(raw.get("seed", 0)),
+        samples=samples,
+        seed=_integer(raw.get("seed", 0), "seed"),
         tolerance=_decimal(raw.get("tolerance", CHECK_TOL), "tolerance"),
     )
 
@@ -188,7 +212,7 @@ def run_analysis(cfg: InstanceConfig) -> AnalysisReport:
     rep.scalars["iu_n_prime"] = iu(setting, np_, np_, tables)
 
     if np_ >= 2:
-        s2 = step2_inequality_check(setting, n, np_, tol)
+        s2 = step2_inequality_check(setting, n, np_, tol, tables)
         rep.add(CheckRecord.leq("step2", "IU(n,n') <= (n/n')*IU(n',n') + VCG(n')", s2.lhs, s2.rhs, tol))
 
     rep.add(
@@ -227,7 +251,8 @@ def run_analysis(cfg: InstanceConfig) -> AnalysisReport:
     bk = bulow_klemperer_check(setting, n)
     rep.add(CheckRecord("bulow_klemperer", "SRev(n) <= VCG(n+1) (regular items)", bk.srev_n, bk.vcg_n1, bk.holds))
 
-    chain = lemma_chain_check(setting, n, np_, tol=tol)
+    verdict = main_theorem_verdict(setting, n, setting.epsilon, np_, tol=tol, iu_tables=tables)
+    chain = verdict.chain
     rep.scalars["single"] = chain.single
     rep.scalars["under"] = chain.under
     rep.scalars["over"] = chain.over
@@ -237,21 +262,10 @@ def run_analysis(cfg: InstanceConfig) -> AnalysisReport:
     rep.scalars["bvcg_floor"] = chain.participation_lb
     rep.scalars["pi_bvcg_floor"] = chain.pi_bvcg_floor if chain.regular_branch else None
     rep.checks.extend(chain.checks)
-
-    try:
-        rev_n, _ = optimal_revenue(setting, n)
-        rep.scalars["rev_n"] = rev_n
-        rep.add(CheckRecord.leq("step1", "Rev(n) <= IU(n,n')", rev_n, rep.scalars["iu_n"], 1e-6))
-    except InstanceTooLarge:
-        rep.scalars["rev_n"] = None
-
-    verdict = main_theorem_verdict(setting, n, setting.epsilon, np_, tol=tol)
+    rep.scalars["rev_n"] = verdict.rev_n
     rep.scalars["branch1_holds"] = verdict.branch1_holds
     rep.scalars["branch2_holds"] = verdict.branch2_holds
-    for check in verdict.checks:
-        if check.name == "step1":
-            continue  # already recorded
-        rep.add(check)
+    rep.checks.extend(verdict.checks)
     if verdict.holds is not None:
         rep.add(
             CheckRecord(
@@ -386,15 +400,16 @@ def _verify_suites(setting: AuctionSetting, rng: np.random.Generator, tol: float
     for j, item in enumerate(setting.items):
         lhs = max(vcg_with_reserve_bound(setting, j, x, np_) for x in (0.0,) + item.values)
         checks.append(CheckRecord.leq("reserve_le_srev", "ReserveBound <= SRev_j", lhs, srev_item(item, np_), tol))
+    tables = build_iu_tables(setting, np_)
+    stats = build_utility_stats(setting, np_)
     if np_ >= 2:
         checks.append(
             CheckRecord.leq("vcg_le_srev", "VCG(n') <= SRev(n')", vcg_revenue(setting, np_), srev_np, tol)
         )
-        s2 = step2_inequality_check(setting, n, np_, tol)
+        s2 = step2_inequality_check(setting, n, np_, tol, tables)
         checks.append(CheckRecord.leq("step2", "IU growth inequality", s2.lhs, s2.rhs, tol))
-    chain = lemma_chain_check(setting, n, np_, tol=tol)
+    chain = lemma_chain_check(setting, n, np_, tol=tol, iu_tables=tables, stats=stats)
     checks.extend(chain.checks)
-    stats = build_utility_stats(setting, np_)
     worst = 0.0
     for st in stats:
         worst = max(worst, st.var_u_hat - 2.0 * st.r_ron_total**2)
@@ -439,6 +454,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="auctionbench")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -449,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--out", default=None, help="also write the JSON report here")
     p_analyze.add_argument("--mode", choices=["exact", "mc"], default=None, help="override the config mode")
     p_analyze.add_argument("--seed", type=int, default=None)
-    p_analyze.add_argument("--samples", type=int, default=None)
+    p_analyze.add_argument("--samples", type=_positive_int, default=None)
     p_analyze.add_argument("--tolerance", type=float, default=None)
     p_analyze.set_defaults(func=cmd_analyze)
 

@@ -9,7 +9,9 @@ capped utility sum is a convolution of per-item laws.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -18,11 +20,14 @@ import numpy as np
 from .dist import (
     AuctionSetting,
     CHECK_TOL,
+    MASS_TOL,
     MaxVector,
     ScalarDistribution,
+    Segments,
     Valuation,
     iid_max_expectation,
     max_vector_distribution,
+    segmented_from_atoms,
 )
 from .errors import EnumerationCapExceeded, InstanceTooLarge, NotRegular, TooFewBidders
 from .iu import IUTables, build_iu_tables, iu
@@ -53,57 +58,130 @@ class UtilityStats:
     nice_prob: float  # Pr(U_hat >= E[U_hat] / 2)
 
 
-def _per_item_util_laws(
-    setting: AuctionSetting, m_vec: MaxVector, r_ron_total: float
-) -> tuple[list[ScalarDistribution], list[ScalarDistribution]]:
-    """Laws of the raw and capped per-item utilities given M."""
-    raw, capped = [], []
-    for item, mj in zip(setting.items, m_vec):
-        raw.append(item.map_through(lambda x, mj=mj: max(x - mj, 0.0)))
-
-        def capped_util(x: float, mj: float = mj) -> float:
-            u = max(x - mj, 0.0)
-            return u if u <= r_ron_total else 0.0
-
-        capped.append(item.map_through(capped_util))
-    return raw, capped
+# Pairs worked per kernel call.  Max vectors are folded in blocks under this
+# budget, so the kernel's peak memory does not grow with the joint support.
+PAIR_BUDGET = 1 << 16
 
 
-def _convolve_all(laws: list[ScalarDistribution]) -> ScalarDistribution:
-    out = laws[0]
-    for law in laws[1:]:
-        out = out.convolve(law)
-    return out
+def _item_utility_laws(item: ScalarDistribution, m_col: np.ndarray, caps: np.ndarray) -> Segments:
+    """Per law s, the law of u if u <= caps[s] else 0, u = max(v - m_col[s], 0).
+
+    The segmented twin of ``item.map_through``: atoms in item order.
+    """
+    u = np.maximum(item.values_arr[None, :] - m_col[:, None], 0.0)
+    mapped = np.where(u <= caps[:, None], u, 0.0)
+    seg = np.arange(len(caps)).repeat(len(item.values))
+    weights = np.broadcast_to(item.probs_arr, u.shape).ravel()
+    return segmented_from_atoms(seg, mapped.ravel(), weights, len(caps), MASS_TOL * 10)
+
+
+def _convolve_segments(a: Segments, b: Segments) -> Segments:
+    """Per law s, the law of X + Y for X ~ a[s], Y ~ b[s]: ``convolve``'s pairs, a-major."""
+    len_a, len_b = a.starts[1:] - a.starts[:-1], b.starts[1:] - b.starts[:-1]
+    n_pairs = len_a * len_b
+    seg = np.arange(len(n_pairs)).repeat(n_pairs)
+    k = np.arange(len(seg)) - (n_pairs.cumsum() - n_pairs).repeat(n_pairs)
+    ia = a.starts[seg] + k // len_b[seg]
+    ib = b.starts[seg] + k % len_b[seg]
+    return segmented_from_atoms(
+        seg, a.values[ia] + b.values[ib], a.probs[ia] * b.probs[ib], len(n_pairs), MASS_TOL * 10
+    )
+
+
+def _blocks(widths: list[int], laws: list[int], budget: int):
+    """Cut 0..len(widths) into runs [lo, hi) with sum(laws) * max(widths) <= budget.
+
+    A single entry over the budget gets a run of its own.
+    """
+    lo, widest, count = 0, 0, 0
+    for i, (width, n_laws) in enumerate(zip(widths, laws)):
+        widest, count = max(widest, width), count + n_laws
+        if i > lo and count * widest > budget:
+            yield lo, i
+            lo, widest, count = i, width, n_laws
+    yield lo, len(widths)
 
 
 def build_utility_stats(setting: AuctionSetting, n_prime: int) -> tuple[UtilityStats, ...]:
-    """Exact per-M table over the joint max-vector support."""
+    """Exact per-M table over the joint max-vector support.
+
+    The raw and capped utility laws of every max vector M are built together,
+    as flat per-M segments, by one fold over the items: map item 0, then
+    convolve in items 1, 2, ... one at a time.  Every step reproduces the
+    per-M ``from_atoms`` / ``map_through`` / ``convolve`` fold bit for bit:
+
+    - pairs are formed in ``convolve``'s order, a-major and b-minor;
+    - masses of equal values are added in input order;
+    - each law's normalising total is summed left to right in order of first
+      occurrence, and every stage is renormalised;
+    - M runs in ``itertools.product`` order, prob(M) is the left-to-right
+      product of its per-item probabilities and r_ron_total the left-to-right
+      sum of its per-item posted revenues.
+
+    Where the cap binds at no atom, the capped law is the raw law (the same
+    object).  Max vectors are processed in blocks of at most PAIR_BUDGET
+    pairs per kernel call, so memory is bounded per block.
+    """
     if n_prime < 1:
         raise TooFewBidders("need n_prime >= 1")
     maxvec = max_vector_distribution(setting, n_prime - 1)
+    maxvec.check_joint_cap(setting.caps)
+    laws = maxvec.per_item
+    index = [ix.ravel() for ix in np.indices([len(law.values) for law in laws])]
+    m_cols = [law.values_arr[ix] for law, ix in zip(laws, index)]
+    probs = functools.reduce(operator.mul, [law.probs_arr[ix] for law, ix in zip(laws, index)])
+    r_star = [
+        np.array([ronen_r_star(item, mv)[0] for mv in law.values])[ix]
+        for item, law, ix in zip(setting.items, laws, index)
+    ]
+    r_totals = functools.reduce(operator.add, r_star)
+
+    # Per M, a bound on the atoms and pairs of every fold stage: item j's
+    # utility law has at most 1 + #{v_j > M_j} atoms.
+    sizes = [
+        1 + len(item.values) - np.searchsorted(item.values_arr, m_col, side="right")
+        for item, m_col in zip(setting.items, m_cols)
+    ]
+    widths = np.maximum(functools.reduce(operator.mul, sizes), max(len(item.values) for item in setting.items))
+    # The cap binds at M when some item's top utility exceeds r_ron_total.
+    # Elsewhere every capped utility equals the raw one, so the capped fold
+    # would repeat the raw fold exactly: it is folded only where the cap binds.
+    binds = functools.reduce(
+        operator.or_,
+        [np.maximum(item.values_arr[-1] - m_col, 0.0) > r_totals for item, m_col in zip(setting.items, m_cols)],
+    )
+    m_vecs = list(zip(*(m_col.tolist() for m_col in m_cols)))
     out = []
-    for m_vec, prob in maxvec.joint(setting.caps):
-        r_total = sum(ronen_r_star(item, mj)[0] for item, mj in zip(setting.items, m_vec))
-        raw, capped = _per_item_util_laws(setting, m_vec, r_total)
-        law_u = _convolve_all(raw)
-        law_u_hat = _convolve_all(capped)
-        e_hat = law_u_hat.expectation()
-        fee = max(e_hat - 2.0 * r_total, 0.0)
-        nice = law_u_hat.tail(e_hat / 2.0) if e_hat > 0 else 1.0
-        out.append(
-            UtilityStats(
-                m_vec=m_vec,
-                prob=prob,
-                r_ron_total=r_total,
-                thresholds=tuple(r_total + mj for mj in m_vec),
-                law_u=law_u,
-                law_u_hat=law_u_hat,
-                e_u_hat=e_hat,
-                var_u_hat=law_u_hat.variance(),
-                fee_pd=fee,
-                nice_prob=nice,
+    for lo, hi in _blocks(widths.tolist(), (1 + binds).tolist(), PAIR_BUDGET):
+        # laws of the block: the raw utility of every M, then the capped
+        # utility of every M where the cap binds
+        bound = lo + np.flatnonzero(binds[lo:hi])
+        rows = np.concatenate((np.arange(lo, hi), bound))
+        caps = np.concatenate((np.full(hi - lo, np.inf), r_totals[bound]))
+        folded = None
+        for item, m_col in zip(setting.items, m_cols):
+            item_laws = _item_utility_laws(item, m_col[rows], caps)
+            folded = item_laws if folded is None else _convolve_segments(folded, item_laws)
+        block_laws = folded.laws()
+        capped_law = dict(zip(bound.tolist(), block_laws[hi - lo :]))
+        for i, prob, r_total in zip(range(lo, hi), probs[lo:hi].tolist(), r_totals[lo:hi].tolist()):
+            law_u = block_laws[i - lo]
+            law_u_hat = capped_law.get(i, law_u)
+            e_hat = law_u_hat.expectation()
+            out.append(
+                UtilityStats(
+                    m_vec=m_vecs[i],
+                    prob=prob,
+                    r_ron_total=r_total,
+                    thresholds=tuple(r_total + mj for mj in m_vecs[i]),
+                    law_u=law_u,
+                    law_u_hat=law_u_hat,
+                    e_u_hat=e_hat,
+                    var_u_hat=law_u_hat.variance(),
+                    fee_pd=max(e_hat - 2.0 * r_total, 0.0),
+                    nice_prob=law_u_hat.tail(e_hat / 2.0) if e_hat > 0 else 1.0,
+                )
             )
-        )
     return tuple(out)
 
 
@@ -326,21 +404,23 @@ def lemma_chain_check(
     n_prime: int,
     regular_branch: bool | None = None,
     tol: float = CHECK_TOL,
+    iu_tables: IUTables | None = None,
+    stats: tuple[UtilityStats, ...] | None = None,
 ) -> DecompositionReport:
     """Verify every exactly computable link of the two inequality chains.
 
     The prior-dependent chain ends at iu <= 2 (entry-fee floor) + 6 SRev(n');
     the regular branch ends at iu <= 17 (prior-independent floor at n' + 1).
     `regular_branch=None` runs the latter exactly when all items are regular.
+    `iu_tables` and `stats` are the caller's tables at `n_prime`, if it has them.
     """
     is_regular = all_regular(setting)
     if regular_branch is True and not is_regular:
         raise NotRegular("the prior-independent chain requires all items regular")
     run_regular = is_regular if regular_branch is None else regular_branch
 
-    stats = build_utility_stats(setting, n_prime)
-    tables = build_iu_tables(setting, n_prime)
-    rep = decomposition_terms(setting, n_prime, n, iu_tables=tables, stats=stats)
+    stats = stats if stats is not None else build_utility_stats(setting, n_prime)
+    rep = decomposition_terms(setting, n_prime, n, iu_tables=iu_tables, stats=stats)
     fee_mass, participation_lb = bvcg_constructed_revenue(setting, n_prime, stats)
     rep.fee_mass = fee_mass
     rep.participation_lb = participation_lb
@@ -448,6 +528,7 @@ def main_theorem_verdict(
     epsilon: float,
     n_prime: int | None = None,
     tol: float = CHECK_TOL,
+    iu_tables: IUTables | None = None,
 ) -> TheoremVerdict:
     """Evaluate the enhanced-competition dichotomy on one instance.
 
@@ -455,16 +536,17 @@ def main_theorem_verdict(
     larger of the constructed entry-fee floor and SRev(n'), verified through
     the exactly computable chain.  When Rev(n) is not computable the verdict
     is reported as unknown, with every unconditional link still checked.
+    `iu_tables` are the caller's IU tables, reused when built at n'.
     """
     np_eff = n_prime if n_prime is not None else math.ceil(20.0 * n / epsilon)
     if np_eff < max(n, 2):
         raise TooFewBidders("need n_prime >= max(n, 2)")
+    chain = lemma_chain_check(setting, n, np_eff, tol=tol, iu_tables=iu_tables)
     try:
         rev_n, _ = optimal_revenue(setting, n)
     except InstanceTooLarge:
         rev_n = None
     vcg_np = vcg_revenue(setting, np_eff)
-    chain = lemma_chain_check(setting, n, np_eff, tol=tol)
     bvcg_floor = max(chain.participation_lb, vcg_np)
     srev_np = chain.srev_nprime
     verdict = TheoremVerdict(
@@ -493,5 +575,5 @@ def main_theorem_verdict(
         step1 = CheckRecord.leq("step1", "Rev(n) <= IU(n,n')", rev_n, chain.iu_n, 1e-6)
         verdict.branch1_holds = branch1.holds
         verdict.branch2_holds = branch2.holds
-        verdict.checks.extend([branch1, branch2, step1])
+        verdict.checks.extend([step1, branch1, branch2])
     return verdict

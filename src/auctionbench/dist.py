@@ -8,8 +8,10 @@ substreams from the root seed with a counter-based (Philox) scheme.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -81,9 +83,9 @@ class ScalarDistribution:
             raise EmptySupport("distribution needs at least one atom")
         if len(self.values) != len(self.probs):
             raise ProbabilityMassError("values and probs must have equal length")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
+        if not all(map(operator.lt, self.values, self.values[1:])):
             raise ProbabilityMassError("values must be strictly increasing")
-        if any(p <= 0 for p in self.probs):
+        if min(self.probs) <= 0:
             raise NonPositiveProbability("all atom probabilities must be positive")
         if abs(sum(self.probs) - 1.0) > MASS_TOL:
             raise ProbabilityMassError("probabilities must sum to 1")
@@ -101,7 +103,9 @@ class ScalarDistribution:
                 merged[float(v)] = merged.get(float(v), 0.0) + float(p)
         if not merged:
             raise EmptySupport("no atoms with positive probability")
-        total = sum(merged.values())
+        # left to right in order of first occurrence; segmented_from_atoms
+        # reproduces this order, which sum() does not promise (3.12+ compensates)
+        total = functools.reduce(operator.add, merged.values())
         if abs(total - 1.0) > renorm_tol:
             raise ProbabilityMassError(f"probability mass {total} too far from 1")
         values = tuple(sorted(merged))
@@ -128,12 +132,12 @@ class ScalarDistribution:
 
     def cdf(self, x: float) -> float:
         """Pr(X <= x)."""
-        idx = np.searchsorted(self.values_arr, x, side="right")
+        idx = self.values_arr.searchsorted(x, side="right")
         return 0.0 if idx == 0 else float(self.cdf_arr[idx - 1])
 
     def prob_below(self, x: float) -> float:
         """Pr(X < x)."""
-        idx = np.searchsorted(self.values_arr, x, side="left")
+        idx = self.values_arr.searchsorted(x, side="left")
         return 0.0 if idx == 0 else float(self.cdf_arr[idx - 1])
 
     def tail(self, x: float) -> float:
@@ -168,6 +172,75 @@ class ScalarDistribution:
     def sample(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
         idx = rng.choice(len(self.values), size=size, p=self.probs_arr)
         return self.values_arr[idx]
+
+
+class Segments(NamedTuple):
+    """Many finite laws in flat arrays: law s is values/probs[starts[s]:starts[s + 1]]."""
+
+    starts: np.ndarray
+    values: np.ndarray
+    probs: np.ndarray
+
+    def laws(self) -> list[ScalarDistribution]:
+        values, probs, starts = self.values.tolist(), self.probs.tolist(), self.starts.tolist()
+        return [ScalarDistribution(tuple(values[lo:hi]), tuple(probs[lo:hi])) for lo, hi in zip(starts, starts[1:])]
+
+
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """True where a run of equal keys starts."""
+    new_run = np.empty(len(sorted_keys), dtype=bool)
+    new_run[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_run[1:])
+    return new_run
+
+
+def segmented_from_atoms(
+    seg: np.ndarray, values: np.ndarray, weights: np.ndarray, n_seg: int, renorm_tol: float = RENORM_TOL
+) -> Segments:
+    """:meth:`ScalarDistribution.from_atoms` for many laws at once, bit for bit.
+
+    Atom i belongs to law ``seg[i]``; ``seg`` must be non-decreasing, and the
+    atoms of one law are in the order from_atoms would receive them.  As in
+    from_atoms, zero masses are dropped, masses of equal values are added in
+    input order (``np.bincount`` adds each bucket in index order), each law's
+    total is summed left to right in order of first occurrence (a row-wise
+    ``cumsum`` over a zero-padded matrix; ``np.sum`` would sum pairwise)
+    and every mass is divided by its law's total.
+    """
+    if not (weights > 0).all():
+        if (weights < 0).any():
+            raise NonPositiveProbability("negative probability")
+        keep = weights > 0
+        seg, values, weights = seg[keep], values[keep], weights[keep]
+    # one integer key per atom, (law, dense rank of its value): two plain
+    # sorts beat np.lexsort
+    by_value = values.argsort()
+    rank = np.empty(len(values), dtype=np.int64)
+    rank[by_value] = _run_starts(values[by_value]).cumsum() - 1
+    key = seg * len(values) + rank
+    order = key.argsort()
+    new_run = _run_starts(key[order])
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = new_run.cumsum() - 1
+    mass = np.bincount(group, weights=weights)
+    heads = np.flatnonzero(new_run)
+    group_vals, group_seg = values[order[heads]], seg[order[heads]]
+    counts = np.bincount(group_seg, minlength=n_seg)
+    if not counts.all():
+        raise EmptySupport("no atoms with positive probability")
+    starts = np.concatenate(([0], counts.cumsum()))
+    # groups by (law, first occurrence): atoms are laid out law-major, so
+    # first occurrences in atom order are already in that order
+    is_first = np.zeros(len(order), dtype=bool)
+    is_first[np.minimum.reduceat(order, heads)] = True
+    by_first = group[is_first]
+    row = group_seg[by_first]
+    padded = np.zeros((n_seg, counts.max()))
+    padded[row, np.arange(len(row)) - starts[row]] = mass[by_first]
+    total = padded.cumsum(axis=1)[:, -1]
+    if (np.abs(total - 1.0) > renorm_tol).any():
+        raise ProbabilityMassError(f"probability mass too far from 1 (worst {total.min()}..{total.max()})")
+    return Segments(starts, group_vals, mass / total[group_seg])
 
 
 class ItemDistribution(ScalarDistribution):
@@ -271,12 +344,15 @@ class MaxVectorDistribution:
     def joint_size(self) -> int:
         return math.prod(len(d.values) for d in self.per_item)
 
-    def joint(self, caps: Caps = DEFAULT_CAPS) -> Iterator[tuple[MaxVector, float]]:
-        """Enumerate joint max-vectors with probabilities (product form)."""
+    def check_joint_cap(self, caps: Caps) -> None:
         if self.joint_size() > caps.product_support:
             raise EnumerationCapExceeded(
                 f"joint max-vector support {self.joint_size()} exceeds cap {caps.product_support}"
             )
+
+    def joint(self, caps: Caps = DEFAULT_CAPS) -> Iterator[tuple[MaxVector, float]]:
+        """Enumerate joint max-vectors with probabilities (product form)."""
+        self.check_joint_cap(caps)
         for combo in itertools.product(*(zip(d.values, d.probs) for d in self.per_item)):
             vec = tuple(c[0] for c in combo)
             prob = math.prod(c[1] for c in combo)

@@ -34,12 +34,6 @@ class DualFlow:
     m_vec: MaxVector
     lam: dict[FlowKey, float]
 
-    def outgoing(self, v: Valuation) -> float:
-        return sum(w for (a, _b), w in self.lam.items() if a == v)
-
-    def incoming(self, v: Valuation) -> float:
-        return sum(w for (a, b), w in self.lam.items() if b == v and a is not SINK)
-
     def min_entry(self) -> float:
         return min(self.lam.values(), default=0.0)
 

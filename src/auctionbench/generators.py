@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dist import AuctionSetting, Caps, DEFAULT_CAPS, ItemDistribution, ScalarDistribution, make_item_distribution, make_rng
+from .dist import AuctionSetting, Caps, DEFAULT_CAPS, ItemDistribution, ScalarDistribution, make_item_distribution
 from .myerson import iron
 
 
@@ -54,8 +54,3 @@ def random_setting(
     n_prime = int(rng.integers(n, max_ghosts + 1))
     return AuctionSetting(items=items, n=n, n_prime=max(n_prime, n), caps=caps)
 
-
-def setting_stream(seed: int, count: int, **kwargs) -> list[AuctionSetting]:
-    """Deterministic list of `count` random settings for a root seed."""
-    rng = make_rng(seed)
-    return [random_setting(rng, **kwargs) for _ in range(count)]

@@ -227,18 +227,20 @@ class Step2Check(NamedTuple):
 
 
 def step2_inequality_check(
-    setting: AuctionSetting, n: int, n_prime: int, tol: float = CHECK_TOL
+    setting: AuctionSetting, n: int, n_prime: int, tol: float = CHECK_TOL, tables: IUTables | None = None
 ) -> Step2Check:
     """Unconditional growth inequality for the benchmark.
 
     iu(n, n') <= (n/n') iu(n', n') + vcg(n').  Holds for every setting with
-    n <= n' and n' >= 2, before any assumption on revenues.
+    n <= n' and n' >= 2, before any assumption on revenues.  `tables` are the
+    caller's IU tables, reused when built at n'.
     """
     if n > n_prime:
         raise TooFewBidders("need n <= n_prime")
     if n_prime < 2:
         raise TooFewBidders("need n_prime >= 2 for the second-price term")
-    tables = build_iu_tables(setting, n_prime)
+    if tables is None or tables.n_prime != n_prime:
+        tables = build_iu_tables(setting, n_prime)
     lhs = iu(setting, n, n_prime, tables)
     rhs = (n / n_prime) * iu(setting, n_prime, n_prime, tables) + vcg_revenue(setting, n_prime)
     return Step2Check(lhs, rhs, holds_leq(lhs, rhs, tol))
@@ -253,7 +255,7 @@ def tie_break_independence_check(law: ScalarDistribution, k: int, cap: int = 1 <
     if k < 1:
         raise TooFewBidders("need k >= 1")
     size = len(law.values)
-    if size**k > cap and k > 8:
+    if size**k > cap:
         raise EnumerationCapExceeded(f"{size}^{k} tuples exceed cap {cap}")
     joint = np.zeros((size, k))  # Pr(max = value s, winner = i)
     marg = np.zeros(size)

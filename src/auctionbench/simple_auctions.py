@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -43,17 +42,6 @@ def ronen_r_star(item: ItemDistribution, x: float) -> tuple[float, float | None]
         if best_y is None or rev > best_rev:
             best_rev, best_y = rev, y
     return (best_rev, best_y) if best_y is not None else (0.0, None)
-
-
-@dataclass(frozen=True)
-class RonenTable:
-    """Precomputed r* lookups for one item (revenue, maximizing price)."""
-
-    item_index: int
-    item: ItemDistribution
-
-    def r_star(self, x: float) -> tuple[float, float | None]:
-        return ronen_r_star(self.item, x)
 
 
 def ronen_bound(setting: AuctionSetting, n: int) -> float:

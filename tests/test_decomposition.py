@@ -1,6 +1,12 @@
 """Capped-utility statistics, the five-term split, entry-fee floors, and the chains."""
 
+import functools
+import operator
+from pathlib import Path
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from auctionbench import (
     AuctionSetting,
@@ -17,9 +23,73 @@ from auctionbench import (
     pi_bvcg_constructed_revenue,
     ronen_bound,
 )
+from auctionbench import decomposition
+from auctionbench.cli import load_config
 from auctionbench.decomposition import surplus_event_probability
 from auctionbench.errors import NotRegular
 from auctionbench.generators import random_setting
+from auctionbench.simple_auctions import ronen_r_star
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+def reference_item_laws(setting, m_vec, r_total):
+    """Per-item raw and capped utility laws given M, one map_through each."""
+    raw, capped = [], []
+    for item, mj in zip(setting.items, m_vec):
+        raw.append(item.map_through(lambda x, mj=mj: max(x - mj, 0.0)))
+
+        def capped_util(x, mj=mj):
+            u = max(x - mj, 0.0)
+            return u if u <= r_total else 0.0
+
+        capped.append(item.map_through(capped_util))
+    return raw, capped
+
+
+def reference_utility_stats(setting, n_prime):
+    """The per-M fold that build_utility_stats batches: (m_vec, prob, r_total, law_u, law_u_hat)."""
+    maxvec = max_vector_distribution(setting, n_prime - 1)
+    out = []
+    for m_vec, prob in maxvec.joint(setting.caps):
+        r_total = functools.reduce(
+            operator.add, [ronen_r_star(item, mj)[0] for item, mj in zip(setting.items, m_vec)]
+        )
+        raw, capped = reference_item_laws(setting, m_vec, r_total)
+        fold = functools.partial(functools.reduce, lambda a, b: a.convolve(b))
+        out.append((m_vec, prob, r_total, fold(raw), fold(capped)))
+    return out
+
+
+def assert_stats_bit_identical(setting, n_prime):
+    got = build_utility_stats(setting, n_prime)
+    want = reference_utility_stats(setting, n_prime)
+    assert len(got) == len(want)
+    for stat, (m_vec, prob, r_total, law_u, law_u_hat) in zip(got, want):
+        assert stat.m_vec == m_vec
+        assert stat.prob == prob
+        assert stat.r_ron_total == r_total
+        assert stat.thresholds == tuple(r_total + mj for mj in m_vec)
+        assert stat.law_u == law_u
+        assert stat.law_u_hat == law_u_hat
+        e_hat = law_u_hat.expectation()
+        assert stat.e_u_hat == e_hat
+        assert stat.var_u_hat == law_u_hat.variance()
+        assert stat.fee_pd == max(e_hat - 2.0 * r_total, 0.0)
+        assert stat.nice_prob == (law_u_hat.tail(e_hat / 2.0) if e_hat > 0 else 1.0)
+
+
+@st.composite
+def small_settings(draw):
+    # values on a coarse grid, so utilities tie and atoms merge
+    def item():
+        values = draw(st.lists(st.integers(0, 24), min_size=1, max_size=4, unique=True))
+        weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(values), max_size=len(values)))
+        total = sum(weights)
+        return make_item_distribution([v / 4 for v in values], [w / total for w in weights])
+
+    items = tuple(item() for _ in range(draw(st.integers(1, 3))))
+    return AuctionSetting(items=items, n=1, n_prime=draw(st.integers(1, 8)))
 
 
 def joint_u_hat_law(setting, m_vec, r_total):
@@ -72,9 +142,6 @@ class TestUtilityStats:
                     assert gp == pytest.approx(op, abs=1e-12)
 
     def test_capped_below_cap_and_raw(self):
-        from auctionbench.decomposition import _per_item_util_laws
-        from auctionbench.simple_auctions import ronen_r_star
-
         rng = make_rng(41)
         for _ in range(30):
             setting = random_setting(rng, max_ghosts=5)
@@ -83,7 +150,7 @@ class TestUtilityStats:
                 r_total = sum(
                     ronen_r_star(item, mj)[0] for item, mj in zip(setting.items, m_vec)
                 )
-                raw, capped = _per_item_util_laws(setting, m_vec, r_total)
+                raw, capped = reference_item_laws(setting, m_vec, r_total)
                 for law_raw, law_hat in zip(raw, capped):
                     # every per-item capped atom is below the kernel total,
                     # and capping can only lower the mean
@@ -99,9 +166,6 @@ class TestUtilityStats:
 
     def test_per_item_cap_bound(self):
         # per item: max of u_hat(x) * Pr(u_hat >= u_hat(x)) stays below the posted kernel
-        from auctionbench.decomposition import _per_item_util_laws
-        from auctionbench.simple_auctions import ronen_r_star
-
         rng = make_rng(43)
         for _ in range(30):
             setting = random_setting(rng, max_ghosts=4)
@@ -110,7 +174,7 @@ class TestUtilityStats:
                 r_total = sum(
                     ronen_r_star(item, mj)[0] for item, mj in zip(setting.items, m_vec)
                 )
-                _, capped = _per_item_util_laws(setting, m_vec, r_total)
+                _, capped = reference_item_laws(setting, m_vec, r_total)
                 for j, law in enumerate(capped):
                     bound = ronen_r_star(setting.items[j], m_vec[j])[0]
                     for value in law.values:
@@ -131,6 +195,27 @@ class TestUtilityStats:
             for st in build_utility_stats(setting, setting.n_prime):
                 if st.e_u_hat >= 6.0 * st.r_ron_total:
                     assert st.nice_prob >= 7.0 / 9.0 - 1e-12
+
+
+class TestBatchedUtilityLaws:
+    """build_utility_stats equals the per-M map_through / convolve fold exactly."""
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+    def test_configs(self, config):
+        setting = load_config(config).setting
+        assert_stats_bit_identical(setting, setting.n_prime)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(small_settings())
+    def test_drawn_settings(self, setting):
+        assert_stats_bit_identical(setting, setting.n_prime)
+
+    def test_blocks_do_not_change_the_laws(self, monkeypatch):
+        # a tiny pair budget splits the max vectors into many blocks
+        item = make_item_distribution([0, 1, 2.5, 4], [0.1, 0.4, 0.2, 0.3])
+        setting = AuctionSetting(items=(item, item, item), n=1, n_prime=3)
+        monkeypatch.setattr(decomposition, "PAIR_BUDGET", 8)
+        assert_stats_bit_identical(setting, 3)
 
 
 class TestEventProbabilities:

@@ -20,6 +20,7 @@ from auctionbench import (
     variance,
     variance_ub_check,
 )
+from auctionbench.dist import segmented_from_atoms
 from auctionbench.errors import (
     EmptySupport,
     EnumerationCapExceeded,
@@ -87,6 +88,36 @@ class TestConstruction:
         big = make_item_distribution(list(range(1, 18)), [1 / 17] * 17)
         with pytest.raises(EnumerationCapExceeded):
             AuctionSetting(items=(big,) * 3, n=1, n_prime=2)
+
+
+# laws as atom lists: values repeat so atoms merge, some masses are zero, and
+# a law can have more than 8 atoms (numpy sums pairwise from 8 on)
+_ATOMS = st.lists(
+    st.tuples(st.sampled_from([k / 10 for k in range(16)]), st.sampled_from([0.0, 0.1, 1.0, 2.0, 3.0, 7.0])),
+    min_size=1,
+    max_size=30,
+).filter(lambda atoms: any(p > 0 for _, p in atoms))
+
+
+class TestSegmentedFromAtoms:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_ATOMS, min_size=1, max_size=5))
+    def test_matches_from_atoms_bit_for_bit(self, laws):
+        laws = [[(v, p / sum(q for _, q in atoms)) for v, p in atoms] for atoms in laws]
+        seg = np.repeat(np.arange(len(laws)), [len(atoms) for atoms in laws])
+        values = np.array([v for atoms in laws for v, _ in atoms])
+        weights = np.array([p for atoms in laws for _, p in atoms])
+        got = segmented_from_atoms(seg, values, weights, len(laws)).laws()
+        assert got == [ScalarDistribution.from_atoms(atoms) for atoms in laws]
+
+    def test_rejects_what_from_atoms_rejects(self):
+        seg = np.array([0, 0])
+        with pytest.raises(NonPositiveProbability):
+            segmented_from_atoms(seg, np.array([1.0, 2.0]), np.array([1.5, -0.5]), 1)
+        with pytest.raises(EmptySupport):
+            segmented_from_atoms(seg, np.array([1.0, 2.0]), np.array([0.0, 0.0]), 1)
+        with pytest.raises(ProbabilityMassError):
+            segmented_from_atoms(seg, np.array([1.0, 2.0]), np.array([0.5, 0.4]), 1)
 
 
 class TestMaxVector:

@@ -216,6 +216,19 @@ class TestTieBreak:
         law = make_item_distribution([1, 2, 3], [0.2, 0.5, 0.3])
         assert tie_break_independence_check(law, 3) <= 1e-12
 
+    def test_cap_refuses_before_enumerating(self, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumerated past the cap")
+
+        law = make_item_distribution([1, 2, 3], [0.2, 0.5, 0.3])
+        monkeypatch.setattr(itertools, "product", no_enumeration)
+        with pytest.raises(EnumerationCapExceeded):
+            tie_break_independence_check(law, 4, cap=10)  # 3^4 = 81 tuples
+
+    def test_cap_is_inclusive(self):
+        law = make_item_distribution([1, 2, 3], [0.2, 0.5, 0.3])
+        assert tie_break_independence_check(law, 2, cap=9) <= 1e-12
+
     def test_seeded_laws(self):
         from auctionbench.generators import random_law
 
