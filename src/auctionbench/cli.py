@@ -170,6 +170,16 @@ def parse_config(raw: dict) -> InstanceConfig:
     )
 
 
+def _posted_prices(setting: AuctionSetting, rng: np.random.Generator) -> np.ndarray:
+    """n' x m random support prices for the sequential posted-price check, within caps.joint_terms."""
+    cells = setting.n_prime * setting.m
+    if cells > setting.caps.joint_terms:
+        raise EnumerationCapExceeded(f"n' x items = {cells} posted prices exceed cap {setting.caps.joint_terms}")
+    return np.array(
+        [[item.values[int(rng.integers(len(item.values)))] for item in setting.items] for _ in range(setting.n_prime)]
+    )
+
+
 def run_analysis(cfg: InstanceConfig) -> AnalysisReport:
     setting = cfg.setting
     n, np_ = setting.n, setting.n_prime
@@ -237,8 +247,7 @@ def run_analysis(cfg: InstanceConfig) -> AnalysisReport:
                 tol,
             )
         )
-    rng = make_rng(cfg.seed, 3)
-    prices = np.array([[item.values[int(rng.integers(len(item.values)))] for item in setting.items] for _ in range(np_)])
+    prices = _posted_prices(setting, make_rng(cfg.seed, 3))
     rep.add(
         CheckRecord.leq(
             "spp_le_srev",
@@ -389,9 +398,7 @@ def _verify_suites(setting: AuctionSetting, rng: np.random.Generator, tol: float
             CheckRecord.leq("iron_mean", "mean(phi_tilde) == mean(phi)", abs(mean_phi - mean_tilde), 0.0, 1e-12)
         )
     checks.append(CheckRecord.leq("ronen_le_srev", "RonenBound <= SRev", ronen_bound(setting, np_), srev_np, tol))
-    prices = np.array(
-        [[item.values[int(rng.integers(len(item.values)))] for item in setting.items] for _ in range(np_)]
-    )
+    prices = _posted_prices(setting, rng)
     checks.append(
         CheckRecord.leq(
             "spp_le_srev", "SeqPostedPrice <= SRev", sequential_posted_price_bound(setting, prices, np_), srev_np, tol

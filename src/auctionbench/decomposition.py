@@ -30,7 +30,7 @@ from .dist import (
     segmented_from_atoms,
 )
 from .errors import EnumerationCapExceeded, InstanceTooLarge, NotRegular, TooFewBidders
-from .iu import IUTables, build_iu_tables, iu
+from .iu import IUTables, build_iu_tables, iu, region_kernel
 from .lp import optimal_revenue
 from .myerson import all_regular, iron, srev
 from .report import CheckRecord
@@ -191,37 +191,28 @@ class EventProbabilities(NamedTuple):
 
 
 def event_probabilities(v: Valuation, setting: AuctionSetting, n_prime: int) -> EventProbabilities:
-    """Probabilities over M of the undercut and non-favorite events at v."""
+    """Probabilities over M of the undercut and non-favorite events at v.
+
+    p_nf_j = Pr(M_j <= v_j) - Pr(M_j <= v_j and every other utility strictly below v_j - M_j).
+    """
     maxvec = max_vector_distribution(setting, n_prime - 1)
     if maxvec.joint_size() > setting.caps.product_support:
         raise EnumerationCapExceeded("max-vector support exceeds cap")
-    m = setting.m
-    p_und = []
-    p_nf = []
-    for j in range(m):
-        law_j = maxvec.per_item[j]
-        p_und.append(1.0 - law_j.cdf(v[j]))
-        nf = 0.0
-        for mu, p_mu in zip(law_j.values, law_j.probs):
-            if mu > v[j]:
-                continue
-            u = v[j] - mu
-            # some other item's utility weakly beats u: complement of all strictly below,
-            # and u_jp < u means M_jp > v_jp - u
-            stay = 1.0
-            for jp in range(m):
-                if jp == j:
-                    continue
-                stay *= 1.0 - maxvec.per_item[jp].cdf(v[jp] - u)
-            nf += p_mu * (1.0 - stay)
-        p_nf.append(nf)
-    return EventProbabilities(tuple(p_und), tuple(p_nf))
+    laws = maxvec.per_item
+    rival_free = region_kernel(np.array([v]), laws, strict_ties=True)[0].tolist()
+    p_und = tuple(1.0 - law.cdf(vj) for law, vj in zip(laws, v))
+    p_nf = tuple(max(law.cdf(vj) - free, 0.0) for law, vj, free in zip(laws, v, rival_free))
+    return EventProbabilities(p_und, p_nf)
 
 
 def surplus_event_probability(
     setting: AuctionSetting, maxvec_laws: tuple[ScalarDistribution, ...], j: int, vj: float, m_vec: MaxVector
 ) -> float:
-    """Pr over v_{-j} that some other item's utility weakly beats v_j - M_j."""
+    """Pr over v_{-j} that some other item's utility weakly beats v_j - M_j.
+
+    The per-M reference for ``decomposition_terms``' surplus bound, which sums
+    the same events over v first (see there).
+    """
     u = vj - m_vec[j]
     stay = 1.0
     for jp, item in enumerate(setting.items):
@@ -268,13 +259,8 @@ def decomposition_terms(
     n_dd: int,
     iu_tables: IUTables | None = None,
     stats: tuple[UtilityStats, ...] | None = None,
-    strict_core: bool = False,
 ) -> DecompositionReport:
-    """Exact decomposition terms at bidder count n'.
-
-    `strict_core` switches the core window to v_j strictly below the
-    threshold (sensitivity only; the default matches the inclusive window).
-    """
+    """Exact decomposition terms at bidder count n'."""
     if not (1 <= n_dd <= n_prime):
         raise TooFewBidders("need 1 <= n_dd <= n_prime")
     tables = iu_tables if iu_tables is not None and iu_tables.n_prime == n_prime else build_iu_tables(setting, n_prime)
@@ -314,7 +300,6 @@ def decomposition_terms(
     tail_unclipped = 0.0
     tail = 0.0
     core = 0.0
-    surplus_bound = 0.0
     for st in stats:
         for j, item in enumerate(setting.items):
             t_j = st.thresholds[j]
@@ -323,12 +308,18 @@ def decomposition_terms(
             tail_unclipped += n_prime * st.prob * tail_term
             tail += n_prime * st.prob * min(tail_term, ronen_r_star(item, mj)[0])
             for x, p in zip(item.values, item.probs):
-                if x >= mj:
-                    srp = surplus_event_probability(setting, maxvec.per_item, j, x, st.m_vec)
-                    surplus_bound += n_prime * st.prob * p * (x - mj) * srp
-                in_core = (mj <= x < t_j) if strict_core else (mj <= x <= t_j)
-                if in_core:
+                if mj <= x <= t_j:
                     core += n_prime * st.prob * p * (x - mj)
+
+    # Surplus: n' E_{M,v}[sum_j (v_j - M_j)^+ 1(some rival utility >= v_j - M_j)],
+    # summed over M first for each v: E_M[(v_j - M_j)^+] minus the part where
+    # every rival utility stays strictly below.
+    vals = np.array(tables.valuations)
+    excess = sum(
+        np.maximum(vals[:, j, None] - law.values_arr, 0.0) @ law.probs_arr for j, law in enumerate(maxvec.per_item)
+    )
+    rival_free = region_kernel(vals, maxvec.per_item, strict_ties=True, weighted=True).sum(axis=1)
+    surplus_bound = n_prime * float(tables.vprobs @ (excess - rival_free))
 
     ronen_mass = n_prime * sum(st.prob * st.r_ron_total for st in stats)
     return DecompositionReport(

@@ -169,10 +169,6 @@ class ScalarDistribution:
         ]
         return ScalarDistribution.from_atoms(pairs, renorm_tol=MASS_TOL * 10)
 
-    def sample(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
-        idx = rng.choice(len(self.values), size=size, p=self.probs_arr)
-        return self.values_arr[idx]
-
 
 class Segments(NamedTuple):
     """Many finite laws in flat arrays: law s is values/probs[starts[s]:starts[s + 1]]."""
@@ -255,28 +251,17 @@ class ItemDistribution(ScalarDistribution):
 def make_item_distribution(
     values: Sequence[float], probs: Sequence[float], renorm_tol: float = RENORM_TOL
 ) -> ItemDistribution:
-    """Build an item distribution, sorting and merging duplicate values.
+    """Build an item distribution with :meth:`ScalarDistribution.from_atoms`.
 
-    Probabilities are renormalized when their sum is within `renorm_tol` of 1;
-    larger deviations raise ProbabilityMassError rather than masking a bug.
+    Values and probabilities are paired position by position, every
+    probability must be positive, and the mass is renormalized when its sum
+    is within `renorm_tol` of 1; larger deviations raise ProbabilityMassError.
     """
-    if len(values) == 0:
-        raise EmptySupport("empty support")
     if len(values) != len(probs):
         raise ProbabilityMassError("values and probs must have equal length")
-    if any(v < 0 for v in values):
-        raise NegativeValue("item values must be non-negative")
     if any(p <= 0 for p in probs):
         raise NonPositiveProbability("probabilities must be positive")
-    merged: dict[float, float] = {}
-    for v, p in zip(values, probs):
-        merged[float(v)] = merged.get(float(v), 0.0) + float(p)
-    total = sum(merged.values())
-    if abs(total - 1.0) > renorm_tol:
-        raise ProbabilityMassError(f"probability mass {total} deviates from 1 by more than {renorm_tol}")
-    vs = tuple(sorted(merged))
-    ps = tuple(merged[v] / total for v in vs)
-    return ItemDistribution(vs, ps)
+    return ItemDistribution.from_atoms(zip(values, probs), renorm_tol)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ attaining max_j u_j, provided that item's own max is cleared; otherwise v is
 in the residual region (None).  Region probabilities are taken over the max
 vector of n' - 1 i.i.d. ghost draws, whose per-item components are
 independent with CDF F_j^(n'-1); that independence is what makes the exact
-computation cheap.
+computation cheap.  One vectorised function, :func:`region_kernel`, computes
+the resulting products for the exact tables, the Monte-Carlo estimator and
+the decomposition's rival-event sums.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +36,8 @@ from .myerson import IronedTable, iron
 from .simple_auctions import vcg_revenue
 
 MC_STREAM = 17  # substream label for the benchmark estimator
+# valuations x items per region_kernel call in monte_carlo_iu; bounds its memory
+KERNEL_CELLS = 1 << 18
 
 
 def region_of(v: Valuation, maxvec: MaxVector) -> int | None:
@@ -60,49 +64,53 @@ class IUTables:
     phi: np.ndarray  # shape (len(valuations), m)
     law_phi: tuple[ScalarDistribution, ...]
 
-    def index_of(self, v: Valuation) -> int:
-        return self.valuations.index(v)
 
-
-def _region_probability(
-    v: Valuation,
-    j: int,
+def region_kernel(
+    vals: np.ndarray,
     max_laws: tuple[ScalarDistribution, ...],
-) -> float:
-    """Pr over the max vector that v falls in item j's region.
+    strict_ties: bool = False,
+    weighted: bool = False,
+) -> np.ndarray:
+    """Per item j: sum over atoms mu <= v_j of M_j of p_mu w prod_{j' != j} Pr(u_j' below u_j).
 
-    Conditions on M_j and uses independence of the other coordinates:
-    items before j must fall strictly below the winning utility and items
-    after j weakly below (that is the smallest-index tie-break).
+    `vals` is a (..., m) array of valuations, u_j = v_j - mu and u_j' = v_j' - M_j'
+    with the coordinates of M independent.  "Below" is strict for j' < j and
+    weak for j' > j (the smallest-index tie-break), which makes the result the
+    region probability P_j(v); with `strict_ties` it is strict for every j'.
+    The weight w is 1, or u_j when `weighted`.  Atoms sit on a leading axis and
+    are added in atom order.
     """
-    law_j = max_laws[j]
-    total = 0.0
-    for mu, p_mu in zip(law_j.values, law_j.probs):
-        if mu > v[j]:
-            continue
-        u = v[j] - mu
-        prob = p_mu
-        for jp, law in enumerate(max_laws):
-            if jp == j:
-                continue
-            threshold = v[jp] - u
-            if jp < j:
-                # utility at jp strictly below u: M_jp > v_jp - u
-                prob *= 1.0 - law.cdf(threshold)
-            else:
-                # utility at jp weakly below u: M_jp >= v_jp - u
-                prob *= 1.0 - law.prob_below(threshold)
-            if prob == 0.0:
-                break
-        total += prob
-    return total
+    vals = np.asarray(vals, dtype=np.float64)
+    out = np.empty(vals.shape)
+    atoms = (-1,) + (1,) * (vals.ndim - 1)
+    for j, law in enumerate(max_laws):
+        u = vals[..., j] - law.values_arr.reshape(atoms)
+        term = np.where(u >= 0.0, law.probs_arr.reshape(atoms), 0.0)
+        if weighted:
+            term *= u
+        for jp, rival in enumerate(max_laws):
+            if jp != j:
+                # survival[i] = Pr(M_jp > values[i - 1]) and survival[0] = 1; u_jp < u
+                # is M_jp > v_jp - u (search "right"), u_jp <= u is M_jp >= v_jp - u ("left")
+                survival = np.concatenate(([1.0], 1.0 - rival.cdf_arr))
+                side = "left" if jp > j and not strict_ties else "right"
+                term *= survival[rival.values_arr.searchsorted(vals[..., jp] - u, side=side)]
+        out[..., j] = term.cumsum(axis=0)[-1]
+    return out
+
+
+def benchmark_values(vals: np.ndarray, p_region: np.ndarray, ironed: Sequence[IronedTable]) -> np.ndarray:
+    """Phi_j(v) = v_j (1 - P_j(v)) + max(phi_tilde_j(v_j), 0) P_j(v), elementwise over (..., m)."""
+    phi = np.empty(vals.shape)
+    for j, table in enumerate(ironed):
+        vj, pj = vals[..., j], p_region[..., j]
+        phi_plus = np.maximum(np.asarray(table.phi_tilde), 0.0)[table.item.values_arr.searchsorted(vj)]
+        phi[..., j] = vj * (1.0 - pj) + phi_plus * pj
+    return phi
 
 
 def build_iu_tables(setting: AuctionSetting, n_prime: int, tables: tuple[IronedTable, ...] | None = None) -> IUTables:
-    """Exact region probabilities P_j(v) and benchmark values Phi_j(v) for every v.
-
-    Phi_j(v) = v_j (1 - P_j(v)) + max(phi_tilde_j(v_j), 0) P_j(v).
-    """
+    """Exact region probabilities P_j(v) and benchmark values Phi_j(v) for every v."""
     if n_prime < 1:
         raise TooFewBidders("need n_prime >= 1")
     maxvec = max_vector_distribution(setting, n_prime - 1)
@@ -114,18 +122,12 @@ def build_iu_tables(setting: AuctionSetting, n_prime: int, tables: tuple[IronedT
         )
     ironed = tables if tables is not None else tuple(iron(item) for item in setting.items)
     valuations, vprobs = setting.valuations()
-    m = setting.m
-    p_region = np.zeros((len(valuations), m))
-    phi = np.zeros((len(valuations), m))
-    for vi, v in enumerate(valuations):
-        for j in range(m):
-            p = _region_probability(v, j, maxvec.per_item)
-            p_region[vi, j] = p
-            phi_plus = ironed[j].phi_tilde_plus_at(v[j])
-            phi[vi, j] = v[j] * (1.0 - p) + phi_plus * p
+    vals = np.array(valuations)
+    p_region = region_kernel(vals, maxvec.per_item)
+    phi = benchmark_values(vals, p_region, ironed)
     law_phi = tuple(
         ScalarDistribution.from_atoms(zip(phi[:, j].tolist(), vprobs.tolist()), renorm_tol=1e-9)
-        for j in range(m)
+        for j in range(setting.m)
     )
     return IUTables(setting, n_prime, valuations, vprobs, p_region, phi, law_phi)
 
@@ -150,66 +152,39 @@ def monte_carlo_iu(
 
     Each sample draws n valuations; Phi_j is evaluated exactly through the
     per-item max CDFs, so the only randomness is in the valuations.  Output is
-    deterministic for a given seed.
+    deterministic for a given seed.  One sample holds n x m values; more than
+    caps.joint_terms raises EnumerationCapExceeded.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if n < 1 or n_prime < 1:
         raise TooFewBidders("need n, n_prime >= 1")
+    cells = n * setting.m
+    if cells > setting.caps.joint_terms:
+        raise EnumerationCapExceeded(
+            f"bidders x items = {cells} exceeds cap {setting.caps.joint_terms} per sample"
+        )
+    # draws per chunk (the random stream) and valuations per kernel call (memory)
+    chunk = min(chunk, setting.caps.joint_terms // cells)
+    rows = max(1, KERNEL_CELLS // cells)
     maxvec = max_vector_distribution(setting, n_prime - 1)
     ironed = [iron(item) for item in setting.items]
-    m = setting.m
-
-    # per-item lookup arrays for vectorized Phi evaluation
-    supports = [np.asarray(item.values) for item in setting.items]
-    phi_plus = [
-        np.maximum(np.asarray(t.phi_tilde), 0.0) for t in ironed
-    ]
-    max_supports = [law.values_arr for law in maxvec.per_item]
-    max_pmfs = [law.probs_arr for law in maxvec.per_item]
-    max_cdfs = [law.cdf_arr for law in maxvec.per_item]
-
-    def cdf_leq(j: int, x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(max_supports[j], x, side="right")
-        padded = np.concatenate(([0.0], max_cdfs[j]))
-        return padded[idx]
-
-    def cdf_lt(j: int, x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(max_supports[j], x, side="left")
-        padded = np.concatenate(([0.0], max_cdfs[j]))
-        return padded[idx]
-
     rng = make_rng(seed, MC_STREAM)
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < samples:
         batch = min(chunk, samples - done)
-        # value indices per (sample, bidder, item)
-        vals = np.empty((batch, n, m))
+        vals = np.empty((batch, n, setting.m))
         for j, item in enumerate(setting.items):
             idx = rng.choice(len(item.values), size=(batch, n), p=item.probs_arr)
-            vals[:, :, j] = supports[j][idx]
+            vals[:, :, j] = item.values_arr[idx]
         stat = np.zeros(batch)
-        for j in range(m):
-            vj = vals[:, :, j]
-            p = np.zeros_like(vj)
-            for mu, p_mu in zip(max_supports[j], max_pmfs[j]):
-                live = vj >= mu
-                if not live.any():
-                    continue
-                u = vj - mu
-                term = np.where(live, p_mu, 0.0)
-                for jp in range(m):
-                    if jp == j:
-                        continue
-                    thresh = vals[:, :, jp] - u
-                    factor = 1.0 - (cdf_leq(jp, thresh) if jp < j else cdf_lt(jp, thresh))
-                    term = term * factor
-                p += term
-            idx = np.searchsorted(supports[j], vj)
-            phi = vj * (1.0 - p) + phi_plus[j][idx] * p
-            stat += phi.max(axis=1)
+        for lo in range(0, batch, rows):
+            part = vals[lo : lo + rows]
+            phi = benchmark_values(part, region_kernel(part, maxvec.per_item), ironed)
+            for j in range(setting.m):
+                stat[lo : lo + rows] += phi[:, :, j].max(axis=1)
         total += float(stat.sum())
         total_sq += float((stat * stat).sum())
         done += batch

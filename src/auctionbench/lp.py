@@ -201,19 +201,20 @@ class MechanismLP:
         self.valuations = vals
         self.vprobs = vprobs
         self.n_vals = len(vals)
-        if self.n_vals**n > PROFILE_CAP:
+        # the exponent is capped so a huge n costs nothing: 2^bit_length > cap
+        if self.n_vals ** min(n, PROFILE_CAP.bit_length()) > PROFILE_CAP:
             raise InstanceTooLarge(
                 f"{self.n_vals}^{n} profiles exceed the cap {PROFILE_CAP}"
             )
-        self.profiles = tuple(itertools.product(vals, repeat=n))
-        self.profile_probs = np.array(
-            [math.prod(vprobs[vals.index(v)] for v in prof) for prof in self.profiles]
-        )
-        self.n_profiles = len(self.profiles)
+        self.n_profiles = self.n_vals**n
         self.n_pi = n * self.m * self.n_profiles
         self.n_vars = self.n_pi + 2 * n * self.n_vals
         if self.n_vars > VARIABLE_CAP:
             raise InstanceTooLarge(f"{self.n_vars} variables exceed the cap {VARIABLE_CAP}")
+        self.profiles = tuple(itertools.product(vals, repeat=n))
+        self.profile_probs = np.array(
+            [math.prod(vprobs[vals.index(v)] for v in prof) for prof in self.profiles]
+        )
         self._build()
 
     def _pi_idx(self, i: int, j: int, pidx: int) -> int:

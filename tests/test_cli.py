@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from auctionbench.cli import (
 from auctionbench.errors import ConfigParseError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 D2_CONFIG = {
     "items": [{"values": ["1", "2"], "probs": ["0.5", "0.5"]}],
@@ -106,11 +108,13 @@ class TestConfigParsing:
 
 
 # A valid config with up to two fields replaced by junk.  The LP stays tiny:
-# n <= 2 and at most 4 valuations.  Huge numbers go only into item values and
-# probabilities: a huge but integral n, n_prime or samples is valid input
-# that asks for an astronomically long run.
+# n <= 2 and at most 4 valuations.  Huge numbers go into item values and
+# probabilities, and huge integers into n, n_prime and seed: n or n_prime
+# beyond the caps must be refused at once.  A huge samples count is valid
+# input that asks for an astronomically long run, so it is left out.
 JUNK = st.sampled_from([None, True, "nan", "inf", "-inf", "abc", "", "2.5", float("nan"), float("inf"), -1, 0, [1], {}])
 JUNK_ATOM = JUNK | st.sampled_from([1e300, 1e-300, "1e999"])
+JUNK_COUNT = JUNK | st.sampled_from([10**8, 1e300, str(10**40)])
 _ITEM = st.lists(st.sampled_from(["0", "1", "2", "3.5", 7]), min_size=1, max_size=2, unique=True).flatmap(
     lambda values: st.lists(st.integers(1, 3), min_size=len(values), max_size=len(values)).map(
         lambda w: {"values": values, "probs": [x / sum(w) for x in w]}
@@ -136,7 +140,10 @@ _FIELDS = ("items", "n", "n_prime", "epsilon", "mode", "samples", "seed", "caps"
 def fuzzed_configs(draw):
     payload = draw(_CONFIG)
     for field in draw(st.lists(st.sampled_from(_FIELDS), max_size=2)):
-        junk = draw(JUNK_ATOM if field in ("value", "prob") else JUNK)
+        if field in ("value", "prob"):
+            junk = draw(JUNK_ATOM)
+        else:
+            junk = draw(JUNK_COUNT if field in ("n", "n_prime", "seed") else JUNK)
         items = payload["items"] if isinstance(payload["items"], list) else [None]
         if field.startswith("caps.") and isinstance(payload.get("caps", {}), dict):
             payload["caps"] = dict(payload.get("caps", {}), **{field[5:]: junk})
@@ -157,6 +164,38 @@ def test_fuzzed_config_gives_a_documented_exit_code(tmp_path, capsys, payload):
     code = main(["analyze", "--config", write_config(tmp_path, payload), "--format", "json"])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CAPS, EXIT_LP, EXIT_CHECK_FAILED)
     assert "Traceback" not in capsys.readouterr().err
+
+
+class TestGoldenReports:
+    """The JSON report and exit code of every sample config, byte for byte."""
+
+    @pytest.mark.parametrize("name", ["two_point", "two_items", "irregular_three_point", "near_uniform_many_items"])
+    def test_config_report(self, name, capsys):
+        code = main(["analyze", "--config", str(CONFIGS / f"{name}.json"), "--format", "json"])
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+        assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+
+
+class TestHugeBidderCounts:
+    """n or n' far beyond the caps is refused with exit 3 before any work scales with it."""
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"n": 1, "n_prime": 1e300},
+            {"n": 10**8, "n_prime": 10**8},
+            {"n": 1, "n_prime": 1e300, "mode": "monte_carlo", "samples": 10},
+            {"n": 10**8, "n_prime": 10**8, "mode": "monte_carlo", "samples": 10},
+        ],
+    )
+    def test_exit_3_at_once(self, tmp_path, capsys, override):
+        path = write_config(tmp_path, dict(D2_CONFIG, **override))
+        start = time.perf_counter()
+        code = main(["analyze", "--config", path, "--format", "json"])
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_CAPS
+        assert "Traceback" not in capsys.readouterr().err
+        assert elapsed < 2.0
 
 
 class TestAnalyze:

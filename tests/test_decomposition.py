@@ -238,6 +238,23 @@ class TestEventProbabilities:
                 for j in range(setting.m):
                     assert 1.0 - tables.p_region[vi, j] <= ev.p_und[j] + ev.p_nf[j] + 1e-9
 
+    def test_non_favorite_matches_joint_enumeration(self):
+        rng = make_rng(45)
+        for _ in range(25):
+            setting = random_setting(rng, max_items=3, max_support=3, max_ghosts=4)
+            maxvec = max_vector_distribution(setting, setting.n_prime - 1)
+            vals, _ = setting.valuations()
+            for v in vals:
+                ev = event_probabilities(v, setting, setting.n_prime)
+                for j in range(setting.m):
+                    oracle = sum(
+                        prob
+                        for m_vec, prob in maxvec.joint()
+                        if v[j] >= m_vec[j]
+                        and any(v[k] - m_vec[k] >= v[j] - m_vec[j] for k in range(setting.m) if k != j)
+                    )
+                    assert ev.p_nf[j] == pytest.approx(oracle, abs=1e-12)
+
     def test_tail_probability_bound(self):
         # above the threshold, the rival event has mass at most r / (v_j - M_j)
         rng = make_rng(47)
@@ -315,10 +332,26 @@ class TestTerms:
             rep = decomposition_terms(setting, setting.n_prime, setting.n)
             assert rep.iu_nprime <= rep.single + rep.under + rep.over + rep.tail + rep.core + 1e-9
 
-    def test_strict_core_not_larger(self, setting_d2):
-        loose = decomposition_terms(setting_d2, 2, 1)
-        strict = decomposition_terms(setting_d2, 2, 1, strict_core=True)
-        assert strict.core <= loose.core + 1e-12
+    def test_surplus_matches_per_max_vector_sum(self):
+        # reference: the per-(M, j, x) sum over surplus_event_probability.  The
+        # bound is a difference of masses, so the tolerance is relative to the
+        # undifferenced mass n' E[sum_j (v_j - M_j)^+]
+        rng = make_rng(53)
+        for _ in range(40):
+            setting = random_setting(rng, max_items=3, max_support=3, max_ghosts=5)
+            n_prime = setting.n_prime
+            laws = max_vector_distribution(setting, n_prime - 1).per_item
+            stats = build_utility_stats(setting, n_prime)
+            ref = scale = 0.0
+            for s in stats:
+                for j, item in enumerate(setting.items):
+                    for x, p in zip(item.values, item.probs):
+                        if x >= s.m_vec[j]:
+                            w = n_prime * s.prob * p * (x - s.m_vec[j])
+                            ref += w * surplus_event_probability(setting, laws, j, x, s.m_vec)
+                            scale += w
+            got = decomposition_terms(setting, n_prime, setting.n, stats=stats).surplus_bound
+            assert abs(got - ref) <= 1e-12 * max(scale, 1.0)
 
 
 class TestFloors:

@@ -2,11 +2,16 @@
 
 import itertools
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from auctionbench import (
     AuctionSetting,
+    Caps,
     build_iu_tables,
     iu,
     make_item_distribution,
@@ -17,16 +22,71 @@ from auctionbench import (
     step2_inequality_check,
     tie_break_independence_check,
 )
+from auctionbench.cli import load_config
 from auctionbench.errors import EnumerationCapExceeded
 from auctionbench.generators import random_setting
-from auctionbench.iu import _region_probability
+from auctionbench.iu import region_kernel
 from auctionbench.myerson import iron
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def joint_region_probability(setting, v, j, n_prime):
     """Oracle: literal sum over the joint max-vector support."""
     maxvec = max_vector_distribution(setting, n_prime - 1)
     return sum(prob for m_vec, prob in maxvec.joint() if region_of(v, m_vec) == j)
+
+
+def scalar_region_probability(v, j, max_laws):
+    """Reference: the one-valuation loop the region kernel replaced, kept verbatim.
+
+    Conditions on M_j and multiplies the other coordinates' probabilities in
+    item order: items before j strictly below the winning utility, items
+    after j weakly below; atoms are added in order.
+    """
+    law_j = max_laws[j]
+    total = 0.0
+    for mu, p_mu in zip(law_j.values, law_j.probs):
+        if mu > v[j]:
+            continue
+        u = v[j] - mu
+        prob = p_mu
+        for jp, law in enumerate(max_laws):
+            if jp == j:
+                continue
+            threshold = v[jp] - u
+            if jp < j:
+                prob *= 1.0 - law.cdf(threshold)
+            else:
+                prob *= 1.0 - law.prob_below(threshold)
+            if prob == 0.0:
+                break
+        total += prob
+    return total
+
+
+def assert_tables_match_scalar_reference(setting, n_prime):
+    """p_region and phi equal (==) the one-valuation reference, value by value."""
+    tables = build_iu_tables(setting, n_prime)
+    laws = max_vector_distribution(setting, n_prime - 1).per_item
+    ironed = [iron(item) for item in setting.items]
+    for vi, v in enumerate(tables.valuations):
+        for j in range(setting.m):
+            p = scalar_region_probability(v, j, laws)
+            assert tables.p_region[vi, j] == p
+            assert tables.phi[vi, j] == v[j] * (1.0 - p) + ironed[j].phi_tilde_plus_at(v[j]) * p
+
+
+@st.composite
+def tied_settings(draw):
+    # values on a coarse grid, so utilities tie across items
+    def item():
+        values = draw(st.lists(st.integers(0, 12), min_size=1, max_size=3, unique=True))
+        weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(values), max_size=len(values)))
+        return make_item_distribution([v / 4 for v in values], [w / sum(weights) for w in weights])
+
+    items = tuple(item() for _ in range(draw(st.integers(1, 3))))
+    return AuctionSetting(items=items, n=1, n_prime=draw(st.integers(1, 8)))
 
 
 class TestRegionOf:
@@ -96,10 +156,10 @@ class TestBuildTables:
             n_prime = setting.n_prime
             maxvec = max_vector_distribution(setting, n_prime - 1)
             vals, _ = setting.valuations()
-            for v in vals:
+            fast = region_kernel(np.array(vals), maxvec.per_item)
+            for vi, v in enumerate(vals):
                 for j in range(setting.m):
-                    fast = _region_probability(v, j, maxvec.per_item)
-                    assert fast == pytest.approx(
+                    assert fast[vi, j] == pytest.approx(
                         joint_region_probability(setting, v, j, n_prime), abs=1e-12
                     )
 
@@ -121,11 +181,45 @@ class TestBuildTables:
                     assert tables.phi[vi, j] <= v[j] + 1e-12
 
     def test_cap_exceeded(self, d2):
-        from auctionbench import Caps
-
         setting = AuctionSetting(items=(d2,) * 6, n=1, n_prime=2, caps=Caps(joint_terms=100))
         with pytest.raises(EnumerationCapExceeded):
             build_iu_tables(setting, 2)
+
+
+class TestRegionKernel:
+    @pytest.mark.parametrize("name", ["two_point", "two_items", "irregular_three_point", "near_uniform_many_items"])
+    def test_configs_match_scalar_reference(self, name):
+        setting = load_config(CONFIGS / f"{name}.json").setting
+        assert_tables_match_scalar_reference(setting, setting.n_prime)
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(tied_settings())
+    def test_drawn_settings_match_scalar_reference(self, setting):
+        assert_tables_match_scalar_reference(setting, setting.n_prime)
+
+    def test_sample_shaped_input(self):
+        # the Monte-Carlo estimator passes (samples, bidders, m) arrays
+        rng = make_rng(37)
+        for _ in range(20):
+            setting = random_setting(rng, max_items=3, max_support=3, max_ghosts=5)
+            laws = max_vector_distribution(setting, setting.n_prime - 1).per_item
+            vals = np.stack(
+                [rng.choice(item.values_arr, size=(4, 3)) for item in setting.items], axis=-1
+            )
+            got = region_kernel(vals, laws)
+            for idx in np.ndindex(4, 3):
+                v = tuple(vals[idx].tolist())
+                assert got[idx].tolist() == [scalar_region_probability(v, j, laws) for j in range(setting.m)]
+
+    def test_strict_ties_and_weights(self, setting_two_items):
+        # one item per M coordinate, M ~ d2 each: at v = (2, 2) item 0 keeps
+        # the rival strictly below only when M_1 > M_0
+        laws = max_vector_distribution(setting_two_items, 1).per_item
+        v = np.array([[2.0, 2.0]])
+        assert region_kernel(v, laws, strict_ties=True).tolist() == [[0.25, 0.25]]
+        assert region_kernel(v, laws).tolist() == [[0.75, 0.25]]
+        # weighted by u = v_j - mu: only mu = 1 (u = 1) survives the strict rule
+        assert region_kernel(v, laws, strict_ties=True, weighted=True).tolist() == [[0.25, 0.25]]
 
 
 class TestIU:
@@ -198,6 +292,19 @@ class TestMonteCarlo:
         a = monte_carlo_iu(setting_two_items, 2, 3, 50_000, seed=11)
         b = monte_carlo_iu(setting_two_items, 2, 3, 50_000, seed=11)
         assert a == b
+
+    def test_chunk_shrinks_to_the_cap(self, d2, d3):
+        # 2 bidders x 2 items = 4 cells per sample; a cap of 16 cells allows 4
+        # samples per chunk, the same stream as asking for chunk=4
+        capped = AuctionSetting(items=(d2, d3), n=2, n_prime=3, caps=Caps(joint_terms=16))
+        free = AuctionSetting(items=(d2, d3), n=2, n_prime=3)
+        assert monte_carlo_iu(capped, 2, 3, 50, seed=4) == monte_carlo_iu(free, 2, 3, 50, seed=4, chunk=4)
+        assert monte_carlo_iu(free, 2, 3, 50, seed=4) != monte_carlo_iu(free, 2, 3, 50, seed=4, chunk=4)
+
+    def test_bidder_cells_over_cap(self, d2):
+        setting = AuctionSetting(items=(d2, d2), n=8, n_prime=8, caps=Caps(joint_terms=15))
+        with pytest.raises(EnumerationCapExceeded):
+            monte_carlo_iu(setting, 8, 8, 10, seed=0)
 
     def test_seed_changes_stream(self, setting_d2):
         a = monte_carlo_iu(setting_d2, 1, 2, 10_000, seed=1)

@@ -18,6 +18,7 @@ from auctionbench import (
 )
 from auctionbench.errors import InstanceTooLarge, Unbounded
 from auctionbench.generators import random_setting
+from auctionbench.lp import MechanismLP
 
 
 def vertex_enumeration_optimum(c, a_ub, b_ub):
@@ -175,6 +176,14 @@ class TestOptimalRevenue:
         setting = AuctionSetting(items=(d2,) * 5, n=3, n_prime=3)
         with pytest.raises(InstanceTooLarge):
             optimal_revenue(setting, 3)
+
+    def test_huge_bidder_count_refused_at_once(self, d2, point_mass):
+        # n_vals^n is never formed in full; one valuation gives one profile but
+        # too many variables
+        for item in (d2, point_mass):
+            setting = AuctionSetting(items=(item,), n=10**8, n_prime=10**8)
+            with pytest.raises(InstanceTooLarge):
+                MechanismLP(setting, 10**8)
 
     def test_interim_quantities_consistent(self, setting_d2):
         _, mech = optimal_revenue(setting_d2, 2)
