@@ -167,13 +167,29 @@ def test_fuzzed_config_gives_a_documented_exit_code(tmp_path, capsys, payload):
 
 
 class TestGoldenReports:
-    """The JSON report and exit code of every sample config, byte for byte."""
+    """The JSON report and exit code of every sample config, and of verify and sweep runs, byte for byte."""
 
     @pytest.mark.parametrize("name", ["two_point", "two_items", "irregular_three_point", "near_uniform_many_items"])
     def test_config_report(self, name, capsys):
         code = main(["analyze", "--config", str(CONFIGS / f"{name}.json"), "--format", "json"])
         assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
         assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("verify_seed3_count50.txt", ["verify", "--seed", "3", "--count", "50"]),
+            (
+                "sweep_two_items.csv",
+                ["sweep", "--config", str(CONFIGS / "two_items.json"), "--n-prime-min", "1", "--n-prime-max", "8"],
+            ),
+        ],
+    )
+    def test_command_stdout(self, name, argv, capsys):
+        code = main(argv)
+        # bytes, not read_text: the csv module ends sweep rows with \r\n
+        assert capsys.readouterr().out == (GOLDEN / name).read_bytes().decode()
+        assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[Path(name).stem]
 
 
 class TestHugeBidderCounts:
