@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .decomposition import (
-    build_utility_stats,
     bvcg_constructed_revenue,
     lemma_chain_check,
     main_theorem_verdict,
@@ -42,7 +41,7 @@ from .errors import (
     Unbounded,
 )
 from .generators import random_setting
-from .iu import build_iu_tables, iu, monte_carlo_iu, step2_inequality_check, tie_break_independence_check
+from .iu import Instance, monte_carlo_iu, step2_inequality_check, tie_break_independence_check
 from .myerson import all_regular, iron, srev, srev_item, virtual_values
 from .report import AnalysisReport, CheckRecord
 from .simple_auctions import (
@@ -180,6 +179,34 @@ def _posted_prices(setting: AuctionSetting, rng: np.random.Generator) -> np.ndar
     )
 
 
+def _shared_checks(inst: Instance, srev_np: float, rng: np.random.Generator, tol: float) -> list[CheckRecord]:
+    """The checks analyze and verify share; `srev_np` is SRev(n') and `rng` draws the posted prices."""
+    setting, n, np_ = inst.setting, inst.setting.n, inst.n_prime
+    checks = []
+    if np_ >= 2:
+        s2 = step2_inequality_check(inst, n, tol)
+        checks.append(CheckRecord.leq("step2", "IU(n,n') <= (n/n')*IU(n',n') + VCG(n')", s2.lhs, s2.rhs, tol))
+    checks.append(
+        CheckRecord.leq("ronen_le_srev", "RonenBound(n') <= SRev(n')", ronen_bound(setting, np_), srev_np, tol)
+    )
+    for j, item in enumerate(setting.items):
+        lhs = max(vcg_with_reserve_bound(setting, j, x, np_) for x in (0.0,) + item.values)
+        checks.append(
+            CheckRecord.leq(
+                f"reserve_le_srev_item_{j}",
+                "max over reserves of x*Pr(max >= x) <= SRev_j(n')",
+                lhs,
+                srev_item(item, np_),
+                tol,
+            )
+        )
+    spp = sequential_posted_price_bound(setting, _posted_prices(setting, rng), np_)
+    checks.append(CheckRecord.leq("spp_le_srev", "SeqPostedPrice(n') <= SRev(n')", spp, srev_np, tol))
+    bk = bulow_klemperer_check(setting, n)
+    checks.append(CheckRecord("bulow_klemperer", "SRev(n) <= VCG(n+1) (regular items)", bk.srev_n, bk.vcg_n1, bk.holds))
+    return checks
+
+
 def run_analysis(cfg: InstanceConfig) -> AnalysisReport:
     setting = cfg.setting
     n, np_ = setting.n, setting.n_prime
@@ -217,50 +244,11 @@ def run_analysis(cfg: InstanceConfig) -> AnalysisReport:
             )
         return rep
 
-    tables = build_iu_tables(setting, np_)
-    rep.scalars["iu_n"] = iu(setting, n, np_, tables)
-    rep.scalars["iu_n_prime"] = iu(setting, np_, np_, tables)
-
-    if np_ >= 2:
-        s2 = step2_inequality_check(setting, n, np_, tol, tables)
-        rep.add(CheckRecord.leq("step2", "IU(n,n') <= (n/n')*IU(n',n') + VCG(n')", s2.lhs, s2.rhs, tol))
-
-    rep.add(
-        CheckRecord.leq(
-            "ronen_le_srev", "RonenBound(n') <= SRev(n')", ronen_bound(setting, np_), rep.scalars["srev_n_prime"], tol
-        )
-    )
-    for j, item in enumerate(setting.items):
-        worst = None
-        for x in (0.0,) + item.values:
-            lhs = vcg_with_reserve_bound(setting, j, x, np_)
-            rhs = srev_item(item, np_)
-            if worst is None or (rhs - lhs) < (worst[1] - worst[0]):
-                worst = (lhs, rhs)
-        assert worst is not None
-        rep.add(
-            CheckRecord.leq(
-                f"reserve_le_srev_item_{j}",
-                "max over reserves of x*Pr(max >= x) <= SRev_j(n')",
-                worst[0],
-                worst[1],
-                tol,
-            )
-        )
-    prices = _posted_prices(setting, make_rng(cfg.seed, 3))
-    rep.add(
-        CheckRecord.leq(
-            "spp_le_srev",
-            "SeqPostedPrice(n') <= SRev(n')",
-            sequential_posted_price_bound(setting, prices, np_),
-            rep.scalars["srev_n_prime"],
-            tol,
-        )
-    )
-    bk = bulow_klemperer_check(setting, n)
-    rep.add(CheckRecord("bulow_klemperer", "SRev(n) <= VCG(n+1) (regular items)", bk.srev_n, bk.vcg_n1, bk.holds))
-
-    verdict = main_theorem_verdict(setting, n, setting.epsilon, np_, tol=tol, iu_tables=tables)
+    inst = Instance(setting, np_)
+    rep.scalars["iu_n"] = inst.iu_tables.iu(n)
+    rep.scalars["iu_n_prime"] = inst.iu_tables.iu(np_)
+    rep.checks.extend(_shared_checks(inst, rep.scalars["srev_n_prime"], make_rng(cfg.seed, 3), tol))
+    verdict = main_theorem_verdict(inst, n, setting.epsilon, tol=tol)
     chain = verdict.chain
     rep.scalars["single"] = chain.single
     rep.scalars["under"] = chain.under
@@ -358,17 +346,16 @@ def cmd_sweep(args) -> int:
     for np_ in range(lo, hi + 1):
         if np_ < setting.n:
             continue
-        tables = build_iu_tables(setting, np_)
-        stats = build_utility_stats(setting, np_)
-        _, participation = bvcg_constructed_revenue(setting, np_, stats)
-        pi_lb, _ = pi_bvcg_constructed_revenue(setting, np_, stats)
+        inst = Instance(setting, np_)
+        _, participation = bvcg_constructed_revenue(inst)
+        pi_lb, _ = pi_bvcg_constructed_revenue(inst)
         writer.writerow(
             [
                 np_,
                 f"{vcg_revenue(setting, np_):.12g}" if np_ >= 2 else "",
                 f"{srev(setting, np_):.12g}",
-                f"{iu(setting, setting.n, np_, tables):.12g}",
-                f"{iu(setting, np_, np_, tables):.12g}",
+                f"{inst.iu_tables.iu(setting.n):.12g}",
+                f"{inst.iu_tables.iu(np_):.12g}",
                 f"{participation:.12g}",
                 f"{max(pi_lb, vcg_revenue(setting, np_ + 1)):.12g}",
             ]
@@ -382,9 +369,10 @@ def cmd_sweep(args) -> int:
 
 def _verify_suites(setting: AuctionSetting, rng: np.random.Generator, tol: float) -> list[CheckRecord]:
     checks: list[CheckRecord] = []
-    n, np_ = setting.n, setting.n_prime
+    inst = Instance(setting, setting.n_prime)
+    np_ = inst.n_prime
     srev_np = srev(setting, np_)
-    for j, item in enumerate(setting.items):
+    for item in setting.items:
         table = iron(item)
         worst_mono = min(
             (b - a for a, b in zip(table.phi_tilde, table.phi_tilde[1:])), default=0.0
@@ -397,36 +385,20 @@ def _verify_suites(setting: AuctionSetting, rng: np.random.Generator, tol: float
         checks.append(
             CheckRecord.leq("iron_mean", "mean(phi_tilde) == mean(phi)", abs(mean_phi - mean_tilde), 0.0, 1e-12)
         )
-    checks.append(CheckRecord.leq("ronen_le_srev", "RonenBound <= SRev", ronen_bound(setting, np_), srev_np, tol))
-    prices = _posted_prices(setting, rng)
-    checks.append(
-        CheckRecord.leq(
-            "spp_le_srev", "SeqPostedPrice <= SRev", sequential_posted_price_bound(setting, prices, np_), srev_np, tol
-        )
-    )
-    for j, item in enumerate(setting.items):
-        lhs = max(vcg_with_reserve_bound(setting, j, x, np_) for x in (0.0,) + item.values)
-        checks.append(CheckRecord.leq("reserve_le_srev", "ReserveBound <= SRev_j", lhs, srev_item(item, np_), tol))
-    tables = build_iu_tables(setting, np_)
-    stats = build_utility_stats(setting, np_)
+    checks.extend(_shared_checks(inst, srev_np, rng, tol))
     if np_ >= 2:
         checks.append(
             CheckRecord.leq("vcg_le_srev", "VCG(n') <= SRev(n')", vcg_revenue(setting, np_), srev_np, tol)
         )
-        s2 = step2_inequality_check(setting, n, np_, tol, tables)
-        checks.append(CheckRecord.leq("step2", "IU growth inequality", s2.lhs, s2.rhs, tol))
-    chain = lemma_chain_check(setting, n, np_, tol=tol, iu_tables=tables, stats=stats)
-    checks.extend(chain.checks)
+    checks.extend(lemma_chain_check(inst, setting.n, tol=tol).checks)
     worst = 0.0
-    for st in stats:
+    for st in inst.stats:
         worst = max(worst, st.var_u_hat - 2.0 * st.r_ron_total**2)
     checks.append(CheckRecord.leq("capped_variance", "Var(U_hat) <= 2 r^2", worst, 0.0, tol))
     deviation = max(tie_break_independence_check(item, 3) for item in setting.items)
     checks.append(
         CheckRecord.leq("tie_break", "max winner-conditioned deviation == 0", deviation, 0.0, 1e-12)
     )
-    bk = bulow_klemperer_check(setting, n)
-    checks.append(CheckRecord("bulow_klemperer", "SRev(n) <= VCG(n+1) (regular)", bk.srev_n, bk.vcg_n1, bk.holds))
     return checks
 
 
@@ -445,7 +417,8 @@ def cmd_verify(args) -> int:
         for check in _verify_suites(setting, rng, args.tolerance):
             if check.holds is None:
                 continue
-            summary.setdefault(f"{check.name}", []).append(check.slack)
+            # one row per check family: reserve_le_srev_item_<j> counts as reserve_le_srev
+            summary.setdefault(check.name.split("_item_")[0], []).append(check.slack)
             if not check.holds:
                 failures += 1
                 print(

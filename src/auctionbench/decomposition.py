@@ -10,7 +10,6 @@ capped utility sum is a convolution of per-item laws.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -30,7 +29,7 @@ from .dist import (
     segmented_from_atoms,
 )
 from .errors import EnumerationCapExceeded, InstanceTooLarge, NotRegular, TooFewBidders
-from .iu import IUTables, build_iu_tables, iu, region_kernel
+from .iu import Instance, region_kernel
 from .lp import optimal_revenue
 from .myerson import all_regular, iron, srev
 from .report import CheckRecord
@@ -241,11 +240,9 @@ class DecompositionReport:
     ronen_mass: float  # n' * E_M[r_ron_total]
     fee_mass: float = 0.0
     participation_lb: float = 0.0
-    bvcg_floor: float = 0.0
     pi_revenue_lb: float = 0.0
     s_all: float = 0.0
     pi_bvcg_floor: float = 0.0
-    vcg_nprime_plus1: float | None = None
     regular_branch: bool = False
     checks: list[CheckRecord] = field(default_factory=list)
 
@@ -253,18 +250,12 @@ class DecompositionReport:
         return all(c.holds for c in self.checks if c.holds is not None)
 
 
-def decomposition_terms(
-    setting: AuctionSetting,
-    n_prime: int,
-    n_dd: int,
-    iu_tables: IUTables | None = None,
-    stats: tuple[UtilityStats, ...] | None = None,
-) -> DecompositionReport:
+def decomposition_terms(inst: Instance, n_dd: int) -> DecompositionReport:
     """Exact decomposition terms at bidder count n'."""
+    setting, n_prime = inst.setting, inst.n_prime
     if not (1 <= n_dd <= n_prime):
         raise TooFewBidders("need 1 <= n_dd <= n_prime")
-    tables = iu_tables if iu_tables is not None and iu_tables.n_prime == n_prime else build_iu_tables(setting, n_prime)
-    stats = stats if stats is not None else build_utility_stats(setting, n_prime)
+    tables, stats = inst.iu_tables, inst.stats
     maxvec = max_vector_distribution(setting, n_prime - 1)
     m = setting.m
 
@@ -333,8 +324,8 @@ def decomposition_terms(
         tail_unclipped=tail_unclipped,
         core=core,
         surplus_bound=surplus_bound,
-        iu_n=iu(setting, n_dd, n_prime, tables),
-        iu_nprime=iu(setting, n_prime, n_prime, tables),
+        iu_n=tables.iu(n_dd),
+        iu_nprime=tables.iu(n_prime),
         ronen_mass=ronen_mass,
     )
 
@@ -344,22 +335,19 @@ class BVCGFloor(NamedTuple):
     participation_lb: float
 
 
-def bvcg_constructed_revenue(
-    setting: AuctionSetting, n_prime: int, stats: tuple[UtilityStats, ...] | None = None
-) -> BVCGFloor:
+def bvcg_constructed_revenue(inst: Instance) -> BVCGFloor:
     """Entry-fee mass of the constructed fee schedule and its collected floor.
 
     A bidder whose capped utility clears the fee pays at least the fee, so
     participation_lb is an exact lower bound on the best entry-fee revenue.
     Zero fees are always accepted.
     """
-    stats = stats if stats is not None else build_utility_stats(setting, n_prime)
-    fee_mass = n_prime * sum(st.prob * st.fee_pd for st in stats)
+    fee_mass = inst.n_prime * sum(st.prob * st.fee_pd for st in inst.stats)
     participation = 0.0
-    for st in stats:
+    for st in inst.stats:
         accept = st.law_u_hat.tail(st.fee_pd) if st.fee_pd > 0 else 1.0
         participation += st.prob * st.fee_pd * accept
-    return BVCGFloor(fee_mass, n_prime * participation)
+    return BVCGFloor(fee_mass, inst.n_prime * participation)
 
 
 class PIBVCGFloor(NamedTuple):
@@ -367,9 +355,7 @@ class PIBVCGFloor(NamedTuple):
     s_all: float
 
 
-def pi_bvcg_constructed_revenue(
-    setting: AuctionSetting, n_prime: int, stats: tuple[UtilityStats, ...] | None = None
-) -> PIBVCGFloor:
+def pi_bvcg_constructed_revenue(inst: Instance) -> PIBVCGFloor:
     """Fee revenue floor of the special-bidder construction at population n' + 1.
 
     The fee for a regular bidder is the special bidder's uncapped utility;
@@ -377,45 +363,36 @@ def pi_bvcg_constructed_revenue(
     revenue_lb = n' E_M E_{s,w}[U_M(s) 1(U_M(s) <= U_M(w))] with s, w i.i.d.
     s_all is the nice-set weighted mean n' E_M[Pr(nice)^2 E[U_hat]].
     """
-    stats = stats if stats is not None else build_utility_stats(setting, n_prime)
     revenue = 0.0
     s_all = 0.0
-    for st in stats:
+    for st in inst.stats:
         law = st.law_u
         # E_{s,w}[U(s) 1(U(s) <= U(w))] = sum_a p_a a Pr(U >= a)
         inner = sum(p * a * law.tail(a) for a, p in zip(law.values, law.probs))
         revenue += st.prob * inner
         s_all += st.prob * st.nice_prob**2 * st.e_u_hat
-    return PIBVCGFloor(n_prime * revenue, n_prime * s_all)
+    return PIBVCGFloor(inst.n_prime * revenue, inst.n_prime * s_all)
 
 
 def lemma_chain_check(
-    setting: AuctionSetting,
-    n: int,
-    n_prime: int,
-    regular_branch: bool | None = None,
-    tol: float = CHECK_TOL,
-    iu_tables: IUTables | None = None,
-    stats: tuple[UtilityStats, ...] | None = None,
+    inst: Instance, n: int, regular_branch: bool | None = None, tol: float = CHECK_TOL
 ) -> DecompositionReport:
     """Verify every exactly computable link of the two inequality chains.
 
     The prior-dependent chain ends at iu <= 2 (entry-fee floor) + 6 SRev(n');
     the regular branch ends at iu <= 17 (prior-independent floor at n' + 1).
     `regular_branch=None` runs the latter exactly when all items are regular.
-    `iu_tables` and `stats` are the caller's tables at `n_prime`, if it has them.
     """
+    setting, n_prime = inst.setting, inst.n_prime
     is_regular = all_regular(setting)
     if regular_branch is True and not is_regular:
         raise NotRegular("the prior-independent chain requires all items regular")
     run_regular = is_regular if regular_branch is None else regular_branch
 
-    stats = stats if stats is not None else build_utility_stats(setting, n_prime)
-    rep = decomposition_terms(setting, n_prime, n, iu_tables=iu_tables, stats=stats)
-    fee_mass, participation_lb = bvcg_constructed_revenue(setting, n_prime, stats)
+    rep = decomposition_terms(inst, n)
+    fee_mass, participation_lb = bvcg_constructed_revenue(inst)
     rep.fee_mass = fee_mass
     rep.participation_lb = participation_lb
-    rep.bvcg_floor = participation_lb
     srev_np = rep.srev_nprime
 
     def add_leq(name: str, statement: str, lhs: float, rhs: float) -> None:
@@ -456,11 +433,10 @@ def lemma_chain_check(
 
     if run_regular:
         rep.regular_branch = True
-        pi_revenue_lb, s_all = pi_bvcg_constructed_revenue(setting, n_prime, stats)
+        pi_revenue_lb, s_all = pi_bvcg_constructed_revenue(inst)
         rep.pi_revenue_lb = pi_revenue_lb
         rep.s_all = s_all
         vcg_next = vcg_revenue(setting, n_prime + 1)
-        rep.vcg_nprime_plus1 = vcg_next
         rep.pi_bvcg_floor = max(pi_revenue_lb, vcg_next)
         add_leq(
             "chain_g_core_split",
@@ -478,7 +454,7 @@ def lemma_chain_check(
                 PI_CHAIN_CONSTANT * rep.pi_bvcg_floor,
             )
         high_nice = [
-            st.nice_prob for st in stats if st.e_u_hat >= HIGH_PAIR_FACTOR * st.r_ron_total
+            st.nice_prob for st in inst.stats if st.e_u_hat >= HIGH_PAIR_FACTOR * st.r_ron_total
         ]
         if high_nice:
             add_leq(
@@ -494,15 +470,9 @@ def lemma_chain_check(
 class TheoremVerdict:
     """Which branch of the main dichotomy holds for the instance."""
 
-    n: int
-    n_prime: int
-    epsilon: float
     rev_n: float | None  # None when the LP is out of cap range
-    vcg_nprime: float
     branch1_holds: bool | None  # (1 - eps) Rev(n) <= VCG(n')
     branch2_holds: bool | None  # Rev(n) <= max(entry-fee floor, SRev(n'))
-    srev_nprime: float
-    bvcg_floor: float
     chain: DecompositionReport
     checks: list[CheckRecord] = field(default_factory=list)
 
@@ -513,46 +483,25 @@ class TheoremVerdict:
         return bool(self.branch1_holds or self.branch2_holds)
 
 
-def main_theorem_verdict(
-    setting: AuctionSetting,
-    n: int,
-    epsilon: float,
-    n_prime: int | None = None,
-    tol: float = CHECK_TOL,
-    iu_tables: IUTables | None = None,
-) -> TheoremVerdict:
+def main_theorem_verdict(inst: Instance, n: int, epsilon: float, tol: float = CHECK_TOL) -> TheoremVerdict:
     """Evaluate the enhanced-competition dichotomy on one instance.
 
     Branch 1: (1 - eps) Rev(n) <= VCG(n').  Branch 2: Rev(n) is at most the
     larger of the constructed entry-fee floor and SRev(n'), verified through
     the exactly computable chain.  When Rev(n) is not computable the verdict
     is reported as unknown, with every unconditional link still checked.
-    `iu_tables` are the caller's IU tables, reused when built at n'.
     """
-    np_eff = n_prime if n_prime is not None else math.ceil(20.0 * n / epsilon)
-    if np_eff < max(n, 2):
+    setting, n_prime = inst.setting, inst.n_prime
+    if n_prime < max(n, 2):
         raise TooFewBidders("need n_prime >= max(n, 2)")
-    chain = lemma_chain_check(setting, n, np_eff, tol=tol, iu_tables=iu_tables)
+    chain = lemma_chain_check(inst, n, tol=tol)
     try:
         rev_n, _ = optimal_revenue(setting, n)
     except InstanceTooLarge:
         rev_n = None
-    vcg_np = vcg_revenue(setting, np_eff)
-    bvcg_floor = max(chain.participation_lb, vcg_np)
-    srev_np = chain.srev_nprime
-    verdict = TheoremVerdict(
-        n=n,
-        n_prime=np_eff,
-        epsilon=epsilon,
-        rev_n=rev_n,
-        vcg_nprime=vcg_np,
-        branch1_holds=None,
-        branch2_holds=None,
-        srev_nprime=srev_np,
-        bvcg_floor=bvcg_floor,
-        chain=chain,
-    )
+    verdict = TheoremVerdict(rev_n=rev_n, branch1_holds=None, branch2_holds=None, chain=chain)
     if rev_n is not None:
+        vcg_np = vcg_revenue(setting, n_prime)
         branch1 = CheckRecord.leq(
             "branch1", "(1-eps)*Rev(n) <= VCG(n')", (1.0 - epsilon) * rev_n, vcg_np, tol
         )
@@ -560,7 +509,7 @@ def main_theorem_verdict(
             "branch2",
             "Rev(n) <= max(BVCGFloor(n'), SRev(n'))",
             rev_n,
-            max(bvcg_floor, srev_np),
+            max(chain.participation_lb, vcg_np, chain.srev_nprime),
             tol,
         )
         step1 = CheckRecord.leq("step1", "Rev(n) <= IU(n,n')", rev_n, chain.iu_n, 1e-6)

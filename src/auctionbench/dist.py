@@ -151,8 +151,8 @@ class ScalarDistribution:
         return float(np.dot(self.values_arr**2, self.probs_arr))
 
     def variance(self) -> float:
-        mean = self.expectation()
-        return self.second_moment() - mean * mean
+        # centred, so roundoff cannot make it negative (E[X^2] - E[X]^2 can)
+        return float(np.dot((self.values_arr - self.expectation()) ** 2, self.probs_arr))
 
     def map_through(self, fn: Callable[[float], float]) -> "ScalarDistribution":
         """Law of fn(X); equal images are merged."""
@@ -383,7 +383,7 @@ def iid_second_max_expectation(law: ScalarDistribution, n: int) -> float:
 
 
 def variance(law: ScalarDistribution) -> float:
-    """Var(X) = E[X^2] - E[X]^2, exact."""
+    """Var(X) = E[(X - E[X])^2], exact."""
     return law.variance()
 
 

@@ -197,7 +197,6 @@ class DualCertificate(NamedTuple):
 def verify_dual_certificate(
     setting: AuctionSetting,
     n: int,
-    n_prime: int,
     m_vec: MaxVector,
     mechanism: Mechanism | None = None,
     tol: float = 1e-6,

@@ -8,7 +8,8 @@ vector of n' - 1 i.i.d. ghost draws, whose per-item components are
 independent with CDF F_j^(n'-1); that independence is what makes the exact
 computation cheap.  One vectorised function, :func:`region_kernel`, computes
 the resulting products for the exact tables, the Monte-Carlo estimator and
-the decomposition's rival-event sums.
+the decomposition's rival-event sums.  An :class:`Instance` holds the IU
+tables and utility statistics of one (setting, n'), each built once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +36,9 @@ from .dist import (
 from .errors import EnumerationCapExceeded, TooFewBidders
 from .myerson import IronedTable, iron
 from .simple_auctions import vcg_revenue
+
+if TYPE_CHECKING:
+    from .decomposition import UtilityStats
 
 MC_STREAM = 17  # substream label for the benchmark estimator
 # valuations x items per region_kernel call in monte_carlo_iu; bounds its memory
@@ -56,13 +61,35 @@ def region_of(v: Valuation, maxvec: MaxVector) -> int | None:
 class IUTables:
     """Exact region probabilities and benchmark virtual values on the product support."""
 
-    setting: AuctionSetting
-    n_prime: int
     valuations: tuple[Valuation, ...]
     vprobs: np.ndarray  # probability of each valuation
     p_region: np.ndarray  # shape (len(valuations), m)
     phi: np.ndarray  # shape (len(valuations), m)
     law_phi: tuple[ScalarDistribution, ...]
+
+    def iu(self, n: int) -> float:
+        """IU(n, n'): sum over items of E[max over n bidders of Phi_j(v_i)]."""
+        if n < 1:
+            raise TooFewBidders("need n >= 1")
+        return sum(iid_max_expectation(law, n) for law in self.law_phi)
+
+
+@dataclass(frozen=True)
+class Instance:
+    """One (setting, n') pair and the two tables the exact chain reads, each built once on first use."""
+
+    setting: AuctionSetting
+    n_prime: int
+
+    @cached_property
+    def iu_tables(self) -> IUTables:
+        return build_iu_tables(self.setting, self.n_prime)
+
+    @cached_property
+    def stats(self) -> tuple[UtilityStats, ...]:
+        from .decomposition import build_utility_stats  # decomposition imports this module
+
+        return build_utility_stats(self.setting, self.n_prime)
 
 
 def region_kernel(
@@ -109,7 +136,7 @@ def benchmark_values(vals: np.ndarray, p_region: np.ndarray, ironed: Sequence[Ir
     return phi
 
 
-def build_iu_tables(setting: AuctionSetting, n_prime: int, tables: tuple[IronedTable, ...] | None = None) -> IUTables:
+def build_iu_tables(setting: AuctionSetting, n_prime: int) -> IUTables:
     """Exact region probabilities P_j(v) and benchmark values Phi_j(v) for every v."""
     if n_prime < 1:
         raise TooFewBidders("need n_prime >= 1")
@@ -120,7 +147,7 @@ def build_iu_tables(setting: AuctionSetting, n_prime: int, tables: tuple[IronedT
             f"valuations x max-vectors = {nv * maxvec.joint_size()} exceeds cap "
             f"{setting.caps.joint_terms}; use monte_carlo_iu"
         )
-    ironed = tables if tables is not None else tuple(iron(item) for item in setting.items)
+    ironed = tuple(iron(item) for item in setting.items)
     valuations, vprobs = setting.valuations()
     vals = np.array(valuations)
     p_region = region_kernel(vals, maxvec.per_item)
@@ -129,15 +156,12 @@ def build_iu_tables(setting: AuctionSetting, n_prime: int, tables: tuple[IronedT
         ScalarDistribution.from_atoms(zip(phi[:, j].tolist(), vprobs.tolist()), renorm_tol=1e-9)
         for j in range(setting.m)
     )
-    return IUTables(setting, n_prime, valuations, vprobs, p_region, phi, law_phi)
+    return IUTables(valuations, vprobs, p_region, phi, law_phi)
 
 
-def iu(setting: AuctionSetting, n: int, n_prime: int, tables: IUTables | None = None) -> float:
-    """The benchmark: sum over items of E[max over n bidders of Phi_j(v_i)], exact."""
-    if n < 1:
-        raise TooFewBidders("need n >= 1")
-    t = tables if tables is not None and tables.n_prime == n_prime else build_iu_tables(setting, n_prime)
-    return sum(iid_max_expectation(law, n) for law in t.law_phi)
+def iu(setting: AuctionSetting, n: int, n_prime: int) -> float:
+    """The benchmark IU(n, n'), exact."""
+    return Instance(setting, n_prime).iu_tables.iu(n)
 
 
 class MCEstimate(NamedTuple):
@@ -201,23 +225,19 @@ class Step2Check(NamedTuple):
     holds: bool
 
 
-def step2_inequality_check(
-    setting: AuctionSetting, n: int, n_prime: int, tol: float = CHECK_TOL, tables: IUTables | None = None
-) -> Step2Check:
+def step2_inequality_check(inst: Instance, n: int, tol: float = CHECK_TOL) -> Step2Check:
     """Unconditional growth inequality for the benchmark.
 
     iu(n, n') <= (n/n') iu(n', n') + vcg(n').  Holds for every setting with
-    n <= n' and n' >= 2, before any assumption on revenues.  `tables` are the
-    caller's IU tables, reused when built at n'.
+    n <= n' and n' >= 2, before any assumption on revenues.
     """
+    n_prime = inst.n_prime
     if n > n_prime:
         raise TooFewBidders("need n <= n_prime")
     if n_prime < 2:
         raise TooFewBidders("need n_prime >= 2 for the second-price term")
-    if tables is None or tables.n_prime != n_prime:
-        tables = build_iu_tables(setting, n_prime)
-    lhs = iu(setting, n, n_prime, tables)
-    rhs = (n / n_prime) * iu(setting, n_prime, n_prime, tables) + vcg_revenue(setting, n_prime)
+    lhs = inst.iu_tables.iu(n)
+    rhs = (n / n_prime) * inst.iu_tables.iu(n_prime) + vcg_revenue(inst.setting, n_prime)
     return Step2Check(lhs, rhs, holds_leq(lhs, rhs, tol))
 
 

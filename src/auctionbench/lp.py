@@ -20,9 +20,11 @@ import numpy as np
 from .dist import AuctionSetting, Valuation
 from .errors import InstanceTooLarge, LPNumericalFailure, MaxIterations, TooFewBidders, Unbounded
 
-# LP size caps: profile count and total variable count.
+# LP size caps: profile count, and cells of the dense simplex tableau
+# (rows + 1) x (variables + slacks + 1), which bounds lp_solve's memory
+# (2^22 cells are 32 MiB) and the work of each pivot.
 PROFILE_CAP = 256
-VARIABLE_CAP = 20_000
+TABLEAU_CAP = 1 << 22
 
 _PIVOT_TOL = 1e-10
 _FEAS_TOL = 1e-8
@@ -209,8 +211,13 @@ class MechanismLP:
         self.n_profiles = self.n_vals**n
         self.n_pi = n * self.m * self.n_profiles
         self.n_vars = self.n_pi + 2 * n * self.n_vals
-        if self.n_vars > VARIABLE_CAP:
-            raise InstanceTooLarge(f"{self.n_vars} variables exceed the cap {VARIABLE_CAP}")
+        # one allocation row per profile and item, n V^2 participation and incentive rows
+        n_rows = self.n_profiles * self.m + n * self.n_vals**2
+        cells = (n_rows + 1) * (self.n_vars + n_rows + 1)
+        if cells > TABLEAU_CAP:
+            raise InstanceTooLarge(
+                f"{n_rows} rows x {self.n_vars} variables: {cells} tableau cells exceed the cap {TABLEAU_CAP}"
+            )
         self.profiles = tuple(itertools.product(vals, repeat=n))
         self.profile_probs = np.array(
             [math.prod(vprobs[vals.index(v)] for v in prof) for prof in self.profiles]

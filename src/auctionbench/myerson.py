@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dist import AuctionSetting, ItemDistribution, ScalarDistribution, iid_max_expectation
+from .dist import AuctionSetting, ItemDistribution, iid_max_expectation
 from .errors import FloorNotInSupport, TooFewBidders
 
 # Regularity is non-strict monotonicity of the virtual value up to this slack.
@@ -111,13 +111,7 @@ def iron_restricted(item: ItemDistribution, floor: float) -> dict[float, float]:
     return dict(zip(item.values[lo:], restricted))
 
 
-def ironed_plus_law(item: ItemDistribution, table: IronedTable | None = None) -> ScalarDistribution:
-    """Law of max(phi_tilde(v), 0) under v ~ item."""
-    table = table if table is not None else iron(item)
-    return item.map_through(lambda x: max(table.phi_tilde_at(x), 0.0))
-
-
-def srev_item(item: ItemDistribution, n: int, table: IronedTable | None = None) -> float:
+def srev_item(item: ItemDistribution, n: int) -> float:
     """Optimal revenue selling this single item to n bidders.
 
     Equals the expected maximum over bidders of the non-negative part of the
@@ -125,7 +119,7 @@ def srev_item(item: ItemDistribution, n: int, table: IronedTable | None = None) 
     """
     if n < 1:
         raise TooFewBidders("need n >= 1")
-    return iid_max_expectation(ironed_plus_law(item, table), n)
+    return iid_max_expectation(item.map_through(iron(item).phi_tilde_plus_at), n)
 
 
 def srev(setting: AuctionSetting, n: int) -> float:

@@ -14,6 +14,7 @@ import pytest
 
 from auctionbench import (
     AuctionSetting,
+    Instance,
     build_utility_stats,
     iron,
     iu,
@@ -118,7 +119,7 @@ def test_criterion_04_step2_inequality():
             rng, max_items=m, max_support=4, max_bidders=3, max_ghosts=40 if m == 1 else 12
         )
         n_prime = max(setting.n_prime, 2)
-        check = step2_inequality_check(setting, setting.n, n_prime)
+        check = step2_inequality_check(Instance(setting, n_prime), setting.n)
         worst = max(worst, check.lhs - check.rhs)
         assert check.holds
     report(4, worst <= 1e-9 and elapsed_ok(t0, 30.0), f"500 instances, worst excess {worst:.2e}")
@@ -164,7 +165,7 @@ def test_criterion_06_chain_a_to_f():
     t0 = time.monotonic()
     worst = -math.inf
     for setting in _chain_settings(106, 200, regular_only=False):
-        chain = lemma_chain_check(setting, setting.n, setting.n_prime, regular_branch=False)
+        chain = lemma_chain_check(Instance(setting, setting.n_prime), setting.n, regular_branch=False)
         for check in chain.checks:
             worst = max(worst, check.lhs - check.rhs)
             assert check.holds, f"{check.name}: {check.lhs} > {check.rhs}"
@@ -176,7 +177,7 @@ def test_criterion_07_regular_branch():
     worst = -math.inf
     for setting in _chain_settings(107, 100, regular_only=True):
         n_prime = setting.n_prime
-        chain = lemma_chain_check(setting, setting.n, n_prime, regular_branch=True)
+        chain = lemma_chain_check(Instance(setting, n_prime), setting.n, regular_branch=True)
         by_name = {c.name: c for c in chain.checks}
         for name in ("chain_g_iu_n", "chain_g_iu_n_prime", "chain_g_s_all"):
             check = by_name[name]
@@ -256,7 +257,7 @@ def test_criterion_11_dual_certificate():
         _, mech = optimal_revenue(setting, 1)
         maxvec = max_vector_distribution(setting, setting.n_prime - 1)
         for m_vec, _prob in maxvec.joint():
-            cert = verify_dual_certificate(setting, 1, setting.n_prime, m_vec, mechanism=mech)
+            cert = verify_dual_certificate(setting, 1, m_vec, mechanism=mech)
             worst_res = max(worst_res, cert.flow_residual_max)
             worst_phi = max(worst_phi, cert.phi_match_max)
             assert cert.bound_holds
@@ -300,6 +301,6 @@ def test_criterion_13_theorem_verdict_smoke():
     for item in (d2, d3, pm):
         for eps, n_prime in ((0.5, 4), (1.0, 2), (0.5, 6), (1.0, 5)):
             setting = AuctionSetting(items=(item,), n=1, n_prime=n_prime, epsilon=eps)
-            verdict = main_theorem_verdict(setting, 1, eps, n_prime)
+            verdict = main_theorem_verdict(Instance(setting, n_prime), 1, eps)
             ok = ok and verdict.holds is True
     report(13, ok and elapsed_ok(t0, 10.0), "D2, point mass, and irregular 3-point all settle a branch")

@@ -249,6 +249,15 @@ class TestAnalyze:
         assert code == EXIT_CAPS
         assert "monte_carlo" in err
 
+    def test_lp_over_the_tableau_cap_reports_null_revenue(self, tmp_path, capsys):
+        item = {"values": [str(v) for v in range(1, 17)], "probs": ["0.0625"] * 16}
+        payload = {"items": [item, item], "n": 1, "n_prime": 2}
+        code = main(["analyze", "--config", write_config(tmp_path, payload), "--format", "json"])
+        captured = capsys.readouterr()
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+        assert json.loads(captured.out)["scalars"]["rev_n"] is None
+        assert "Traceback" not in captured.err
+
     def test_monte_carlo_mode(self, tmp_path, capsys):
         payload = dict(D2_CONFIG, mode="monte_carlo", samples=20000)
         code = main(["analyze", "--config", write_config(tmp_path, payload)])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from auctionbench import (
     AuctionSetting,
+    Instance,
     build_iu_tables,
     build_utility_stats,
     bvcg_constructed_revenue,
@@ -274,17 +275,17 @@ class TestEventProbabilities:
 
 class TestTerms:
     def test_d2_core(self, setting_d2):
-        rep = decomposition_terms(setting_d2, 2, 1)
+        rep = decomposition_terms(Instance(setting_d2, 2), 1)
         assert rep.core == pytest.approx(0.5)
 
     def test_d2_terms_below_srev(self, setting_d2):
-        rep = decomposition_terms(setting_d2, 2, 1)
+        rep = decomposition_terms(Instance(setting_d2, 2), 1)
         for term in (rep.single, rep.under, rep.over, rep.tail):
             assert term <= rep.srev_nprime + 1e-9
 
     def test_point_mass_terms(self, point_mass):
         setting = AuctionSetting(items=(point_mass,), n=1, n_prime=2)
-        rep = decomposition_terms(setting, 2, 1)
+        rep = decomposition_terms(Instance(setting, 2), 1)
         assert rep.single == pytest.approx(1.0)
         assert rep.over == pytest.approx(1.0)
         assert rep.under == 0.0
@@ -296,16 +297,16 @@ class TestTerms:
         for _ in range(30):
             setting = random_setting(rng, max_ghosts=5)
             n_prime = setting.n_prime
-            stats = build_utility_stats(setting, n_prime)
-            rep = decomposition_terms(setting, n_prime, setting.n, stats=stats)
-            oracle = n_prime * sum(st.prob * st.e_u_hat for st in stats)
+            inst = Instance(setting, n_prime)
+            rep = decomposition_terms(inst, setting.n)
+            oracle = n_prime * sum(st.prob * st.e_u_hat for st in inst.stats)
             assert rep.core == pytest.approx(oracle, abs=1e-9)
 
     def test_ronen_mass_matches_ronen_bound(self):
         rng = make_rng(49)
         for _ in range(30):
             setting = random_setting(rng, max_ghosts=5)
-            rep = decomposition_terms(setting, setting.n_prime, setting.n)
+            rep = decomposition_terms(Instance(setting, setting.n_prime), setting.n)
             assert rep.ronen_mass == pytest.approx(
                 ronen_bound(setting, setting.n_prime), abs=1e-9
             )
@@ -315,21 +316,21 @@ class TestTerms:
         rng = make_rng(50)
         for _ in range(30):
             setting = random_setting(rng, max_ghosts=5)
-            rep = decomposition_terms(setting, setting.n_prime, setting.n)
+            rep = decomposition_terms(Instance(setting, setting.n_prime), setting.n)
             assert rep.tail == pytest.approx(rep.tail_unclipped, abs=1e-12)
 
     def test_surplus_between_core_and_split(self):
         rng = make_rng(51)
         for _ in range(30):
             setting = random_setting(rng, max_ghosts=4)
-            rep = decomposition_terms(setting, setting.n_prime, setting.n)
+            rep = decomposition_terms(Instance(setting, setting.n_prime), setting.n)
             assert rep.surplus_bound <= rep.tail + rep.core + 1e-9
 
     def test_ubsplit(self):
         rng = make_rng(52)
         for _ in range(30):
             setting = random_setting(rng, max_ghosts=5)
-            rep = decomposition_terms(setting, setting.n_prime, setting.n)
+            rep = decomposition_terms(Instance(setting, setting.n_prime), setting.n)
             assert rep.iu_nprime <= rep.single + rep.under + rep.over + rep.tail + rep.core + 1e-9
 
     def test_surplus_matches_per_max_vector_sum(self):
@@ -341,32 +342,32 @@ class TestTerms:
             setting = random_setting(rng, max_items=3, max_support=3, max_ghosts=5)
             n_prime = setting.n_prime
             laws = max_vector_distribution(setting, n_prime - 1).per_item
-            stats = build_utility_stats(setting, n_prime)
+            inst = Instance(setting, n_prime)
             ref = scale = 0.0
-            for s in stats:
+            for s in inst.stats:
                 for j, item in enumerate(setting.items):
                     for x, p in zip(item.values, item.probs):
                         if x >= s.m_vec[j]:
                             w = n_prime * s.prob * p * (x - s.m_vec[j])
                             ref += w * surplus_event_probability(setting, laws, j, x, s.m_vec)
                             scale += w
-            got = decomposition_terms(setting, n_prime, setting.n, stats=stats).surplus_bound
+            got = decomposition_terms(inst, setting.n).surplus_bound
             assert abs(got - ref) <= 1e-12 * max(scale, 1.0)
 
 
 class TestFloors:
     def test_d2_fees_vanish(self, setting_d2):
-        fee_mass, participation = bvcg_constructed_revenue(setting_d2, 2)
+        fee_mass, participation = bvcg_constructed_revenue(Instance(setting_d2, 2))
         assert fee_mass == 0.0
         assert participation == 0.0
 
     def test_point_mass_zero(self, point_mass):
         setting = AuctionSetting(items=(point_mass,), n=1, n_prime=2)
-        assert bvcg_constructed_revenue(setting, 2) == (0.0, 0.0)
-        assert pi_bvcg_constructed_revenue(setting, 2) == (0.0, 0.0)
+        assert bvcg_constructed_revenue(Instance(setting, 2)) == (0.0, 0.0)
+        assert pi_bvcg_constructed_revenue(Instance(setting, 2)) == (0.0, 0.0)
 
     def test_pi_d2_hand_values(self, setting_d2):
-        revenue_lb, s_all = pi_bvcg_constructed_revenue(setting_d2, 2)
+        revenue_lb, s_all = pi_bvcg_constructed_revenue(Instance(setting_d2, 2))
         assert revenue_lb == pytest.approx(0.25)
         assert s_all == pytest.approx(0.125)
         assert s_all <= 4.0 * revenue_lb + 1e-12
@@ -375,7 +376,7 @@ class TestFloors:
         rng = make_rng(53)
         for _ in range(100):
             setting = random_setting(rng, max_ghosts=6, max_support=4)
-            fee_mass, participation = bvcg_constructed_revenue(setting, setting.n_prime)
+            fee_mass, participation = bvcg_constructed_revenue(Instance(setting, setting.n_prime))
             assert fee_mass <= 2.0 * participation + 1e-9
 
     def test_fee_positive_instance(self):
@@ -384,12 +385,12 @@ class TestFloors:
         # all-zeros max vector, making the entry fee strictly positive
         item = make_item_distribution([0, 1, 2, 3, 4], [0.1, 0.45, 0.15, 0.075, 0.225])
         setting = AuctionSetting(items=(item,) * 5, n=1, n_prime=2)
-        stats = build_utility_stats(setting, 2)
-        at_zero = next(st for st in stats if st.m_vec == (0.0,) * 5)
+        inst = Instance(setting, 2)
+        at_zero = next(st for st in inst.stats if st.m_vec == (0.0,) * 5)
         assert at_zero.r_ron_total == pytest.approx(4.5)
         assert at_zero.e_u_hat == pytest.approx(5 * 1.875)
         assert at_zero.fee_pd == pytest.approx(0.375)
-        fee_mass, participation = bvcg_constructed_revenue(setting, 2, stats)
+        fee_mass, participation = bvcg_constructed_revenue(inst)
         assert fee_mass > 0
         assert fee_mass <= 2.0 * participation + 1e-9
 
@@ -397,13 +398,13 @@ class TestFloors:
         rng = make_rng(54)
         for _ in range(100):
             setting = random_setting(rng, max_ghosts=5)
-            revenue_lb, s_all = pi_bvcg_constructed_revenue(setting, setting.n_prime)
+            revenue_lb, s_all = pi_bvcg_constructed_revenue(Instance(setting, setting.n_prime))
             assert s_all <= 4.0 * revenue_lb + 1e-9
 
 
 class TestChain:
     def test_d2_chain_a(self, setting_d2):
-        chain = lemma_chain_check(setting_d2, 1, 2)
+        chain = lemma_chain_check(Instance(setting_d2, 2), 1)
         by_name = {c.name: c for c in chain.checks}
         assert by_name["chain_a_iu_n_prime"].lhs == pytest.approx(1.625)
         assert by_name["chain_a_iu_n_prime"].rhs == pytest.approx(6.5)
@@ -411,7 +412,7 @@ class TestChain:
 
     def test_point_mass_all_links_hold(self, point_mass):
         setting = AuctionSetting(items=(point_mass,), n=1, n_prime=2)
-        chain = lemma_chain_check(setting, 1, 2)
+        chain = lemma_chain_check(Instance(setting, 2), 1)
         assert chain.core == 0.0
         assert chain.all_hold()
 
@@ -419,17 +420,17 @@ class TestChain:
         rng = make_rng(55)
         for _ in range(40):
             setting = random_setting(rng, max_ghosts=6)
-            chain = lemma_chain_check(setting, setting.n, setting.n_prime, regular_branch=False)
+            chain = lemma_chain_check(Instance(setting, setting.n_prime), setting.n, regular_branch=False)
             for check in chain.checks:
                 assert check.holds, f"{check.name}: {check.lhs} > {check.rhs}"
 
     def test_regular_branch_requires_regular(self, d3):
         setting = AuctionSetting(items=(d3,), n=1, n_prime=2)
         with pytest.raises(NotRegular):
-            lemma_chain_check(setting, 1, 2, regular_branch=True)
+            lemma_chain_check(Instance(setting, 2), 1, regular_branch=True)
 
     def test_regular_branch_runs_automatically(self, setting_d2):
-        chain = lemma_chain_check(setting_d2, 1, 2)
+        chain = lemma_chain_check(Instance(setting_d2, 2), 1)
         assert chain.regular_branch
         names = {c.name for c in chain.checks}
         assert "chain_g_s_all" in names and "chain_g_nice" in names
@@ -444,7 +445,7 @@ class TestChain:
             if setting.m != 2 or setting.n_prime != 3:
                 continue
             found += 1
-            chain = lemma_chain_check(setting, 1, 3)
+            chain = lemma_chain_check(Instance(setting, 3), 1)
             by_name = {c.name: c for c in chain.checks}
             # the theorem-backed links must hold; the second-price comparison
             # (chain_g_bk) is known to fail on discrete instances and is not asserted
@@ -458,7 +459,7 @@ class TestChain:
 
 class TestTheoremVerdict:
     def test_d2_branch1(self, setting_d2):
-        verdict = main_theorem_verdict(setting_d2, 1, 1.0, 2)
+        verdict = main_theorem_verdict(Instance(setting_d2, 2), 1, 1.0)
         assert verdict.rev_n == pytest.approx(1.0, abs=1e-7)
         assert verdict.branch1_holds
         assert verdict.holds
@@ -466,15 +467,11 @@ class TestTheoremVerdict:
     def test_point_mass(self, point_mass):
         setting = AuctionSetting(items=(point_mass,), n=1, n_prime=2)
         for eps in (0.5, 1.0):
-            verdict = main_theorem_verdict(setting, 1, eps, 2)
+            verdict = main_theorem_verdict(Instance(setting, 2), 1, eps)
             assert verdict.branch1_holds
             assert verdict.holds
 
     def test_d3_some_branch(self, d3):
         setting = AuctionSetting(items=(d3,), n=1, n_prime=3)
-        verdict = main_theorem_verdict(setting, 1, 0.5, 3)
+        verdict = main_theorem_verdict(Instance(setting, 3), 1, 0.5)
         assert verdict.holds
-
-    def test_default_n_prime(self, setting_d2):
-        verdict = main_theorem_verdict(setting_d2, 1, 1.0)
-        assert verdict.n_prime == 20

@@ -82,7 +82,7 @@ class TestLambdaStar:
 class TestCertificate:
     def test_point_mass(self, point_mass):
         setting = AuctionSetting(items=(point_mass,), n=1, n_prime=2)
-        cert = verify_dual_certificate(setting, 1, 2, (1.0,))
+        cert = verify_dual_certificate(setting, 1, (1.0,))
         assert cert.flow_residual_max <= 1e-12
         assert cert.phi_match_max <= 1e-12
         assert cert.bound_holds
@@ -90,7 +90,7 @@ class TestCertificate:
     def test_d2_every_max(self, setting_d2):
         _, mech = optimal_revenue(setting_d2, 1)
         for m_vec in [(1.0,), (2.0,)]:
-            cert = verify_dual_certificate(setting_d2, 1, 2, m_vec, mechanism=mech)
+            cert = verify_dual_certificate(setting_d2, 1, m_vec, mechanism=mech)
             assert cert.flow_residual_max <= 1e-12
             assert cert.phi_match_max <= 1e-9
             assert cert.bound_holds
@@ -98,7 +98,7 @@ class TestCertificate:
     def test_d3_seeded_max(self, d3):
         setting = AuctionSetting(items=(d3,), n=1, n_prime=2)
         for m_vec in [(4.0,), (5.0,), (10.0,)]:
-            cert = verify_dual_certificate(setting, 1, 2, m_vec)
+            cert = verify_dual_certificate(setting, 1, m_vec)
             assert cert.bound_holds
             assert cert.phi_match_max <= 1e-9
 
@@ -111,7 +111,7 @@ class TestCertificate:
             _, mech = optimal_revenue(setting, 1)
             maxvec = max_vector_distribution(setting, setting.n_prime - 1)
             for m_vec, _prob in maxvec.joint():
-                cert = verify_dual_certificate(setting, 1, setting.n_prime, m_vec, mechanism=mech)
+                cert = verify_dual_certificate(setting, 1, m_vec, mechanism=mech)
                 assert cert.flow_residual_max <= 1e-9
                 assert cert.phi_match_max <= 1e-9
                 assert cert.bound_holds

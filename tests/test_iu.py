@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from auctionbench import (
     AuctionSetting,
+    Instance,
     Caps,
     build_iu_tables,
     iu,
@@ -244,37 +245,37 @@ class TestIU:
                     for combo in itertools.product(idx, repeat=n):
                         prob = math.prod(tables.vprobs[i] for i in combo)
                         oracle += prob * max(tables.phi[i, j] for i in combo)
-                assert iu(setting, n, n_prime, tables) == pytest.approx(oracle, abs=1e-12)
+                assert tables.iu(n) == pytest.approx(oracle, abs=1e-12)
 
     def test_monotone_in_bidders(self):
         rng = make_rng(35)
         for _ in range(30):
             setting = random_setting(rng, max_ghosts=6)
             tables = build_iu_tables(setting, setting.n_prime)
-            values = [iu(setting, n, setting.n_prime, tables) for n in range(1, 6)]
+            values = [tables.iu(n) for n in range(1, 6)]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
 class TestStep2:
     def test_example(self, setting_d2):
-        check = step2_inequality_check(setting_d2, 1, 2)
+        check = step2_inequality_check(Instance(setting_d2, 2), 1)
         assert check.lhs == pytest.approx(1.25)
         assert check.rhs == pytest.approx(2.0625)
         assert check.holds
 
     def test_point_mass(self, point_mass):
         setting = AuctionSetting(items=(point_mass,), n=1, n_prime=2)
-        check = step2_inequality_check(setting, 1, 2)
+        check = step2_inequality_check(Instance(setting, 2), 1)
         assert check.lhs == pytest.approx(1.0)
         assert check.rhs == pytest.approx(1.5)
         assert check.holds
 
     def test_two_items(self, setting_two_items):
-        assert step2_inequality_check(setting_two_items, 1, 2).holds
+        assert step2_inequality_check(Instance(setting_two_items, 2), 1).holds
 
     def test_large_ghost_counts(self, d2):
         setting = AuctionSetting(items=(d2,), n=2, n_prime=40)
-        assert step2_inequality_check(setting, 2, 40).holds
+        assert step2_inequality_check(Instance(setting, 40), 2).holds
 
 
 class TestMonteCarlo:

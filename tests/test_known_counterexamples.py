@@ -12,6 +12,7 @@ import pytest
 
 from auctionbench import (
     AuctionSetting,
+    Instance,
     bulow_klemperer_check,
     iron,
     lemma_chain_check,
@@ -74,7 +75,7 @@ class TestRegularChainLinkFails:
         # the benchmark scales like q while both floors scale like q^2
         item = make_item_distribution([0, 12], [0.97, 0.03])
         setting = AuctionSetting(items=(item,), n=1, n_prime=2)
-        chain = lemma_chain_check(setting, 1, 2)
+        chain = lemma_chain_check(Instance(setting, 2), 1)
         assert chain.regular_branch
         by_name = {c.name: c for c in chain.checks}
         assert by_name["chain_g_bk"].holds is False
@@ -88,5 +89,5 @@ class TestRegularChainLinkFails:
         # links (a)-(f) avoid the second-price comparison and survive
         item = make_item_distribution([0, 12], [0.97, 0.03])
         setting = AuctionSetting(items=(item,), n=1, n_prime=2)
-        chain = lemma_chain_check(setting, 1, 2, regular_branch=False)
+        chain = lemma_chain_check(Instance(setting, 2), 1, regular_branch=False)
         assert chain.all_hold()

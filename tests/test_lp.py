@@ -1,6 +1,7 @@
 """Simplex against a vertex-enumeration oracle, and the mechanism LP's known optima."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -184,6 +185,16 @@ class TestOptimalRevenue:
             setting = AuctionSetting(items=(item,), n=10**8, n_prime=10**8)
             with pytest.raises(InstanceTooLarge):
                 MechanismLP(setting, 10**8)
+
+    def test_incentive_rows_count_toward_the_cap(self):
+        # 2 items x 16 atoms, n=1: 256 profiles and 1,024 variables, but 66,048
+        # rows (n V^2 incentive rows), a tableau of about 4.4e9 cells
+        item = make_item_distribution(list(range(1, 17)), [1 / 16] * 16)
+        setting = AuctionSetting(items=(item, item), n=1, n_prime=2)
+        start = time.perf_counter()
+        with pytest.raises(InstanceTooLarge, match="tableau cells"):
+            MechanismLP(setting, 1)
+        assert time.perf_counter() - start < 1.0
 
     def test_interim_quantities_consistent(self, setting_d2):
         _, mech = optimal_revenue(setting_d2, 2)
