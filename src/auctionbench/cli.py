@@ -40,9 +40,9 @@ from .errors import (
     MaxIterations,
     Unbounded,
 )
-from .generators import random_setting
+from .generators import MAX_VALUE, random_setting
 from .iu import Instance, monte_carlo_iu, step2_inequality_check, tie_break_independence_check
-from .myerson import all_regular, iron, srev, srev_item, virtual_values
+from .myerson import all_regular, srev, srev_item
 from .report import AnalysisReport, CheckRecord
 from .simple_auctions import (
     bulow_klemperer_check,
@@ -313,9 +313,8 @@ def cmd_iron(args) -> int:
     cfg = load_config(args.config)
     rows = []
     for j, item in enumerate(cfg.setting.items):
-        table = iron(item)
-        phi = virtual_values(item)
-        for value, p, pt in zip(item.values, phi, table.phi_tilde):
+        table = item.ironed
+        for value, p, pt in zip(item.values, table.phi, table.phi_tilde):
             rows.append((j, value, p, pt, table.regular))
     if args.format == "csv":
         buf = io.StringIO()
@@ -373,7 +372,7 @@ def _verify_suites(setting: AuctionSetting, rng: np.random.Generator, tol: float
     np_ = inst.n_prime
     srev_np = srev(setting, np_)
     for item in setting.items:
-        table = iron(item)
+        table = item.ironed
         worst_mono = min(
             (b - a for a, b in zip(table.phi_tilde, table.phi_tilde[1:])), default=0.0
         )
@@ -441,6 +440,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="auctionbench")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -463,11 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the invariant suites on seeded random settings")
     p_verify.add_argument("--seed", type=int, default=1)
-    p_verify.add_argument("--count", type=int, default=100)
-    p_verify.add_argument("--max-support", type=int, default=3)
-    p_verify.add_argument("--max-items", type=int, default=2)
-    p_verify.add_argument("--max-bidders", type=int, default=2)
-    p_verify.add_argument("--max-ghosts", type=int, default=6)
+    p_verify.add_argument("--count", type=_non_negative_int, default=100)
+    p_verify.add_argument("--max-support", type=int, choices=range(1, MAX_VALUE + 2), metavar="N", default=3,
+                          help=f"at most {MAX_VALUE + 1}, the points of the value grid 0..{MAX_VALUE}")
+    p_verify.add_argument("--max-items", type=_positive_int, default=2)
+    p_verify.add_argument("--max-bidders", type=_positive_int, default=2)
+    p_verify.add_argument("--max-ghosts", type=_positive_int, default=6, help="at least --max-bidders")
     p_verify.add_argument("--tolerance", type=float, default=CHECK_TOL)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -481,7 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "verify" and args.max_ghosts < args.max_bidders:
+        parser.error(f"verify: --max-ghosts ({args.max_ghosts}) must be >= --max-bidders ({args.max_bidders})")
     try:
         return args.func(args)
     except ConfigParseError as exc:

@@ -28,12 +28,12 @@ from .dist import (
     max_vector_distribution,
     segmented_from_atoms,
 )
-from .errors import EnumerationCapExceeded, InstanceTooLarge, NotRegular, TooFewBidders
+from .errors import InstanceTooLarge, NotRegular, TooFewBidders
 from .iu import Instance, region_kernel
 from .lp import optimal_revenue
-from .myerson import all_regular, iron, srev
+from .myerson import all_regular, srev
 from .report import CheckRecord
-from .simple_auctions import ronen_r_star, vcg_revenue
+from .simple_auctions import vcg_revenue
 
 HIGH_PAIR_FACTOR = 6.0  # capped-utility mean at least this multiple of the posted-revenue kernel
 NICE_PROB_FLOOR = 7.0 / 9.0
@@ -101,7 +101,7 @@ def _blocks(widths: list[int], laws: list[int], budget: int):
     yield lo, len(widths)
 
 
-def build_utility_stats(setting: AuctionSetting, n_prime: int) -> tuple[UtilityStats, ...]:
+def build_utility_stats(inst: Instance) -> tuple[UtilityStats, ...]:
     """Exact per-M table over the joint max-vector support.
 
     The raw and capped utility laws of every max vector M are built together,
@@ -121,18 +121,13 @@ def build_utility_stats(setting: AuctionSetting, n_prime: int) -> tuple[UtilityS
     object).  Max vectors are processed in blocks of at most PAIR_BUDGET
     pairs per kernel call, so memory is bounded per block.
     """
-    if n_prime < 1:
-        raise TooFewBidders("need n_prime >= 1")
-    maxvec = max_vector_distribution(setting, n_prime - 1)
-    maxvec.check_joint_cap(setting.caps)
-    laws = maxvec.per_item
+    setting = inst.setting
+    inst.ghost_max.check_joint_cap(setting.caps)
+    laws = inst.ghost_max.per_item
     index = [ix.ravel() for ix in np.indices([len(law.values) for law in laws])]
     m_cols = [law.values_arr[ix] for law, ix in zip(laws, index)]
     probs = functools.reduce(operator.mul, [law.probs_arr[ix] for law, ix in zip(laws, index)])
-    r_star = [
-        np.array([ronen_r_star(item, mv)[0] for mv in law.values])[ix]
-        for item, law, ix in zip(setting.items, laws, index)
-    ]
+    r_star = [item.posted_revenue(law.values_arr)[ix] for item, law, ix in zip(setting.items, laws, index)]
     r_totals = functools.reduce(operator.add, r_star)
 
     # Per M, a bound on the atoms and pairs of every fold stage: item j's
@@ -195,8 +190,7 @@ def event_probabilities(v: Valuation, setting: AuctionSetting, n_prime: int) -> 
     p_nf_j = Pr(M_j <= v_j) - Pr(M_j <= v_j and every other utility strictly below v_j - M_j).
     """
     maxvec = max_vector_distribution(setting, n_prime - 1)
-    if maxvec.joint_size() > setting.caps.product_support:
-        raise EnumerationCapExceeded("max-vector support exceeds cap")
+    maxvec.check_joint_cap(setting.caps)
     laws = maxvec.per_item
     rival_free = region_kernel(np.array([v]), laws, strict_ties=True)[0].tolist()
     p_und = tuple(1.0 - law.cdf(vj) for law, vj in zip(laws, v))
@@ -255,19 +249,15 @@ def decomposition_terms(inst: Instance, n_dd: int) -> DecompositionReport:
     setting, n_prime = inst.setting, inst.n_prime
     if not (1 <= n_dd <= n_prime):
         raise TooFewBidders("need 1 <= n_dd <= n_prime")
-    tables, stats = inst.iu_tables, inst.stats
-    maxvec = max_vector_distribution(setting, n_prime - 1)
-    m = setting.m
+    tables, stats, maxvec = inst.iu_tables, inst.stats, inst.ghost_max
+    vals = np.array(tables.valuations)
 
     # Single: expected max over n' bidders of phi_tilde^+ weighted by the region probability
-    ironed = [iron(item) for item in setting.items]
     single = 0.0
-    for j in range(m):
-        atoms = []
-        for vi, v in enumerate(tables.valuations):
-            val = ironed[j].phi_tilde_plus_at(v[j]) * tables.p_region[vi, j]
-            atoms.append((val, float(tables.vprobs[vi])))
-        single += iid_max_expectation(ScalarDistribution.from_atoms(atoms, renorm_tol=1e-9), n_prime)
+    for j, item in enumerate(setting.items):
+        weighted = item.ironed.phi_plus[item.values_arr.searchsorted(vals[:, j])] * tables.p_region[:, j]
+        law = ScalarDistribution.from_atoms(zip(weighted.tolist(), tables.vprobs.tolist()), renorm_tol=1e-9)
+        single += iid_max_expectation(law, n_prime)
 
     # Under: expected max of v_j * Pr(v_j undercut by the ghost max)
     under = 0.0
@@ -291,13 +281,15 @@ def decomposition_terms(inst: Instance, n_dd: int) -> DecompositionReport:
     tail_unclipped = 0.0
     tail = 0.0
     core = 0.0
-    for st in stats:
+    # per item, the best posted revenue above M_j for every M
+    r_star = [item.posted_revenue([st.m_vec[j] for st in stats]).tolist() for j, item in enumerate(setting.items)]
+    for i, st in enumerate(stats):
         for j, item in enumerate(setting.items):
             t_j = st.thresholds[j]
             mj = st.m_vec[j]
             tail_term = st.r_ron_total * (1.0 - item.cdf(t_j))
             tail_unclipped += n_prime * st.prob * tail_term
-            tail += n_prime * st.prob * min(tail_term, ronen_r_star(item, mj)[0])
+            tail += n_prime * st.prob * min(tail_term, r_star[j][i])
             for x, p in zip(item.values, item.probs):
                 if mj <= x <= t_j:
                     core += n_prime * st.prob * p * (x - mj)
@@ -305,7 +297,6 @@ def decomposition_terms(inst: Instance, n_dd: int) -> DecompositionReport:
     # Surplus: n' E_{M,v}[sum_j (v_j - M_j)^+ 1(some rival utility >= v_j - M_j)],
     # summed over M first for each v: E_M[(v_j - M_j)^+] minus the part where
     # every rival utility stays strictly below.
-    vals = np.array(tables.valuations)
     excess = sum(
         np.maximum(vals[:, j, None] - law.values_arr, 0.0) @ law.probs_arr for j, law in enumerate(maxvec.per_item)
     )

@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from .errors import (
     ProbabilityMassError,
     TooFewBidders,
 )
+
+if TYPE_CHECKING:
+    from .myerson import IronedTable
 
 # Combined absolute-plus-relative tolerance used by every inequality check.
 CHECK_TOL = 1e-9
@@ -77,6 +80,9 @@ class ScalarDistribution:
 
     values: tuple[float, ...]
     probs: tuple[float, ...]
+    values_arr: np.ndarray = field(init=False, repr=False, compare=False)
+    probs_arr: np.ndarray = field(init=False, repr=False, compare=False)
+    cdf_arr: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.values) == 0:
@@ -89,6 +95,12 @@ class ScalarDistribution:
             raise NonPositiveProbability("all atom probabilities must be positive")
         if abs(sum(self.probs) - 1.0) > MASS_TOL:
             raise ProbabilityMassError("probabilities must sum to 1")
+        probs_arr = np.asarray(self.probs, dtype=np.float64)
+        cdf = np.cumsum(probs_arr)
+        cdf[-1] = 1.0
+        object.__setattr__(self, "values_arr", np.asarray(self.values, dtype=np.float64))
+        object.__setattr__(self, "probs_arr", probs_arr)
+        object.__setattr__(self, "cdf_arr", cdf)
 
     @classmethod
     def from_atoms(
@@ -116,20 +128,6 @@ class ScalarDistribution:
     def point_mass(cls, value: float) -> "ScalarDistribution":
         return cls((float(value),), (1.0,))
 
-    @cached_property
-    def values_arr(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
-
-    @cached_property
-    def probs_arr(self) -> np.ndarray:
-        return np.asarray(self.probs, dtype=np.float64)
-
-    @cached_property
-    def cdf_arr(self) -> np.ndarray:
-        cdf = np.cumsum(self.probs_arr)
-        cdf[-1] = 1.0
-        return cdf
-
     def cdf(self, x: float) -> float:
         """Pr(X <= x)."""
         idx = self.values_arr.searchsorted(x, side="right")
@@ -153,6 +151,13 @@ class ScalarDistribution:
     def variance(self) -> float:
         # centred, so roundoff cannot make it negative (E[X^2] - E[X]^2 can)
         return float(np.dot((self.values_arr - self.expectation()) ** 2, self.probs_arr))
+
+    def posted_revenue(self, x: float | np.ndarray) -> np.ndarray:
+        """Best posted revenue above x: max over atoms y > x of y Pr(X >= y), 0 if none; `x` may be an array."""
+        revenue = self.values_arr * (1.0 - np.concatenate(([0.0], self.cdf_arr[:-1])))
+        # the suffix max of y Pr(X >= y), read at the first atom above x
+        best = np.append(np.maximum.accumulate(revenue[::-1])[::-1], 0.0)
+        return best[self.values_arr.searchsorted(x, side="right")]
 
     def map_through(self, fn: Callable[[float], float]) -> "ScalarDistribution":
         """Law of fn(X); equal images are merged."""
@@ -240,12 +245,17 @@ def segmented_from_atoms(
 
 
 class ItemDistribution(ScalarDistribution):
-    """One item's value distribution: non-negative support, all atoms charged."""
+    """One item's value distribution: non-negative support, all atoms charged; `ironed` is built once."""
+
+    ironed: IronedTable
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.values[0] < 0:
             raise NegativeValue("item values must be non-negative")
+        from .myerson import iron  # myerson imports this module
+
+        object.__setattr__(self, "ironed", iron(self))
 
 
 def make_item_distribution(
@@ -402,9 +412,7 @@ def variance_ub_check(law: ScalarDistribution, tol: float = CHECK_TOL) -> Varian
     if law.values[0] < 0:
         raise NegativeValue("variance upper bound requires non-negative atoms")
     lhs = law.second_moment()
-    tails = 1.0 - np.concatenate(([0.0], law.cdf_arr[:-1]))
-    best_rev = float(np.max(law.values_arr * tails))
-    rhs = 2.0 * best_rev * law.values[-1]
+    rhs = 2.0 * float(law.posted_revenue(-math.inf)) * law.values[-1]
     return VarianceUBCheck(lhs, rhs, holds_leq(lhs, rhs, tol))
 
 

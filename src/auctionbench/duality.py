@@ -19,7 +19,7 @@ from .dist import AuctionSetting, MaxVector, Valuation, holds_leq
 from .errors import EnumerationCapExceeded
 from .iu import region_of
 from .lp import Mechanism, optimal_revenue
-from .myerson import iron, iron_restricted, virtual_values
+from .myerson import iron_restricted
 
 SINK = None  # dummy valuation with zero allocation and payment
 
@@ -82,6 +82,22 @@ def build_lambda_prime(setting: AuctionSetting, m_vec: MaxVector) -> DualFlow:
     return DualFlow(setting, m_vec, lam)
 
 
+def _region_slices(setting: AuctionSetting, m_vec: MaxVector):
+    """Each non-empty slice of an item region, as (j, rest, members, restricted).
+
+    The slice fixes the other items' values `rest` (in item order, j left
+    out); `members` are item j's values x whose valuation lies in region j,
+    and `restricted` is item j's ironing restricted to the support points at
+    or above the slice floor min(members).
+    """
+    for j, item in enumerate(setting.items):
+        others = [d.values for jj, d in enumerate(setting.items) if jj != j]
+        for rest in itertools.product(*others):
+            members = [x for x in item.values if region_of(rest[:j] + (x,) + rest[j:], m_vec) == j]
+            if members:
+                yield j, rest, members, iron_restricted(item, members[0])
+
+
 def build_lambda_star(setting: AuctionSetting, m_vec: MaxVector) -> DualFlow:
     """Symmetric adjacent-pair weights from restricted ironing of region slices.
 
@@ -92,37 +108,26 @@ def build_lambda_star(setting: AuctionSetting, m_vec: MaxVector) -> DualFlow:
     """
     _check_cap(setting)
     lam: dict[FlowKey, float] = {}
-    for j, item in enumerate(setting.items):
-        phi = virtual_values(item)
-        others = [d.values for jj, d in enumerate(setting.items) if jj != j]
-        for rest in itertools.product(*others):
-            def embed(x: float) -> Valuation:
-                coords = list(rest)
-                coords.insert(j, x)
-                return tuple(coords)
-
-            slice_members = [x for x in item.values if region_of(embed(x), m_vec) == j]
-            if not slice_members:
-                continue
-            x_star = min(slice_members)
-            restricted = iron_restricted(item, x_star)
-            f_minus_j = math.prod(
-                d.probs[d.values.index(x)]
-                for d, x in zip((dd for jj, dd in enumerate(setting.items) if jj != j), rest)
+    for j, rest, _, restricted in _region_slices(setting, m_vec):
+        item = setting.items[j]
+        phi = item.ironed.phi
+        f_minus_j = math.prod(
+            d.probs[d.values.index(x)]
+            for d, x in zip((dd for jj, dd in enumerate(setting.items) if jj != j), rest)
+        )
+        lo = len(item.values) - len(restricted)
+        for idx in range(lo, len(item.values) - 1):
+            x, x_next = item.values[idx], item.values[idx + 1]
+            surplus = sum(
+                item.probs[k] * (restricted[item.values[k]] - phi[k])
+                for k in range(idx + 1, len(item.values))
             )
-            lo = item.values.index(x_star)
-            for idx in range(lo, len(item.values) - 1):
-                x, x_next = item.values[idx], item.values[idx + 1]
-                surplus = sum(
-                    item.probs[k] * (restricted[item.values[k]] - phi[k])
-                    for k in range(idx + 1, len(item.values))
-                )
-                weight = f_minus_j / (x_next - x) * surplus
-                if weight == 0.0:
-                    continue
-                a, b = embed(x), embed(x_next)
-                lam[(a, b)] = lam.get((a, b), 0.0) + weight
-                lam[(b, a)] = lam.get((b, a), 0.0) + weight
+            weight = f_minus_j / (x_next - x) * surplus
+            if weight == 0.0:
+                continue
+            a, b = rest[:j] + (x,) + rest[j:], rest[:j] + (x_next,) + rest[j:]
+            lam[(a, b)] = lam.get((a, b), 0.0) + weight
+            lam[(b, a)] = lam.get((b, a), 0.0) + weight
     return DualFlow(setting, m_vec, lam)
 
 
@@ -164,28 +169,11 @@ def phi_from_flow(setting: AuctionSetting, flow: DualFlow) -> dict[Valuation, tu
 def region_form_phi(setting: AuctionSetting, m_vec: MaxVector) -> dict[Valuation, tuple[float, ...]]:
     """The simplified form: v_j off-region, restricted-ironed value on-region."""
     valuations, _ = setting.valuations()
-    out = {}
-    restricted_cache: dict[tuple[int, tuple[float, ...]], dict[float, float]] = {}
-    for v in valuations:
-        region = region_of(v, m_vec)
-        row = []
-        for j, item in enumerate(setting.items):
-            if region != j:
-                row.append(v[j])
-                continue
-            rest = tuple(x for jj, x in enumerate(v) if jj != j)
-            key = (j, rest)
-            if key not in restricted_cache:
-                slice_members = []
-                for x in item.values:
-                    coords = list(rest)
-                    coords.insert(j, x)
-                    if region_of(tuple(coords), m_vec) == j:
-                        slice_members.append(x)
-                restricted_cache[key] = iron_restricted(item, min(slice_members))
-            row.append(restricted_cache[key][v[j]])
-        out[v] = tuple(row)
-    return out
+    out = {v: list(v) for v in valuations}
+    for j, rest, members, restricted in _region_slices(setting, m_vec):
+        for x in members:
+            out[rest[:j] + (x,) + rest[j:]][j] = restricted[x]
+    return {v: tuple(row) for v, row in out.items()}
 
 
 class DualCertificate(NamedTuple):
@@ -220,14 +208,13 @@ def verify_dual_certificate(
         abs(a - b) for v in phi_flow for a, b in zip(phi_flow[v], phi_region[v])
     )
 
-    ironed = [iron(item) for item in setting.items]
     bound = 0.0
     for i in range(mechanism.n):
         for vidx, v in enumerate(mechanism.valuations):
             region = region_of(v, m_vec)
             fv = mechanism.vprobs[vidx]
-            for j in range(setting.m):
-                kernel = ironed[j].phi_tilde_plus_at(v[j]) if region == j else v[j]
+            for j, item in enumerate(setting.items):
+                kernel = item.ironed.phi_plus[item.values.index(v[j])] if region == j else v[j]
                 bound += fv * mechanism.interim_alloc[i, vidx, j] * kernel
     return DualCertificate(
         flow_residual_max,

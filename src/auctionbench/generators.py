@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from .dist import AuctionSetting, Caps, DEFAULT_CAPS, ItemDistribution, ScalarDistribution, make_item_distribution
-from .myerson import iron
+
+MAX_VALUE = 12  # items are drawn on the value grid 0..MAX_VALUE
 
 
-def random_item(rng: np.random.Generator, max_support: int = 4, max_value: int = 12) -> ItemDistribution:
+def random_item(rng: np.random.Generator, max_support: int = 4, max_value: int = MAX_VALUE) -> ItemDistribution:
     """Random item on a small integer grid with strictly positive masses."""
     size = int(rng.integers(1, max_support + 1))
     values = rng.choice(np.arange(0, max_value + 1), size=size, replace=False)
@@ -17,12 +18,12 @@ def random_item(rng: np.random.Generator, max_support: int = 4, max_value: int =
 
 
 def random_regular_item(
-    rng: np.random.Generator, max_support: int = 4, max_value: int = 12, max_tries: int = 200
+    rng: np.random.Generator, max_support: int = 4, max_value: int = MAX_VALUE, max_tries: int = 200
 ) -> ItemDistribution:
     """Rejection-sample a regular item (monotone virtual values)."""
     for _ in range(max_tries):
         item = random_item(rng, max_support, max_value)
-        if iron(item).regular:
+        if item.ironed.regular:
             return item
     # monotone-phi fallback: a point mass is always regular
     return make_item_distribution([float(rng.integers(1, max_value + 1))], [1.0])
@@ -43,7 +44,7 @@ def random_setting(
     max_support: int = 3,
     max_bidders: int = 2,
     max_ghosts: int = 6,
-    max_value: int = 12,
+    max_value: int = MAX_VALUE,
     regular_only: bool = False,
     caps: Caps = DEFAULT_CAPS,
 ) -> AuctionSetting:

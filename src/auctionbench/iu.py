@@ -8,15 +8,16 @@ vector of n' - 1 i.i.d. ghost draws, whose per-item components are
 independent with CDF F_j^(n'-1); that independence is what makes the exact
 computation cheap.  One vectorised function, :func:`region_kernel`, computes
 the resulting products for the exact tables, the Monte-Carlo estimator and
-the decomposition's rival-event sums.  An :class:`Instance` holds the IU
-tables and utility statistics of one (setting, n'), each built once.
+the decomposition's rival-event sums.  An :class:`Instance` holds the ghost
+max-vector law, the IU tables and the utility statistics of one
+(setting, n'), each built once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -25,7 +26,9 @@ import numpy as np
 from .dist import (
     AuctionSetting,
     CHECK_TOL,
+    ItemDistribution,
     MaxVector,
+    MaxVectorDistribution,
     ScalarDistribution,
     Valuation,
     holds_leq,
@@ -34,7 +37,6 @@ from .dist import (
     max_vector_distribution,
 )
 from .errors import EnumerationCapExceeded, TooFewBidders
-from .myerson import IronedTable, iron
 from .simple_auctions import vcg_revenue
 
 if TYPE_CHECKING:
@@ -76,20 +78,30 @@ class IUTables:
 
 @dataclass(frozen=True)
 class Instance:
-    """One (setting, n') pair and the two tables the exact chain reads, each built once on first use."""
+    """One (setting, n') pair and the tables the exact chain reads, each built once.
+
+    `ghost_max`, the law of the max vector of n' - 1 ghost draws, is built on
+    construction; the IU tables and the utility statistics on first use.
+    """
 
     setting: AuctionSetting
     n_prime: int
+    ghost_max: MaxVectorDistribution = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.n_prime < 1:
+            raise TooFewBidders("need n_prime >= 1")
+        object.__setattr__(self, "ghost_max", max_vector_distribution(self.setting, self.n_prime - 1))
 
     @cached_property
     def iu_tables(self) -> IUTables:
-        return build_iu_tables(self.setting, self.n_prime)
+        return build_iu_tables(self)
 
     @cached_property
     def stats(self) -> tuple[UtilityStats, ...]:
         from .decomposition import build_utility_stats  # decomposition imports this module
 
-        return build_utility_stats(self.setting, self.n_prime)
+        return build_utility_stats(self)
 
 
 def region_kernel(
@@ -126,32 +138,29 @@ def region_kernel(
     return out
 
 
-def benchmark_values(vals: np.ndarray, p_region: np.ndarray, ironed: Sequence[IronedTable]) -> np.ndarray:
+def benchmark_values(vals: np.ndarray, p_region: np.ndarray, items: Sequence[ItemDistribution]) -> np.ndarray:
     """Phi_j(v) = v_j (1 - P_j(v)) + max(phi_tilde_j(v_j), 0) P_j(v), elementwise over (..., m)."""
     phi = np.empty(vals.shape)
-    for j, table in enumerate(ironed):
+    for j, item in enumerate(items):
         vj, pj = vals[..., j], p_region[..., j]
-        phi_plus = np.maximum(np.asarray(table.phi_tilde), 0.0)[table.item.values_arr.searchsorted(vj)]
+        phi_plus = item.ironed.phi_plus[item.values_arr.searchsorted(vj)]
         phi[..., j] = vj * (1.0 - pj) + phi_plus * pj
     return phi
 
 
-def build_iu_tables(setting: AuctionSetting, n_prime: int) -> IUTables:
+def build_iu_tables(inst: Instance) -> IUTables:
     """Exact region probabilities P_j(v) and benchmark values Phi_j(v) for every v."""
-    if n_prime < 1:
-        raise TooFewBidders("need n_prime >= 1")
-    maxvec = max_vector_distribution(setting, n_prime - 1)
+    setting, maxvec = inst.setting, inst.ghost_max
     nv = setting.product_support_size
     if nv * maxvec.joint_size() > setting.caps.joint_terms:
         raise EnumerationCapExceeded(
             f"valuations x max-vectors = {nv * maxvec.joint_size()} exceeds cap "
             f"{setting.caps.joint_terms}; use monte_carlo_iu"
         )
-    ironed = tuple(iron(item) for item in setting.items)
     valuations, vprobs = setting.valuations()
     vals = np.array(valuations)
     p_region = region_kernel(vals, maxvec.per_item)
-    phi = benchmark_values(vals, p_region, ironed)
+    phi = benchmark_values(vals, p_region, setting.items)
     law_phi = tuple(
         ScalarDistribution.from_atoms(zip(phi[:, j].tolist(), vprobs.tolist()), renorm_tol=1e-9)
         for j in range(setting.m)
@@ -192,7 +201,6 @@ def monte_carlo_iu(
     chunk = min(chunk, setting.caps.joint_terms // cells)
     rows = max(1, KERNEL_CELLS // cells)
     maxvec = max_vector_distribution(setting, n_prime - 1)
-    ironed = [iron(item) for item in setting.items]
     rng = make_rng(seed, MC_STREAM)
     total = 0.0
     total_sq = 0.0
@@ -206,7 +214,7 @@ def monte_carlo_iu(
         stat = np.zeros(batch)
         for lo in range(0, batch, rows):
             part = vals[lo : lo + rows]
-            phi = benchmark_values(part, region_kernel(part, maxvec.per_item), ironed)
+            phi = benchmark_values(part, region_kernel(part, maxvec.per_item), setting.items)
             for j in range(setting.m):
                 stat[lo : lo + rows] += phi[:, :, j].max(axis=1)
         total += float(stat.sum())

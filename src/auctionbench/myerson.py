@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dist import AuctionSetting, ItemDistribution, iid_max_expectation
+import numpy as np
+
+from .dist import MASS_TOL, AuctionSetting, ItemDistribution, ScalarDistribution, iid_max_expectation
 from .errors import FloorNotInSupport, TooFewBidders
 
 # Regularity is non-strict monotonicity of the virtual value up to this slack.
@@ -35,24 +37,20 @@ def virtual_values(item: ItemDistribution) -> list[float]:
     return phi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IronedTable:
     """Per-support-point virtual and ironed virtual values for one item.
 
-    `phi_tilde` is exactly the sweep output (no positive-part truncation);
-    callers apply max(., 0) where they need it.
+    `phi_tilde` is exactly the sweep output; `phi_plus` is max(phi_tilde, 0)
+    per atom and `plus_law` the law of phi_tilde^+ under the item's
+    distribution.
     """
 
-    item: ItemDistribution
     phi: tuple[float, ...]
     phi_tilde: tuple[float, ...]
+    phi_plus: np.ndarray
+    plus_law: ScalarDistribution
     regular: bool
-
-    def phi_tilde_at(self, x: float) -> float:
-        return self.phi_tilde[self.item.values.index(x)]
-
-    def phi_tilde_plus_at(self, x: float) -> float:
-        return max(self.phi_tilde_at(x), 0.0)
 
 
 def _iron_sweep(values: tuple[float, ...], probs: tuple[float, ...], phi: list[float], lo: int) -> list[float]:
@@ -89,11 +87,13 @@ def _iron_sweep(values: tuple[float, ...], probs: tuple[float, ...], phi: list[f
 
 
 def iron(item: ItemDistribution) -> IronedTable:
-    """Ironed virtual value table; `regular` iff phi is already monotone."""
+    """Ironed virtual value table; `regular` iff phi is already monotone.  Items hold theirs as `item.ironed`."""
     phi = virtual_values(item)
     phi_tilde = _iron_sweep(item.values, item.probs, phi, 0)
+    phi_plus = np.maximum(np.asarray(phi_tilde), 0.0)
+    plus_law = ScalarDistribution.from_atoms(zip(phi_plus.tolist(), item.probs), renorm_tol=MASS_TOL * 10)
     regular = all(b - a >= -REGULARITY_TOL for a, b in zip(phi, phi[1:]))
-    return IronedTable(item, tuple(phi), tuple(phi_tilde), regular)
+    return IronedTable(tuple(phi), tuple(phi_tilde), phi_plus, plus_law, regular)
 
 
 def iron_restricted(item: ItemDistribution, floor: float) -> dict[float, float]:
@@ -106,8 +106,7 @@ def iron_restricted(item: ItemDistribution, floor: float) -> dict[float, float]:
         lo = item.values.index(floor)
     except ValueError:
         raise FloorNotInSupport(f"{floor!r} is not a support point") from None
-    phi = virtual_values(item)
-    restricted = _iron_sweep(item.values, item.probs, phi, lo)
+    restricted = _iron_sweep(item.values, item.probs, item.ironed.phi, lo)
     return dict(zip(item.values[lo:], restricted))
 
 
@@ -119,7 +118,7 @@ def srev_item(item: ItemDistribution, n: int) -> float:
     """
     if n < 1:
         raise TooFewBidders("need n >= 1")
-    return iid_max_expectation(item.map_through(iron(item).phi_tilde_plus_at), n)
+    return iid_max_expectation(item.ironed.plus_law, n)
 
 
 def srev(setting: AuctionSetting, n: int) -> float:
@@ -128,4 +127,4 @@ def srev(setting: AuctionSetting, n: int) -> float:
 
 
 def all_regular(setting: AuctionSetting) -> bool:
-    return all(iron(item).regular for item in setting.items)
+    return all(item.ironed.regular for item in setting.items)

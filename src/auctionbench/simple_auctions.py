@@ -32,16 +32,10 @@ def ronen_r_star(item: ItemDistribution, x: float) -> tuple[float, float | None]
     """
     if x < 0:
         raise ValueError("threshold must be non-negative")
-    best_rev = 0.0
-    best_y: float | None = None
-    tails = 1.0 - np.concatenate(([0.0], item.cdf_arr[:-1]))
-    for y, tail in zip(item.values, tails):
-        if y <= x:
-            continue
-        rev = y * float(tail)
-        if best_y is None or rev > best_rev:
-            best_rev, best_y = rev, y
-    return (best_rev, best_y) if best_y is not None else (0.0, None)
+    best_rev = float(item.posted_revenue(x))
+    # y * Pr(v >= y) is the product the kernel maximises, so the first y to reach it is the argmax
+    best_y = next((y for y in item.values if y > x and y * item.tail(y) == best_rev), None)
+    return (best_rev, best_y)
 
 
 def ronen_bound(setting: AuctionSetting, n: int) -> float:
@@ -54,7 +48,7 @@ def ronen_bound(setting: AuctionSetting, n: int) -> float:
     maxvec = max_vector_distribution(setting, n - 1)
     total = 0.0
     for item, mlaw in zip(setting.items, maxvec.per_item):
-        total += n * sum(p * ronen_r_star(item, mv)[0] for mv, p in zip(mlaw.values, mlaw.probs))
+        total += n * sum(p * r for r, p in zip(item.posted_revenue(mlaw.values_arr).tolist(), mlaw.probs))
     return total
 
 

@@ -339,6 +339,25 @@ class TestVerifyCommand:
     def test_zero_count(self, capsys):
         assert main(["verify", "--seed", "1", "--count", "0"]) == 0
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--max-support", "0"],
+            ["--max-items", "0"],
+            ["--max-bidders", "0"],
+            ["--max-ghosts", "0"],
+            ["--max-ghosts", "1"],  # below the default --max-bidders 2
+            ["--max-support", "20"],  # the value grid 0..12 has 13 points
+            ["--count", "-2"],
+        ],
+    )
+    def test_bad_generator_flags_exit_2(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", "1", "--count", "1", *flags])
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
 
 def _count_calls(monkeypatch, module, name):
     """Count calls of auctionbench.<module>.<name> from every auctionbench namespace that holds it."""
@@ -364,13 +383,18 @@ class TestOneBuildPerCommand:
             "build_utility_stats": _count_calls(monkeypatch, "decomposition", "build_utility_stats"),
             "lemma_chain_check": _count_calls(monkeypatch, "decomposition", "lemma_chain_check"),
             "optimal_revenue": _count_calls(monkeypatch, "lp", "optimal_revenue"),
+            "iron": _count_calls(monkeypatch, "myerson", "iron"),
+            "max_vector_distribution": _count_calls(monkeypatch, "dist", "max_vector_distribution"),
         }
 
     def test_exact_analyze(self, monkeypatch, capsys):
         calls = self._counters(monkeypatch)
         code = main(["analyze", "--config", str(CONFIGS / "two_items.json"), "--format", "json"])
         assert code == EXIT_CHECK_FAILED  # chain_g_bk is a known discrete counterexample
-        assert {name: len(c) for name, c in calls.items()} == {name: 1 for name in calls}
+        counts = {name: len(c) for name, c in calls.items()}
+        assert counts.pop("iron") == 2  # one per item
+        assert counts.pop("max_vector_distribution") <= 2  # the Instance's ghost law and ronen_bound's
+        assert counts == {name: 1 for name in counts}
 
     def test_verify_once_per_setting(self, monkeypatch, capsys):
         calls = self._counters(monkeypatch)
@@ -378,3 +402,6 @@ class TestOneBuildPerCommand:
         for name in ("build_iu_tables", "build_utility_stats", "lemma_chain_check"):
             assert len(calls[name]) == 3, name
             assert len({id(args[0]) for args in calls[name]}) == 3, name
+        # one ironing per item: the three settings hold five items
+        assert len(calls["iron"]) == len({id(args[0]) for args in calls["iron"]}) == 5
+        assert len(calls["max_vector_distribution"]) <= 2 * 3

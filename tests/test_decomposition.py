@@ -63,7 +63,7 @@ def reference_utility_stats(setting, n_prime):
 
 
 def assert_stats_bit_identical(setting, n_prime):
-    got = build_utility_stats(setting, n_prime)
+    got = build_utility_stats(Instance(setting, n_prime))
     want = reference_utility_stats(setting, n_prime)
     assert len(got) == len(want)
     for stat, (m_vec, prob, r_total, law_u, law_u_hat) in zip(got, want):
@@ -108,7 +108,7 @@ def joint_u_hat_law(setting, m_vec, r_total):
 
 class TestUtilityStats:
     def test_d2_hand_values(self, setting_d2):
-        stats = {st.m_vec: st for st in build_utility_stats(setting_d2, 2)}
+        stats = {st.m_vec: st for st in build_utility_stats(Instance(setting_d2, 2))}
         low = stats[(1.0,)]
         assert low.r_ron_total == pytest.approx(1.0)
         assert low.thresholds == pytest.approx((2.0,))
@@ -126,7 +126,7 @@ class TestUtilityStats:
 
     def test_point_mass_all_zero(self, point_mass):
         setting = AuctionSetting(items=(point_mass,), n=1, n_prime=2)
-        (st,) = build_utility_stats(setting, 2)
+        (st,) = build_utility_stats(Instance(setting, 2))
         assert st.r_ron_total == 0.0
         assert st.e_u_hat == 0.0
         assert st.fee_pd == 0.0
@@ -135,7 +135,7 @@ class TestUtilityStats:
         rng = make_rng(40)
         for _ in range(20):
             setting = random_setting(rng, max_items=3, max_support=3, max_ghosts=4)
-            for st in build_utility_stats(setting, setting.n_prime):
+            for st in build_utility_stats(Instance(setting, setting.n_prime)):
                 oracle = joint_u_hat_law(setting, st.m_vec, st.r_ron_total)
                 got = dict(zip(st.law_u_hat.values, st.law_u_hat.probs))
                 assert sorted(got) == pytest.approx(sorted(oracle), abs=1e-12)
@@ -162,7 +162,7 @@ class TestUtilityStats:
         rng = make_rng(42)
         for _ in range(50):
             setting = random_setting(rng, max_ghosts=6)
-            for st in build_utility_stats(setting, setting.n_prime):
+            for st in build_utility_stats(Instance(setting, setting.n_prime)):
                 assert st.var_u_hat <= 2.0 * st.r_ron_total**2 + 1e-9
 
     def test_per_item_cap_bound(self):
@@ -185,7 +185,7 @@ class TestUtilityStats:
         rng = make_rng(44)
         for _ in range(50):
             setting = random_setting(rng, max_ghosts=6)
-            for st in build_utility_stats(setting, setting.n_prime):
+            for st in build_utility_stats(Instance(setting, setting.n_prime)):
                 if st.fee_pd > 0:
                     assert st.law_u_hat.prob_below(st.fee_pd) <= 0.5 + 1e-12
 
@@ -193,7 +193,7 @@ class TestUtilityStats:
         rng = make_rng(45)
         for _ in range(50):
             setting = random_setting(rng, max_ghosts=6)
-            for st in build_utility_stats(setting, setting.n_prime):
+            for st in build_utility_stats(Instance(setting, setting.n_prime)):
                 if st.e_u_hat >= 6.0 * st.r_ron_total:
                     assert st.nice_prob >= 7.0 / 9.0 - 1e-12
 
@@ -233,7 +233,7 @@ class TestEventProbabilities:
         rng = make_rng(46)
         for _ in range(30):
             setting = random_setting(rng, max_items=3, max_support=3, max_ghosts=4)
-            tables = build_iu_tables(setting, setting.n_prime)
+            tables = build_iu_tables(Instance(setting, setting.n_prime))
             for vi, v in enumerate(tables.valuations):
                 ev = event_probabilities(v, setting, setting.n_prime)
                 for j in range(setting.m):
@@ -262,7 +262,7 @@ class TestEventProbabilities:
         for _ in range(20):
             setting = random_setting(rng, max_items=3, max_support=3, max_ghosts=4)
             maxvec = max_vector_distribution(setting, setting.n_prime - 1)
-            stats = build_utility_stats(setting, setting.n_prime)
+            stats = build_utility_stats(Instance(setting, setting.n_prime))
             for st in stats:
                 for j, item in enumerate(setting.items):
                     for x in item.values:

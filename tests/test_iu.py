@@ -68,14 +68,15 @@ def scalar_region_probability(v, j, max_laws):
 
 def assert_tables_match_scalar_reference(setting, n_prime):
     """p_region and phi equal (==) the one-valuation reference, value by value."""
-    tables = build_iu_tables(setting, n_prime)
+    tables = build_iu_tables(Instance(setting, n_prime))
     laws = max_vector_distribution(setting, n_prime - 1).per_item
     ironed = [iron(item) for item in setting.items]
     for vi, v in enumerate(tables.valuations):
         for j in range(setting.m):
             p = scalar_region_probability(v, j, laws)
             assert tables.p_region[vi, j] == p
-            assert tables.phi[vi, j] == v[j] * (1.0 - p) + ironed[j].phi_tilde_plus_at(v[j]) * p
+            phi_plus = max(ironed[j].phi_tilde[setting.items[j].values.index(v[j])], 0.0)
+            assert tables.phi[vi, j] == v[j] * (1.0 - p) + phi_plus * p
 
 
 @st.composite
@@ -123,7 +124,7 @@ class TestRegionOf:
 
 class TestBuildTables:
     def test_single_item_example(self, setting_d2):
-        tables = build_iu_tables(setting_d2, 2)
+        tables = build_iu_tables(Instance(setting_d2, 2))
         assert dict(zip(tables.valuations, tables.p_region[:, 0])) == pytest.approx(
             {(1.0,): 0.5, (2.0,): 1.0}
         )
@@ -132,14 +133,15 @@ class TestBuildTables:
         )
 
     def test_n_prime_1_empty_max(self, setting_d2):
-        tables = build_iu_tables(setting_d2, 1)
-        ironed = iron(setting_d2.items[0])
+        tables = build_iu_tables(Instance(setting_d2, 1))
+        item = setting_d2.items[0]
+        ironed = iron(item)
         for vi, v in enumerate(tables.valuations):
             assert tables.p_region[vi, 0] == pytest.approx(1.0)
-            assert tables.phi[vi, 0] == pytest.approx(ironed.phi_tilde_plus_at(v[0]))
+            assert tables.phi[vi, 0] == pytest.approx(max(ironed.phi_tilde[item.values.index(v[0])], 0.0))
 
     def test_two_item_probabilities_match_joint_enumeration(self, setting_two_items):
-        tables = build_iu_tables(setting_two_items, 2)
+        tables = build_iu_tables(Instance(setting_two_items, 2))
         for vi, v in enumerate(tables.valuations):
             for j in range(2):
                 oracle = joint_region_probability(setting_two_items, v, j, 2)
@@ -168,14 +170,14 @@ class TestBuildTables:
         rng = make_rng(32)
         for _ in range(30):
             setting = random_setting(rng, max_items=3, max_support=3, max_ghosts=5)
-            tables = build_iu_tables(setting, setting.n_prime)
+            tables = build_iu_tables(Instance(setting, setting.n_prime))
             assert (tables.p_region.sum(axis=1) <= 1 + 1e-12).all()
 
     def test_phi_bounds(self):
         rng = make_rng(33)
         for _ in range(30):
             setting = random_setting(rng, max_items=2, max_support=4, max_ghosts=6)
-            tables = build_iu_tables(setting, setting.n_prime)
+            tables = build_iu_tables(Instance(setting, setting.n_prime))
             assert (tables.phi >= -1e-12).all()
             for vi, v in enumerate(tables.valuations):
                 for j in range(setting.m):
@@ -184,7 +186,7 @@ class TestBuildTables:
     def test_cap_exceeded(self, d2):
         setting = AuctionSetting(items=(d2,) * 6, n=1, n_prime=2, caps=Caps(joint_terms=100))
         with pytest.raises(EnumerationCapExceeded):
-            build_iu_tables(setting, 2)
+            build_iu_tables(Instance(setting, 2))
 
 
 class TestRegionKernel:
@@ -237,7 +239,7 @@ class TestIU:
             if setting.product_support_size > 9:
                 continue
             n_prime = setting.n_prime
-            tables = build_iu_tables(setting, n_prime)
+            tables = build_iu_tables(Instance(setting, n_prime))
             for n in range(1, 4):
                 oracle = 0.0
                 idx = range(len(tables.valuations))
@@ -251,7 +253,7 @@ class TestIU:
         rng = make_rng(35)
         for _ in range(30):
             setting = random_setting(rng, max_ghosts=6)
-            tables = build_iu_tables(setting, setting.n_prime)
+            tables = build_iu_tables(Instance(setting, setting.n_prime))
             values = [tables.iu(n) for n in range(1, 6)]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 

@@ -119,7 +119,7 @@ class TestIronRestricted:
             for floor in item.values:
                 restricted = iron_restricted(item, floor)
                 for v, r in restricted.items():
-                    assert r <= table.phi_tilde_at(v) + 1e-12
+                    assert r <= table.phi_tilde[item.values.index(v)] + 1e-12
 
 
 class TestSRev:

@@ -5,10 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from auctionbench import (
     AuctionSetting,
     bulow_klemperer_check,
+    iid_max_expectation,
+    iron,
+    make_item_distribution,
     make_rng,
     ronen_bound,
     ronen_r_star,
@@ -74,6 +79,57 @@ class TestVCG:
             setting = random_setting(rng, max_ghosts=5)
             for n in (2, 3, 4):
                 assert vcg_revenue(setting, n) <= srev(setting, n) + 1e-9
+
+
+def scan_r_star(item, x):
+    """Reference: a per-price scan for max over atoms y > x of y Pr(v >= y), ties to the smallest y."""
+    if x < 0:
+        raise ValueError("threshold must be non-negative")
+    best_rev = 0.0
+    best_y = None
+    tails = 1.0 - np.concatenate(([0.0], item.cdf_arr[:-1]))
+    for y, tail in zip(item.values, tails):
+        if y <= x:
+            continue
+        rev = y * float(tail)
+        if best_y is None or rev > best_rev:
+            best_rev, best_y = rev, y
+    return (best_rev, best_y) if best_y is not None else (0.0, None)
+
+
+@st.composite
+def kernel_items(draw):
+    """Items on the grid 0..16; masses in sixteenths make y Pr(v >= y) exact, so revenues often tie."""
+    values = sorted(draw(st.sets(st.integers(0, 16), min_size=1, max_size=6)))
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.sets(st.integers(1, 15), min_size=len(values) - 1, max_size=len(values) - 1)))
+        probs = [(b - a) / 16 for a, b in zip([0] + cuts, cuts + [16])]
+    else:
+        weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(values), max_size=len(values)))
+        probs = [w / sum(weights) for w in weights]
+    return make_item_distribution(values, probs)
+
+
+class TestPostedRevenueKernel:
+    """The vectorised posted-revenue kernel against the old scan, bit for bit (==)."""
+
+    @given(item=kernel_items())
+    # the equal-revenue law: y Pr(v >= y) = 1 at every atom
+    @example(item=make_item_distribution([1, 2, 4, 8], [0.5, 0.25, 0.125, 0.125]))
+    def test_matches_the_scan(self, item):
+        vals = list(item.values)
+        # below the support (when 0 is not an atom), at every atom, between atoms and above the top
+        thresholds = [0.0] + vals + [(a + b) / 2 for a, b in zip(vals, vals[1:])] + [vals[-1] + 1.0]
+        want = [scan_r_star(item, x) for x in thresholds]
+        assert [ronen_r_star(item, x) for x in thresholds] == want
+        assert item.posted_revenue(np.array(thresholds)).tolist() == [rev for rev, _ in want]
+        assert [float(item.posted_revenue(x)) for x in thresholds] == [rev for rev, _ in want]
+
+    @given(item=kernel_items(), n=st.integers(1, 6))
+    def test_srev_item_matches_the_mapped_law(self, item, n):
+        table = iron(item)
+        law = item.map_through(lambda x: max(table.phi_tilde[item.values.index(x)], 0.0))
+        assert srev_item(item, n) == iid_max_expectation(law, n)
 
 
 class TestRonen:
