@@ -11,8 +11,6 @@ dependency beyond numpy and pivots deterministically.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,151 +174,108 @@ def lp_solve(
 
 @dataclass
 class Mechanism:
-    """Solved mechanism: ex-post allocations plus interim quantities."""
+    """Solved mechanism: ex-post allocations plus interim quantities.
 
-    setting: AuctionSetting
+    Profiles run in `itertools.product(valuations, repeat=n)` order.
+    """
+
     n: int
-    profiles: tuple[tuple[Valuation, ...], ...]
-    profile_probs: np.ndarray
     valuations: tuple[Valuation, ...]
     vprobs: np.ndarray
-    pi: np.ndarray  # (n, m, profiles)
-    pbar: np.ndarray  # (n, valuations)
+    pi: np.ndarray  # (n, m, profiles): Pr(bidder i gets item j | profile)
+    pbar: np.ndarray  # (n, valuations): interim payment
     interim_alloc: np.ndarray  # (n, valuations, m)
     revenue: float
 
 
 class MechanismLP:
-    """LP over ex-post allocations and interim payments for n i.i.d. bidders."""
+    """LP over ex-post allocations and interim payments for n i.i.d. bidders.
+
+    Variables, each block flattened in C order: pi[i, j, profile], then
+    p+[i, v] and p-[i, v], whose difference is bidder i's interim payment at
+    valuation v.  Rows: one allocation row (sum_i pi[i, j, profile] <= 1) per
+    (profile, item); then, for each bidder i and true valuation a, the
+    participation row followed by the incentive rows for reports b != a in
+    ascending order.
+    """
 
     def __init__(self, setting: AuctionSetting, n: int):
         if n < 1:
             raise TooFewBidders("need n >= 1")
-        self.setting = setting
         self.n = n
-        self.m = setting.m
+        self.m = m = setting.m
         vals, vprobs = setting.valuations()
         self.valuations = vals
         self.vprobs = vprobs
-        self.n_vals = len(vals)
+        self.n_vals = n_vals = len(vals)
         # the exponent is capped so a huge n costs nothing: 2^bit_length > cap
-        if self.n_vals ** min(n, PROFILE_CAP.bit_length()) > PROFILE_CAP:
+        if n_vals ** min(n, PROFILE_CAP.bit_length()) > PROFILE_CAP:
             raise InstanceTooLarge(
-                f"{self.n_vals}^{n} profiles exceed the cap {PROFILE_CAP}"
+                f"{n_vals}^{n} profiles exceed the cap {PROFILE_CAP}"
             )
-        self.n_profiles = self.n_vals**n
-        self.n_pi = n * self.m * self.n_profiles
-        self.n_vars = self.n_pi + 2 * n * self.n_vals
+        self.n_profiles = n_p = n_vals**n
+        self.n_pi = n * m * n_p
+        self.n_vars = self.n_pi + 2 * n * n_vals
         # one allocation row per profile and item, n V^2 participation and incentive rows
-        n_rows = self.n_profiles * self.m + n * self.n_vals**2
+        n_alloc = n_p * m
+        n_rows = n_alloc + n * n_vals**2
         cells = (n_rows + 1) * (self.n_vars + n_rows + 1)
         if cells > TABLEAU_CAP:
             raise InstanceTooLarge(
                 f"{n_rows} rows x {self.n_vars} variables: {cells} tableau cells exceed the cap {TABLEAU_CAP}"
             )
-        self.profiles = tuple(itertools.product(vals, repeat=n))
-        self.profile_probs = np.array(
-            [math.prod(vprobs[vals.index(v)] for v in prof) for prof in self.profiles]
-        )
-        self._build()
 
-    def _pi_idx(self, i: int, j: int, pidx: int) -> int:
-        return (i * self.m + j) * self.n_profiles + pidx
+        # prof[i, p]: bidder i's valuation index in profile p
+        prof = np.indices((n_vals,) * n).reshape(n, n_p)
+        # Pr(profile), multiplied left to right over bidders
+        profile_probs = vprobs[prof].prod(axis=0)
+        others = profile_probs / vprobs[prof]
+        # weights[i, v, p] = Pr(others' part of p) where bidder i holds v in p, else 0
+        self.weights = np.zeros((n, n_vals, n_p))
+        self.weights[np.arange(n)[:, None], prof, np.arange(n_p)] = others
+        # own[i, v, q]: the q-th profile in which bidder i holds v
+        own = np.argsort(prof, axis=1, kind="stable").reshape(n, n_vals, n_p // n_vals)
 
-    def _pp_idx(self, i: int, vidx: int) -> int:
-        return self.n_pi + i * self.n_vals + vidx
+        self.c = np.concatenate([np.zeros(self.n_pi), np.tile(vprobs, n), np.tile(-vprobs, n)])
+        self.b_ub = np.zeros(n_rows)
+        self.b_ub[:n_alloc] = 1.0
+        self.a_ub = a_ub = np.zeros((n_rows, self.n_vars))
+        p, j, i = np.ix_(range(n_p), range(m), range(n))
+        a_ub[p * m + j, (i * m + j) * n_p + p] = 1.0
 
-    def _pm_idx(self, i: int, vidx: int) -> int:
-        return self.n_pi + self.n * self.n_vals + i * self.n_vals + vidx
-
-    def _interim_weights(self, i: int) -> np.ndarray:
-        """w[vidx, pidx] = Pr(others' profile) when bidder i reports valuation vidx."""
-        w = np.zeros((self.n_vals, self.n_profiles))
-        for pidx, prof in enumerate(self.profiles):
-            vidx = self.valuations.index(prof[i])
-            w[vidx, pidx] = self.profile_probs[pidx] / self.vprobs[vidx]
-        return w
-
-    def _build(self) -> None:
-        n, m = self.n, self.m
-        c = np.zeros(self.n_vars)
-        for i in range(n):
-            for vidx in range(self.n_vals):
-                c[self._pp_idx(i, vidx)] = self.vprobs[vidx]
-                c[self._pm_idx(i, vidx)] = -self.vprobs[vidx]
-
-        rows: list[np.ndarray] = []
-        rhs: list[float] = []
-        # each item allocated at most once per profile
-        for pidx in range(self.n_profiles):
-            for j in range(m):
-                row = np.zeros(self.n_vars)
-                for i in range(n):
-                    row[self._pi_idx(i, j, pidx)] = 1.0
-                rows.append(row)
-                rhs.append(1.0)
-        # truthfulness and participation on interim quantities
-        weights = [self._interim_weights(i) for i in range(n)]
-        for i in range(n):
-            w = weights[i]
-            for a, va in enumerate(self.valuations):
-                ir = np.zeros(self.n_vars)
-                for j in range(m):
-                    for pidx in np.nonzero(w[a])[0]:
-                        ir[self._pi_idx(i, j, pidx)] -= va[j] * w[a, pidx]
-                ir[self._pp_idx(i, a)] += 1.0
-                ir[self._pm_idx(i, a)] -= 1.0
-                rows.append(ir)
-                rhs.append(0.0)
-                for b in range(self.n_vals):
-                    if b == a:
-                        continue
-                    row = np.zeros(self.n_vars)
-                    for j in range(m):
-                        for pidx in np.nonzero(w[a])[0]:
-                            row[self._pi_idx(i, j, pidx)] -= va[j] * w[a, pidx]
-                        for pidx in np.nonzero(w[b])[0]:
-                            row[self._pi_idx(i, j, pidx)] += va[j] * w[b, pidx]
-                    row[self._pp_idx(i, a)] += 1.0
-                    row[self._pm_idx(i, a)] -= 1.0
-                    row[self._pp_idx(i, b)] -= 1.0
-                    row[self._pm_idx(i, b)] += 1.0
-                    rows.append(row)
-                    rhs.append(0.0)
-        self.c = c
-        self.a_ub = np.array(rows)
-        self.b_ub = np.array(rhs)
+        value = np.array(vals, dtype=float)
+        i, a, k, j, q = np.ix_(range(n), range(n_vals), range(n_vals), range(m), range(n_p // n_vals))
+        plus = self.n_pi + i * n_vals  # columns of p+[i, 0] and p-[i, 0]
+        minus = plus + n * n_vals
+        # every row of (bidder i, true valuation a) charges a's truthful utility ...
+        row = n_alloc + (i * n_vals + a) * n_vals + k
+        cols = own[i, a, q]
+        a_ub[row, (i * m + j) * n_p + cols] -= value[a, j] * others[i, cols]
+        a_ub[row, plus + a] = 1.0
+        a_ub[row, minus + a] = -1.0
+        # ... and its k-th incentive row, k >= 1, credits the utility of reporting b
+        k = k[:, :, 1:]
+        b = k - (k <= a)
+        row = n_alloc + (i * n_vals + a) * n_vals + k
+        cols = own[i, b, q]
+        a_ub[row, (i * m + j) * n_p + cols] += value[a, j] * others[i, cols]
+        a_ub[row, plus + b] = -1.0
+        a_ub[row, minus + b] = 1.0
 
     def solve(self) -> Mechanism:
         sol = lp_solve(self.c, self.a_ub, self.b_ub)
         if sol.status != "optimal":
             raise LPNumericalFailure("mechanism LP reported infeasible; construction bug")
-        n, m = self.n, self.m
-        pi = np.zeros((n, m, self.n_profiles))
-        for i in range(n):
-            for j in range(m):
-                for pidx in range(self.n_profiles):
-                    pi[i, j, pidx] = sol.x[self._pi_idx(i, j, pidx)]
-        pbar = np.zeros((n, self.n_vals))
-        for i in range(n):
-            for vidx in range(self.n_vals):
-                pbar[i, vidx] = sol.x[self._pp_idx(i, vidx)] - sol.x[self._pm_idx(i, vidx)]
-        interim = np.zeros((n, self.n_vals, m))
-        for i in range(n):
-            w = self._interim_weights(i)
-            for vidx in range(self.n_vals):
-                for j in range(m):
-                    interim[i, vidx, j] = float(w[vidx] @ pi[i, j])
+        n = self.n
+        pi = sol.x[: self.n_pi].reshape(n, self.m, self.n_profiles)
+        plus, minus = sol.x[self.n_pi :].reshape(2, n, self.n_vals)
         return Mechanism(
-            setting=self.setting,
             n=n,
-            profiles=self.profiles,
-            profile_probs=self.profile_probs,
             valuations=self.valuations,
             vprobs=self.vprobs,
             pi=pi,
-            pbar=pbar,
-            interim_alloc=interim,
+            pbar=plus - minus,
+            interim_alloc=np.einsum("ivp,ijp->ivj", self.weights, pi),
             revenue=sol.objective,
         )
 

@@ -23,6 +23,7 @@ from auctionbench.cli import (
     parse_config,
     run_analysis,
 )
+from auctionbench.dist import holds_leq
 from auctionbench.errors import ConfigParseError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -258,6 +259,18 @@ class TestAnalyze:
         assert json.loads(captured.out)["scalars"]["rev_n"] is None
         assert "Traceback" not in captured.err
 
+    def test_every_record_is_judged_at_the_configured_tolerance(self, tmp_path, capsys):
+        # {1, 100}: bulow_klemperer (50 vs 25.75) and chain_g_bk (75 vs 50.5)
+        # both fail at the default tolerance and both hold at 0.6
+        payload = {"items": [{"values": ["1", "100"], "probs": ["0.5", "0.5"]}], "n": 1, "n_prime": 2, "tolerance": 0.6}
+        code = main(["analyze", "--config", write_config(tmp_path, payload), "--format", "json"])
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert {"bulow_klemperer", "chain_g_bk"} <= set(checks)
+        for check in checks.values():
+            if check["holds"] is not None:
+                assert check["holds"] == holds_leq(check["lhs"], check["rhs"], 0.6), check["name"]
+        assert code == EXIT_OK
+
     def test_monte_carlo_mode(self, tmp_path, capsys):
         payload = dict(D2_CONFIG, mode="monte_carlo", samples=20000)
         code = main(["analyze", "--config", write_config(tmp_path, payload)])
@@ -335,6 +348,17 @@ class TestVerifyCommand:
         main(args)
         second = capsys.readouterr().out
         assert first == second
+
+    def test_summary_rows_agree_with_the_records(self, capsys):
+        # at tolerance 0 some iron_dominated and tie_break slacks are about
+        # -1e-15, but those records are judged at 1e-12 and hold
+        code = main(["verify", "--seed", "3", "--count", "50", "--tolerance", "0"])
+        captured = capsys.readouterr()
+        failed = {line.split()[1].rstrip(":").split("_item_")[0] for line in captured.err.splitlines()}
+        rows = {fields[0]: fields[-1] for fields in map(str.split, captured.out.splitlines()[1:-1])}
+        assert {name for name, verdict in rows.items() if verdict == "FAIL"} == failed
+        assert rows["iron_dominated"] == rows["tie_break"] == "ok"
+        assert code == EXIT_CHECK_FAILED
 
     def test_zero_count(self, capsys):
         assert main(["verify", "--seed", "1", "--count", "0"]) == 0

@@ -1,7 +1,10 @@
 """Simplex against a vertex-enumeration oracle, and the mechanism LP's known optima."""
 
+import importlib.util
 import itertools
+import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from auctionbench import (
     vcg_revenue,
 )
 from auctionbench.errors import InstanceTooLarge, Unbounded
-from auctionbench.generators import random_setting
+from auctionbench.generators import random_item, random_setting
 from auctionbench.lp import MechanismLP
 
 
@@ -43,6 +46,67 @@ def vertex_enumeration_optimum(c, a_ub, b_ub):
             if best is None or value > best:
                 best = value
     return best
+
+
+def reference_mechanism_lp(setting, n):
+    """(c, a_ub, b_ub) of the mechanism LP, written row by row from MechanismLP's docstring."""
+    vals, vprobs = setting.valuations()
+    m, n_vals = setting.m, len(vals)
+    profiles = list(itertools.product(range(n_vals), repeat=n))
+    n_pi = n * m * len(profiles)
+    n_vars = n_pi + 2 * n * n_vals
+
+    def pi(i, j, p):
+        return (i * m + j) * len(profiles) + p
+
+    def plus(i, v):
+        return n_pi + i * n_vals + v
+
+    def minus(i, v):
+        return n_pi + (n + i) * n_vals + v
+
+    def add_utility(row, i, true, report, sign):
+        """row += sign * (utility of valuation `true` reporting `report` at the interim)."""
+        for p, prof in enumerate(profiles):
+            if prof[i] == report:
+                others = math.prod(vprobs[v] for v in prof) / vprobs[report]
+                for j in range(m):
+                    row[pi(i, j, p)] += sign * (vals[true][j] * others)
+        row[plus(i, report)] -= sign
+        row[minus(i, report)] += sign
+
+    c = np.zeros(n_vars)
+    for i in range(n):
+        for v in range(n_vals):
+            c[plus(i, v)] = vprobs[v]
+            c[minus(i, v)] = -vprobs[v]
+    rows, rhs = [], []
+    for p in range(len(profiles)):
+        for j in range(m):
+            row = np.zeros(n_vars)
+            for i in range(n):
+                row[pi(i, j, p)] = 1.0
+            rows.append(row)
+            rhs.append(1.0)
+    for i in range(n):
+        for a in range(n_vals):
+            for b in [None] + [b for b in range(n_vals) if b != a]:
+                row = np.zeros(n_vars)
+                add_utility(row, i, a, a, -1.0)
+                if b is not None:
+                    add_utility(row, i, a, b, 1.0)
+                rows.append(row)
+                rhs.append(0.0)
+    return c, np.array(rows), np.array(rhs)
+
+
+def load_highs_oracle():
+    """perfbench's HiGHS encoding of the mechanism LP, loaded without installing anything."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    return oracles.highs_optimal_revenue
 
 
 class TestLPSolve:
@@ -208,3 +272,38 @@ class TestOptimalRevenue:
             for vidx in range(len(mech.valuations))
         )
         assert total == pytest.approx(mech.revenue, abs=1e-8)
+
+
+class TestMechanismLPOracles:
+    def test_encoding_matches_the_row_by_row_reference(self):
+        covered = set()
+        for seed in range(40):
+            setting = random_setting(make_rng(seed), max_items=2, max_support=3, max_bidders=3)
+            try:
+                lp = MechanismLP(setting, setting.n)
+            except InstanceTooLarge:
+                continue
+            c, a_ub, b_ub = reference_mechanism_lp(setting, setting.n)
+            assert np.array_equal(lp.c, c) and np.array_equal(lp.b_ub, b_ub)
+            assert np.array_equal(lp.a_ub, a_ub)
+            covered.add((setting.n, setting.m))
+        assert covered == {(n, m) for n in (1, 2, 3) for m in (1, 2)}
+
+    def test_one_item_equals_myerson(self):
+        # Myerson (1981): for one item the optimum is the ironed
+        # virtual-surplus auction, whose revenue srev computes
+        for seed in range(40):
+            item = random_item(make_rng(100 + seed), max_support=6)
+            for n in (1, 2):
+                setting = AuctionSetting(items=(item,), n=n, n_prime=2)
+                value, _ = optimal_revenue(setting, n)
+                assert value == pytest.approx(srev(setting, n), abs=1e-6)
+
+    def test_agrees_with_highs(self):
+        pytest.importorskip("scipy")
+        highs_optimal_revenue = load_highs_oracle()
+        for seed in range(30):
+            setting = random_setting(make_rng(seed), max_items=2, max_support=2, max_bidders=2)
+            items = [{"values": list(item.values), "probs": list(item.probs)} for item in setting.items]
+            value, _ = optimal_revenue(setting, setting.n)
+            assert value == pytest.approx(highs_optimal_revenue(items, setting.n), rel=1e-6, abs=1e-6)
