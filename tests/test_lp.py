@@ -2,12 +2,15 @@
 
 import importlib.util
 import itertools
+import json
 import math
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from auctionbench import (
     AuctionSetting,
@@ -20,9 +23,12 @@ from auctionbench import (
     srev,
     vcg_revenue,
 )
+from auctionbench import lp
 from auctionbench.errors import InstanceTooLarge, Unbounded
 from auctionbench.generators import random_item, random_setting
-from auctionbench.lp import MechanismLP
+from auctionbench.lp import MechanismLP, _pivot
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def vertex_enumeration_optimum(c, a_ub, b_ub):
@@ -100,13 +106,55 @@ def reference_mechanism_lp(setting, n):
     return c, np.array(rows), np.array(rhs)
 
 
+def load_perfbench(name):
+    """A perfbench module, loaded without installing anything."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_highs_oracle():
-    """perfbench's HiGHS encoding of the mechanism LP, loaded without installing anything."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
-    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
-    oracles = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(oracles)
-    return oracles.highs_optimal_revenue
+    """perfbench's HiGHS encoding of the mechanism LP."""
+    return load_perfbench("oracles").highs_optimal_revenue
+
+
+def defect_probe(seed, op_id):
+    """The one item of an `lp_oracle` defect probe (8 atoms, n=2)."""
+    probes = load_perfbench("workloads").lp_defects(seed, None)
+    (item,) = next(op["items"] for op in probes if op["id"] == op_id)
+    return item
+
+
+def one_item_setting(item, n):
+    dist = make_item_distribution([float(v) for v in item["values"]], item["probs"])
+    return AuctionSetting(items=(dist,), n=n, n_prime=2)
+
+
+@st.composite
+def one_item(draw):
+    """One item of at most 8 atoms in perfbench's draw format."""
+    values = draw(st.lists(st.integers(1, 99), min_size=1, max_size=8, unique=True))
+    weights = draw(st.lists(st.floats(0.05, 1.05), min_size=len(values), max_size=len(values)))
+    return {"values": sorted(values), "probs": [w / sum(weights) for w in weights]}
+
+
+class TestPivot:
+    def test_sparse_update_equals_the_dense_rank_one_update(self):
+        rng = make_rng(25)
+        for _ in range(200):
+            shape = tuple(rng.integers(2, 12, size=2))
+            # structural zeros, as in the mechanism LP's tableau
+            tableau = rng.normal(size=shape) * (rng.random(shape) < 0.3)
+            row, col = (int(rng.integers(k)) for k in shape)
+            tableau[row, col] = rng.uniform(0.5, 2.0)
+            dense = tableau.copy()
+            dense[row] /= dense[row, col]
+            factors = dense[:, col].copy()
+            factors[row] = 0.0
+            dense -= np.outer(factors, dense[row])
+            _pivot(tableau, row, col)
+            assert np.array_equal(tableau, dense)
 
 
 class TestLPSolve:
@@ -115,6 +163,7 @@ class TestLPSolve:
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(1.0)
         assert sol.duals == pytest.approx([1.0])
+        assert (sol.iterations, sol.bland_switches, sol.duality_gap) == (1, 0, 0.0)
 
     def test_zero_objective(self):
         sol = lp_solve(np.array([0.0]), np.zeros((0, 1)), np.zeros(0))
@@ -133,6 +182,7 @@ class TestLPSolve:
         # x <= 1 and x >= 2
         sol = lp_solve(np.array([1.0]), np.array([[1.0], [-1.0]]), np.array([1.0, -2.0]))
         assert sol.status == "infeasible"
+        assert math.isnan(sol.duality_gap)
 
     def test_degenerate_does_not_cycle(self):
         c = np.array([1.0, 1.0])
@@ -140,6 +190,18 @@ class TestLPSolve:
         b = np.array([1.0, 1.0, 1.0, 2.0])
         sol = lp_solve(c, a, b)
         assert sol.objective == pytest.approx(2.0)
+
+    def test_bland_fallback_reaches_the_same_optimum(self, monkeypatch):
+        # one degenerate pivot is enough to switch to Bland's rule
+        setting = AuctionSetting(items=(random_item(make_rng(100), max_support=6),), n=2, n_prime=2)
+        mech_lp = MechanismLP(setting, 2)
+        harris = lp_solve(mech_lp.c, mech_lp.a_ub, mech_lp.b_ub)
+        monkeypatch.setattr(lp, "_DEGENERATE_LIMIT", 1)
+        bland = lp_solve(mech_lp.c, mech_lp.a_ub, mech_lp.b_ub)
+        assert harris.bland_switches == 0 < bland.bland_switches
+        assert bland.objective == pytest.approx(harris.objective, rel=1e-12)
+        assert bland.objective == pytest.approx(srev(setting, 2), abs=1e-6)
+        assert bland.duality_gap <= 1e-9 * (1 + abs(bland.objective))
 
     def test_random_lps_match_vertex_enumeration(self):
         rng = make_rng(20)
@@ -298,6 +360,28 @@ class TestMechanismLPOracles:
                 setting = AuctionSetting(items=(item,), n=n, n_prime=2)
                 value, _ = optimal_revenue(setting, n)
                 assert value == pytest.approx(srev(setting, n), abs=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(item=one_item(), n=st.integers(1, 2))
+    # lp_oracle defect probes that failed while ratio-test ties went to the
+    # smallest basis index (four duality-gap failures, one cycle)
+    @example(item=defect_probe(0, "p64_8_n2_1"), n=2)
+    @example(item=defect_probe(1, "p64_8_n2_4"), n=2)
+    @example(item=defect_probe(3, "p64_8_n2_4"), n=2)
+    @example(item=defect_probe(7, "p64_8_n2_7"), n=2)
+    @example(item=defect_probe(9, "p64_8_n2_0"), n=2)
+    def test_one_item_equals_myerson_on_drawn_items(self, item, n):
+        setting = one_item_setting(item, n)
+        value, _ = optimal_revenue(setting, n)
+        assert value == pytest.approx(srev(setting, n), abs=1e-6)
+
+    def test_pinned_gap_instance_equals_myerson(self):
+        # 16 atoms, n=2: 256 profiles, a tableau of about 1e6 cells
+        spec = json.loads((PERFBENCH / "pinned" / "gap.json").read_text())
+        (item,) = spec["items"]
+        setting = one_item_setting(item, spec["n"])
+        value, _ = optimal_revenue(setting, spec["n"])
+        assert value == pytest.approx(srev(setting, spec["n"]), abs=1e-6)
 
     def test_agrees_with_highs(self):
         pytest.importorskip("scipy")
