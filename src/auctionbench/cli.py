@@ -160,12 +160,15 @@ def parse_config(raw: dict) -> InstanceConfig:
     samples = _integer(raw.get("samples", 100_000), "samples")
     if samples < 1:
         raise ConfigParseError(f"samples must be >= 1, got {samples}")
+    tolerance = _decimal(raw.get("tolerance", CHECK_TOL), "tolerance")
+    if tolerance < 0:
+        raise ConfigParseError(f"tolerance must be >= 0, got {tolerance!r}")
     return InstanceConfig(
         setting=setting,
         mode=mode,
         samples=samples,
         seed=_integer(raw.get("seed", 0), "seed"),
-        tolerance=_decimal(raw.get("tolerance", CHECK_TOL), "tolerance"),
+        tolerance=tolerance,
     )
 
 
@@ -370,7 +373,8 @@ def _verify_suites(setting: AuctionSetting, rng: np.random.Generator, tol: float
     checks: list[CheckRecord] = []
     inst = Instance(setting, setting.n_prime)
     np_ = inst.n_prime
-    srev_np = srev(setting, np_)
+    chain = lemma_chain_check(inst, setting.n, tol=tol)
+    srev_np = chain.srev_nprime
     for item in setting.items:
         table = item.ironed
         worst_mono = min(
@@ -389,7 +393,7 @@ def _verify_suites(setting: AuctionSetting, rng: np.random.Generator, tol: float
         checks.append(
             CheckRecord.leq("vcg_le_srev", "VCG(n') <= SRev(n')", vcg_revenue(setting, np_), srev_np, tol)
         )
-    checks.extend(lemma_chain_check(inst, setting.n, tol=tol).checks)
+    checks.extend(chain.checks)
     worst = 0.0
     for st in inst.stats:
         worst = max(worst, st.var_u_hat - 2.0 * st.r_ron_total**2)
@@ -447,6 +451,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="auctionbench")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -458,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--mode", choices=["exact", "mc"], default=None, help="override the config mode")
     p_analyze.add_argument("--seed", type=int, default=None)
     p_analyze.add_argument("--samples", type=_positive_int, default=None)
-    p_analyze.add_argument("--tolerance", type=float, default=None)
+    p_analyze.add_argument("--tolerance", type=_tolerance, default=None)
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_iron = sub.add_parser("iron", help="print virtual value tables per item")
@@ -475,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-items", type=_positive_int, default=2)
     p_verify.add_argument("--max-bidders", type=_positive_int, default=2)
     p_verify.add_argument("--max-ghosts", type=_positive_int, default=6, help="at least --max-bidders")
-    p_verify.add_argument("--tolerance", type=float, default=CHECK_TOL)
+    p_verify.add_argument("--tolerance", type=_tolerance, default=CHECK_TOL)
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="CSV of benchmarks for a range of n'")

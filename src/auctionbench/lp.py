@@ -5,10 +5,12 @@ profile (no interim-only relaxation: multi-item interim feasibility is a
 known pitfall) and writes incentive and participation constraints on interim
 quantities derived linearly from them, over the full deviation set.
 
-The solver is a self-contained two-phase dense simplex so the oracle has no
-dependency beyond numpy and pivots deterministically.  Ratio-test ties go to
-the largest pivot element (Harris, 1973), with Bland's rule (1977) only as
-the anti-cycling fallback, and each pivot updates only the block where the
+The solver is a self-contained one-phase dense simplex so the oracle has no
+dependency beyond numpy and pivots deterministically.  It needs b_ub >= 0:
+the mechanism LP's right-hand side is 1 on allocation rows and 0 on the
+others, so x = 0 is feasible and the slack basis starts it.  Ratio-test ties
+go to the largest pivot element (Harris, 1973), with Bland's rule (1977) only
+as the anti-cycling fallback, and each pivot updates only the block where the
 pivot column and row are nonzero.
 """
 
@@ -29,20 +31,20 @@ PROFILE_CAP = 256
 TABLEAU_CAP = 1 << 22
 
 _PIVOT_TOL = 1e-10
-_FEAS_TOL = 1e-8
+_GAP_TOL = 1e-9  # relative duality gap an optimum must close
+_MAX_PIVOTS = 100_000  # the solve's only time bound
 # consecutive degenerate pivots before switching to Bland's rule
 _DEGENERATE_LIMIT = 40
 
 
 @dataclass
 class LPSolution:
-    status: str  # "optimal" or "infeasible"
     x: np.ndarray
     objective: float
     duals: np.ndarray
     iterations: int
     bland_switches: int  # runs of degenerate pivots that switched to Bland's rule
-    duality_gap: float  # |primal - dual objective|; nan when infeasible
+    duality_gap: float  # |primal - dual objective|
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -57,7 +59,7 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[np.ix_(rows, cols)] -= np.outer(factors[rows], tableau[row, cols])
 
 
-def _run_simplex(tableau: np.ndarray, basis: np.ndarray, maxiter: int) -> tuple[int, int]:
+def _run_simplex(tableau: np.ndarray, basis: np.ndarray) -> tuple[int, int]:
     """Maximize over the tableau in place; returns (iterations, Bland switches).
 
     The last row holds the reduced costs c_j - z_j with minus the current
@@ -71,19 +73,14 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, maxiter: int) -> tuple[
     iters = switches = 0
     degenerate_run = 0
     while True:
-        if iters >= maxiter:
-            raise MaxIterations(f"simplex exceeded {maxiter} iterations")
+        if iters >= _MAX_PIVOTS:
+            raise MaxIterations(f"simplex exceeded {_MAX_PIVOTS} iterations")
         reduced = tableau[-1, :-1]
         bland = degenerate_run >= _DEGENERATE_LIMIT
-        if not bland:
-            col = int(np.argmax(reduced))
-            if reduced[col] <= _PIVOT_TOL:
-                return iters, switches
-        else:
-            candidates = np.nonzero(reduced > _PIVOT_TOL)[0]
-            if len(candidates) == 0:
-                return iters, switches
-            col = int(candidates[0])
+        entering = np.flatnonzero(reduced > _PIVOT_TOL)
+        if len(entering) == 0:
+            return iters, switches
+        col = int(entering[0] if bland else np.argmax(reduced))
         ratios = np.full(n_rows, np.inf)
         positive = tableau[:n_rows, col] > _PIVOT_TOL
         ratios[positive] = tableau[:n_rows, -1][positive] / tableau[:n_rows, col][positive]
@@ -99,15 +96,13 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, maxiter: int) -> tuple[
         iters += 1
 
 
-def lp_solve(
-    c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, *, maxiter: int = 100_000, tol: float = 1e-9
-) -> LPSolution:
-    """Maximize c.x subject to a_ub.x <= b_ub, x >= 0.
+def lp_solve(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> LPSolution:
+    """Maximize c.x subject to a_ub.x <= b_ub, x >= 0, given b_ub >= 0.
 
-    Two-phase dense simplex.  Returns an optimal solution with row duals, or
-    an infeasibility certificate (status "infeasible", duals from phase one).
-    Raises Unbounded when the objective is unbounded above and MaxIterations
-    on stall; verifies the duality gap before reporting optimal.
+    One phase from the slack basis, which b_ub >= 0 makes feasible.  Returns
+    an optimal solution with row duals after checking the duality gap.  Raises
+    ValueError on inconsistent shapes or a negative or NaN b_ub entry,
+    Unbounded when the objective is unbounded above, MaxIterations on stall.
     """
     c = np.asarray(c, dtype=np.float64)
     a = np.asarray(a_ub, dtype=np.float64)
@@ -115,71 +110,27 @@ def lp_solve(
     n_rows, n_vars = a.shape
     if b.shape != (n_rows,) or c.shape != (n_vars,):
         raise ValueError("inconsistent LP shapes")
-
-    flip = b < 0
-    art_rows = np.flatnonzero(flip)
-    n_art = len(art_rows)
-
-    # columns: x vars | slacks | artificials | rhs; rows with b < 0 are negated
-    n_total = n_vars + n_rows + n_art
-    tableau = np.zeros((n_rows + 1, n_total + 1))
+    if not np.all(b >= 0):
+        raise ValueError("b_ub must be >= 0, so that x = 0 is a feasible start")
+    # columns: x vars | slacks | rhs; the last row holds the reduced costs
+    tableau = np.zeros((n_rows + 1, n_vars + n_rows + 1))
     tableau[:n_rows, :n_vars] = a
     tableau[:n_rows, -1] = b
-    tableau[art_rows] *= -1.0
     basis = n_vars + np.arange(n_rows)
-    tableau[np.arange(n_rows), basis] = np.where(flip, -1.0, 1.0)
-    basis[art_rows] = n_vars + n_rows + np.arange(n_art)
-    tableau[art_rows, basis[art_rows]] = 1.0
+    tableau[np.arange(n_rows), basis] = 1.0
+    tableau[-1, :n_vars] = c
 
-    iters = switches = 0
-    if n_art:
-        # phase 1: maximize minus the artificial mass
-        phase1 = np.zeros(n_total)
-        phase1[n_vars + n_rows :] = -1.0
-        tableau[-1, :-1] = phase1
-        tableau[-1, -1] = 0.0
-        for r in art_rows:  # price out the initial artificial basis
-            tableau[-1] += tableau[r]
-        iters, switches = _run_simplex(tableau, basis, maxiter)
-        infeasibility = tableau[-1, -1]
-        if infeasibility > _FEAS_TOL:
-            x = np.zeros(n_vars)
-            duals = -tableau[-1, n_vars : n_vars + n_rows]
-            return LPSolution("infeasible", x, float("nan"), duals, iters, switches, float("nan"))
-        # drive any residual artificial out of the basis, then drop the columns
-        for r in range(n_rows):
-            if basis[r] >= n_vars + n_rows:
-                pivot_cols = np.nonzero(np.abs(tableau[r, : n_vars + n_rows]) > _PIVOT_TOL)[0]
-                if len(pivot_cols):
-                    _pivot(tableau, r, int(pivot_cols[0]))
-                    basis[r] = int(pivot_cols[0])
-        tableau = np.delete(tableau, np.s_[n_vars + n_rows : n_total], axis=1)
-
-    full_c = np.zeros(n_vars + n_rows)
-    full_c[:n_vars] = c
-    tableau[-1, :-1] = full_c
-    tableau[-1, -1] = 0.0
-    for r in range(n_rows):  # price out the current basis: row becomes c_j - z_j
-        cb = full_c[basis[r]] if basis[r] < n_vars + n_rows else 0.0
-        if cb != 0.0:
-            tableau[-1] -= cb * tableau[r]
-
-    phase2 = _run_simplex(tableau, basis, maxiter)
-    iters, switches = iters + phase2[0], switches + phase2[1]
+    iters, switches = _run_simplex(tableau, basis)
 
     x = np.zeros(n_vars + n_rows)
-    kept = basis < n_vars + n_rows  # residual artificials hold zero
-    x[basis[kept]] = tableau[:n_rows, -1][kept]
+    x[basis] = tableau[:n_rows, -1]
     objective = float(c @ x[:n_vars])
-    # row flips cancel in the dual read-out: the slack's reduced cost is -y_r
-    # for unflipped rows and +w_r = -y_r for flipped ones
-    duals = -tableau[-1, n_vars : n_vars + n_rows]
+    # the slack of row r has reduced cost -y_r
+    duals = -tableau[-1, n_vars:-1]
     gap = abs(objective - float(duals @ b))
-    if gap > tol * (1.0 + abs(objective)):
-        raise LPNumericalFailure(
-            f"duality gap {gap:.3e} exceeds tolerance at objective {objective:.6g}"
-        )
-    return LPSolution("optimal", x[:n_vars], objective, duals, iters, switches, gap)
+    if gap > _GAP_TOL * (1.0 + abs(objective)):
+        raise LPNumericalFailure(f"duality gap {gap:.3e} exceeds tolerance at objective {objective:.6g}")
+    return LPSolution(x[:n_vars], objective, duals, iters, switches, gap)
 
 
 @dataclass
@@ -275,8 +226,6 @@ class MechanismLP:
 
     def solve(self) -> Mechanism:
         sol = lp_solve(self.c, self.a_ub, self.b_ub)
-        if sol.status != "optimal":
-            raise LPNumericalFailure("mechanism LP reported infeasible; construction bug")
         n = self.n
         pi = sol.x[: self.n_pi].reshape(n, self.m, self.n_profiles)
         plus, minus = sol.x[self.n_pi :].reshape(2, n, self.n_vals)

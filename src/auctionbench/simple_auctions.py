@@ -80,9 +80,8 @@ def sequential_posted_price_bound(
         raise ValueError("prices must be non-negative")
     total = 0.0
     for j, item in enumerate(setting.items):
-        col = np.sort(arr[:, j])[::-1]
         none_higher_accepts = 1.0
-        for price in col:
+        for price in np.sort(arr[:, j])[::-1].tolist():
             accept = item.tail(price)
             total += price * accept * none_higher_accepts
             none_higher_accepts *= 1.0 - accept

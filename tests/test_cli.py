@@ -97,6 +97,7 @@ class TestConfigParsing:
             ({"samples": 0}, "^samples must"),
             ({"n_prime": 1}, "^n_prime must"),
             ({"n": 3, "n_prime": 2}, "^n_prime must"),
+            ({"tolerance": -1}, "^tolerance must"),
         ],
     )
     def test_bad_field_is_a_config_error(self, override, match):
@@ -286,6 +287,16 @@ class TestAnalyze:
         assert code == 0
         assert "iu_n_estimate" in out
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-9"])
+    def test_tolerance_flag_must_be_finite_and_non_negative(self, tmp_path, capsys, command, value):
+        argv = ["--config", write_config(tmp_path, D2_CONFIG)] if command == "analyze" else ["--count", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv, f"--tolerance={value}"])
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--tolerance" in err and "Traceback" not in err
+
     def test_samples_flag_must_be_positive(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--config", write_config(tmp_path, D2_CONFIG), "--samples", "0"])
@@ -430,7 +441,10 @@ class TestOneBuildPerCommand:
 
     def test_verify_once_per_setting(self, monkeypatch, capsys):
         calls = self._counters(monkeypatch)
+        srev_calls = _count_calls(monkeypatch, "myerson", "srev")
         main(["verify", "--seed", "3", "--count", "3"])
+        # SRev(n') for the chain and the shared checks, SRev(n) for Bulow-Klemperer
+        assert len(srev_calls) == 2 * 3
         for name in ("build_iu_tables", "build_utility_stats", "lemma_chain_check"):
             assert len(calls[name]) == 3, name
             assert len({id(args[0]) for args in calls[name]}) == 3, name

@@ -186,6 +186,12 @@ class TestSequentialPostedPrice:
         assert sequential_posted_price_bound(setting_d2, [[2.0], [1.0]], 2) == pytest.approx(1.5)
         assert sequential_posted_price_bound(setting_d2, [[0.0], [0.0]], 2) == 0.0
 
+    def test_returns_a_python_float(self, setting_d2):
+        # a float repr is what verify prints for a failed spp_le_srev record
+        for prices in ([[2.0], [1.0]], np.array([[2.0], [1.0]])):
+            value = sequential_posted_price_bound(setting_d2, prices, 2)
+            assert type(value) is float and value == pytest.approx(1.5)
+
     def test_shape_mismatch(self, setting_d2):
         with pytest.raises(ShapeMismatch):
             sequential_posted_price_bound(setting_d2, [[2.0]], 2)
