@@ -46,7 +46,7 @@ from .myerson import all_regular, srev, srev_item
 from .report import AnalysisReport, CheckRecord
 from .simple_auctions import (
     bulow_klemperer_check,
-    ronen_bound,
+    ronen_bound_from_law,
     sequential_posted_price_bound,
     vcg_revenue,
     vcg_with_reserve_bound,
@@ -189,9 +189,8 @@ def _shared_checks(inst: Instance, srev_np: float, rng: np.random.Generator, tol
     if np_ >= 2:
         s2 = step2_inequality_check(inst, n, tol)
         checks.append(CheckRecord.leq("step2", "IU(n,n') <= (n/n')*IU(n',n') + VCG(n')", s2.lhs, s2.rhs, tol))
-    checks.append(
-        CheckRecord.leq("ronen_le_srev", "RonenBound(n') <= SRev(n')", ronen_bound(setting, np_), srev_np, tol)
-    )
+    ronen = ronen_bound_from_law(setting, inst.ghost_max, np_)
+    checks.append(CheckRecord.leq("ronen_le_srev", "RonenBound(n') <= SRev(n')", ronen, srev_np, tol))
     for j, item in enumerate(setting.items):
         lhs = max(vcg_with_reserve_bound(setting, j, x, np_) for x in (0.0,) + item.values)
         checks.append(

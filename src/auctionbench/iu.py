@@ -43,8 +43,10 @@ if TYPE_CHECKING:
     from .decomposition import UtilityStats
 
 MC_STREAM = 17  # substream label for the benchmark estimator
-# valuations x items per region_kernel call in monte_carlo_iu; bounds its memory
+# distinct valuations x items per region_kernel call in monte_carlo_iu; bounds its memory
 KERNEL_CELLS = 1 << 18
+# monte_carlo_iu re-ranks its valuation codes before their radix passes this
+_CODE_LIMIT = 1 << 63
 
 
 def region_of(v: Valuation, maxvec: MaxVector) -> int | None:
@@ -187,6 +189,14 @@ def monte_carlo_iu(
     per-item max CDFs, so the only randomness is in the valuations.  Output is
     deterministic for a given seed.  One sample holds n x m values; more than
     caps.joint_terms raises EnumerationCapExceeded.
+
+    Draws come from the finite product support and mostly repeat, so each
+    chunk keys its valuations by one mixed-radix code of their atom indices
+    (re-ranked, not refused, where the radix would pass int64) and evaluates
+    Phi once per distinct valuation, KERNEL_CELLS // m of them per kernel
+    call, before gathering it back to the draws.  The kernel is row by row and
+    the per-sample sums keep their item order, so the estimate is the one a
+    per-draw evaluation gives, bit for bit.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -197,9 +207,10 @@ def monte_carlo_iu(
         raise EnumerationCapExceeded(
             f"bidders x items = {cells} exceeds cap {setting.caps.joint_terms} per sample"
         )
-    # draws per chunk (the random stream) and valuations per kernel call (memory)
+    # draws per chunk (the random stream) and distinct valuations per kernel call (memory)
     chunk = min(chunk, setting.caps.joint_terms // cells)
-    rows = max(1, KERNEL_CELLS // cells)
+    rows = max(1, KERNEL_CELLS // setting.m)
+    sizes = [len(item.values) for item in setting.items]
     maxvec = max_vector_distribution(setting, n_prime - 1)
     rng = make_rng(seed, MC_STREAM)
     total = 0.0
@@ -207,16 +218,28 @@ def monte_carlo_iu(
     done = 0
     while done < samples:
         batch = min(chunk, samples - done)
-        vals = np.empty((batch, n, setting.m))
+        # per-item atom indices of the batch x n drawn valuations, folded into
+        # one mixed-radix code per valuation
+        idx = np.empty((setting.m, batch * n), dtype=np.min_scalar_type(max(sizes) - 1))
+        code = np.zeros(batch * n, dtype=np.int64)
+        radix = 1
         for j, item in enumerate(setting.items):
-            idx = rng.choice(len(item.values), size=(batch, n), p=item.probs_arr)
-            vals[:, :, j] = item.values_arr[idx]
-        stat = np.zeros(batch)
-        for lo in range(0, batch, rows):
+            idx[j] = rng.choice(sizes[j], size=batch * n, p=item.probs_arr)
+            if radix * sizes[j] > _CODE_LIMIT:
+                distinct, code = np.unique(code, return_inverse=True)
+                radix = len(distinct)
+            code = code * sizes[j] + idx[j]
+            radix *= sizes[j]
+        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        inverse = inverse.reshape(batch, n)
+        vals = np.stack([item.values_arr[idx[j, first]] for j, item in enumerate(setting.items)], axis=-1)
+        phi = np.empty(vals.shape)
+        for lo in range(0, len(vals), rows):
             part = vals[lo : lo + rows]
-            phi = benchmark_values(part, region_kernel(part, maxvec.per_item), setting.items)
-            for j in range(setting.m):
-                stat[lo : lo + rows] += phi[:, :, j].max(axis=1)
+            phi[lo : lo + rows] = benchmark_values(part, region_kernel(part, maxvec.per_item), setting.items)
+        stat = np.zeros(batch)
+        for j in range(setting.m):
+            stat += phi[:, j][inverse].max(axis=1)
         total += float(stat.sum())
         total_sq += float((stat * stat).sum())
         done += batch

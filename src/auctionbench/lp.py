@@ -101,8 +101,9 @@ def lp_solve(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> LPSolution:
 
     One phase from the slack basis, which b_ub >= 0 makes feasible.  Returns
     an optimal solution with row duals after checking the duality gap.  Raises
-    ValueError on inconsistent shapes or a negative or NaN b_ub entry,
-    Unbounded when the objective is unbounded above, MaxIterations on stall.
+    ValueError on inconsistent shapes, a negative or NaN b_ub entry or any
+    entry of c, a_ub or b_ub that is not finite, Unbounded when the objective
+    is unbounded above, MaxIterations on stall.
     """
     c = np.asarray(c, dtype=np.float64)
     a = np.asarray(a_ub, dtype=np.float64)
@@ -112,6 +113,8 @@ def lp_solve(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> LPSolution:
         raise ValueError("inconsistent LP shapes")
     if not np.all(b >= 0):
         raise ValueError("b_ub must be >= 0, so that x = 0 is a feasible start")
+    if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("c, a_ub and b_ub must be finite")
     # columns: x vars | slacks | rhs; the last row holds the reduced costs
     tableau = np.zeros((n_rows + 1, n_vars + n_rows + 1))
     tableau[:n_rows, :n_vars] = a

@@ -10,6 +10,7 @@ from .dist import (
     AuctionSetting,
     CHECK_TOL,
     ItemDistribution,
+    MaxVectorDistribution,
     holds_leq,
     iid_second_max_expectation,
     max_vector_distribution,
@@ -45,7 +46,11 @@ def ronen_bound(setting: AuctionSetting, n: int) -> float:
     """
     if n < 1:
         raise TooFewBidders("need n >= 1")
-    maxvec = max_vector_distribution(setting, n - 1)
+    return ronen_bound_from_law(setting, max_vector_distribution(setting, n - 1), n)
+
+
+def ronen_bound_from_law(setting: AuctionSetting, maxvec: MaxVectorDistribution, n: int) -> float:
+    """`ronen_bound` given `maxvec`, the law of the max vector of n - 1 draws."""
     total = 0.0
     for item, mlaw in zip(setting.items, maxvec.per_item):
         total += n * sum(p * r for r, p in zip(item.posted_revenue(mlaw.values_arr).tolist(), mlaw.probs))

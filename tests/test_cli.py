@@ -436,7 +436,7 @@ class TestOneBuildPerCommand:
         assert code == EXIT_CHECK_FAILED  # chain_g_bk is a known discrete counterexample
         counts = {name: len(c) for name, c in calls.items()}
         assert counts.pop("iron") == 2  # one per item
-        assert counts.pop("max_vector_distribution") <= 2  # the Instance's ghost law and ronen_bound's
+        assert counts.pop("max_vector_distribution") == 1  # the Instance's ghost law, reused by the checks
         assert counts == {name: 1 for name in counts}
 
     def test_verify_once_per_setting(self, monkeypatch, capsys):
@@ -450,4 +450,4 @@ class TestOneBuildPerCommand:
             assert len({id(args[0]) for args in calls[name]}) == 3, name
         # one ironing per item: the three settings hold five items
         assert len(calls["iron"]) == len({id(args[0]) for args in calls["iron"]}) == 5
-        assert len(calls["max_vector_distribution"]) <= 2 * 3
+        assert len(calls["max_vector_distribution"]) == 3

@@ -1,5 +1,6 @@
 """Region logic, exact benchmark tables against joint enumeration, and the growth inequality."""
 
+import importlib
 import itertools
 import math
 from pathlib import Path
@@ -26,7 +27,7 @@ from auctionbench import (
 from auctionbench.cli import load_config
 from auctionbench.errors import EnumerationCapExceeded
 from auctionbench.generators import random_setting
-from auctionbench.iu import region_kernel
+from auctionbench.iu import KERNEL_CELLS, MC_STREAM, benchmark_values, region_kernel
 from auctionbench.myerson import iron
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -77,6 +78,47 @@ def assert_tables_match_scalar_reference(setting, n_prime):
             assert tables.p_region[vi, j] == p
             phi_plus = max(ironed[j].phi_tilde[setting.items[j].values.index(v[j])], 0.0)
             assert tables.phi[vi, j] == v[j] * (1.0 - p) + phi_plus * p
+
+
+def per_draw_monte_carlo_iu(setting, n, n_prime, samples, seed, chunk=1 << 16):
+    """Reference: the Monte-Carlo loop that evaluated Phi on every drawn bidder, kept verbatim."""
+    cells = n * setting.m
+    chunk = min(chunk, setting.caps.joint_terms // cells)
+    rows = max(1, KERNEL_CELLS // cells)
+    maxvec = max_vector_distribution(setting, n_prime - 1)
+    rng = make_rng(seed, MC_STREAM)
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < samples:
+        batch = min(chunk, samples - done)
+        vals = np.empty((batch, n, setting.m))
+        for j, item in enumerate(setting.items):
+            idx = rng.choice(len(item.values), size=(batch, n), p=item.probs_arr)
+            vals[:, :, j] = item.values_arr[idx]
+        stat = np.zeros(batch)
+        for lo in range(0, batch, rows):
+            part = vals[lo : lo + rows]
+            phi = benchmark_values(part, region_kernel(part, maxvec.per_item), setting.items)
+            for j in range(setting.m):
+                stat[lo : lo + rows] += phi[:, :, j].max(axis=1)
+        total += float(stat.sum())
+        total_sq += float((stat * stat).sum())
+        done += batch
+    mean = total / samples
+    if samples == 1:
+        return (mean, None)
+    var = max(total_sq / samples - mean * mean, 0.0) * samples / (samples - 1)
+    return (mean, math.sqrt(var / samples))
+
+
+def assert_mc_matches_per_draw(setting, n, n_prime, samples, seed, chunk):
+    got = monte_carlo_iu(setting, n, n_prime, samples, seed, chunk=chunk)
+    assert tuple(got) == per_draw_monte_carlo_iu(setting, n, n_prime, samples, seed, chunk=chunk)
+
+
+# the default draw chunk, one that splits the samples, and a tiny one
+MC_CHUNKS = [1 << 16, 7000, 7]
 
 
 @st.composite
@@ -313,6 +355,53 @@ class TestMonteCarlo:
         a = monte_carlo_iu(setting_d2, 1, 2, 10_000, seed=1)
         b = monte_carlo_iu(setting_d2, 1, 2, 10_000, seed=2)
         assert a.estimate != b.estimate
+
+    @pytest.mark.parametrize("chunk", MC_CHUNKS)
+    @pytest.mark.parametrize("name", ["two_point", "two_items", "irregular_three_point", "near_uniform_many_items"])
+    def test_configs_match_per_draw_reference(self, name, chunk):
+        # estimate and SE equal (==) to Phi evaluated on every drawn bidder
+        setting = load_config(CONFIGS / f"{name}.json").setting
+        samples = 700 if chunk == 7 else 70_000
+        for n in (1, setting.n_prime):
+            assert_mc_matches_per_draw(setting, n, setting.n_prime, samples, 5, chunk)
+
+    @pytest.mark.parametrize("chunk", MC_CHUNKS)
+    def test_random_settings_match_per_draw_reference(self, chunk):
+        rng = make_rng(38)
+        for k in range(40):
+            setting = random_setting(rng, max_items=4, max_support=4, max_bidders=4)
+            assert_mc_matches_per_draw(setting, setting.n, setting.n_prime, 1500, k, chunk)
+
+    def test_product_support_past_int64_matches_per_draw_reference(self):
+        # 70 binary items: the valuation code needs 70 bits.  The first items
+        # take the top digits, so a code wrapped mod 2^64 would merge draws
+        # that differ only there; most items barely move, so all draws would merge
+        coin = make_item_distribution([1, 2], [0.5, 0.5])
+        lopsided = make_item_distribution([1, 2], [1 - 1e-12, 1e-12])
+        setting = AuctionSetting(
+            items=(coin,) * 7 + (lopsided,) * 63, n=1, n_prime=3, caps=Caps(product_support=1 << 70)
+        )
+        assert setting.product_support_size > 1 << 63
+        for chunk in MC_CHUNKS:
+            assert_mc_matches_per_draw(setting, 2, 3, 3000 if chunk > 7 else 100, 8, chunk)
+
+    def test_phi_once_per_distinct_valuation(self, monkeypatch):
+        # 4 binary items: at most 16 distinct valuations per chunk, against
+        # 200,000 x 8 drawn bidders; each kernel call stays within KERNEL_CELLS
+        setting = load_config(CONFIGS / "near_uniform_many_items.json").setting
+        assert setting.m == 4 and setting.product_support_size == 16
+        rows = []
+
+        def counted(vals, *args, **kwargs):
+            rows.append(vals.size // vals.shape[-1])
+            assert vals.size <= KERNEL_CELLS
+            return region_kernel(vals, *args, **kwargs)
+
+        # the package re-exports the function iu, so fetch the module itself
+        monkeypatch.setattr(importlib.import_module("auctionbench.iu"), "region_kernel", counted)
+        monte_carlo_iu(setting, 8, 8, 200_000, seed=21)
+        chunks = math.ceil(200_000 / (1 << 16))
+        assert sum(rows) <= 16 * chunks
 
 
 class TestTieBreak:

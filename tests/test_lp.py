@@ -178,6 +178,20 @@ class TestLPSolve:
         with pytest.raises(ValueError, match="b_ub must be >= 0"):
             lp_solve(np.array([1.0]), np.array([[1.0], [-1.0]]), np.array([1.0, rhs]))
 
+    @pytest.mark.parametrize(
+        "c, a, b",
+        [
+            ([math.nan], [[1.0]], [1.0]),
+            ([1.0], [[math.nan]], [1.0]),
+            ([1.0], [[1.0]], [math.inf]),
+            ([1.0], [[math.inf]], [1.0]),
+        ],
+    )
+    def test_non_finite_input_is_refused(self, c, a, b):
+        # a NaN objective, a false Unbounded, an infinite or a 0.0 optimum before
+        with pytest.raises(ValueError, match="must be finite"):
+            lp_solve(np.array(c), np.array(a), np.array(b))
+
     def test_degenerate_does_not_cycle(self):
         c = np.array([1.0, 1.0])
         a = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
