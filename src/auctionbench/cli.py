@@ -182,9 +182,9 @@ def _posted_prices(setting: AuctionSetting, rng: np.random.Generator) -> np.ndar
     )
 
 
-def _shared_checks(inst: Instance, srev_np: float, rng: np.random.Generator, tol: float) -> list[CheckRecord]:
-    """The checks analyze and verify share; `srev_np` is SRev(n') and `rng` draws the posted prices."""
-    setting, n, np_ = inst.setting, inst.setting.n, inst.n_prime
+def _shared_checks(inst: Instance, rng: np.random.Generator, tol: float) -> list[CheckRecord]:
+    """The checks analyze and verify share; `rng` draws the posted prices."""
+    setting, n, np_, srev_np = inst.setting, inst.setting.n, inst.n_prime, inst.srev_nprime
     checks = []
     if np_ >= 2:
         s2 = step2_inequality_check(inst, n, tol)
@@ -218,13 +218,13 @@ def run_analysis(cfg: InstanceConfig) -> AnalysisReport:
     rep.scalars["n_prime"] = np_
     rep.scalars["epsilon"] = setting.epsilon
     rep.scalars["m"] = setting.m
-    rep.scalars["srev_n"] = srev(setting, n)
-    rep.scalars["srev_n_prime"] = srev(setting, np_)
     rep.scalars["vcg_n"] = vcg_revenue(setting, n) if n >= 2 else None
     rep.scalars["vcg_n_prime"] = vcg_revenue(setting, np_) if np_ >= 2 else None
     rep.scalars["regular"] = all_regular(setting)
 
     if cfg.mode == "monte_carlo":
+        rep.scalars["srev_n"] = srev(setting, n)
+        rep.scalars["srev_n_prime"] = srev(setting, np_)
         est_n = monte_carlo_iu(setting, n, np_, cfg.samples, cfg.seed)
         est_np = monte_carlo_iu(setting, np_, np_, cfg.samples, cfg.seed + 1)
         rep.scalars["iu_n_estimate"] = est_n.estimate
@@ -249,7 +249,9 @@ def run_analysis(cfg: InstanceConfig) -> AnalysisReport:
     inst = Instance(setting, np_)
     rep.scalars["iu_n"] = inst.iu_tables.iu(n)
     rep.scalars["iu_n_prime"] = inst.iu_tables.iu(np_)
-    rep.checks.extend(_shared_checks(inst, rep.scalars["srev_n_prime"], make_rng(cfg.seed, 3), tol))
+    rep.checks.extend(_shared_checks(inst, make_rng(cfg.seed, 3), tol))
+    rep.scalars["srev_n"] = next(c.lhs for c in rep.checks if c.name == "bulow_klemperer")
+    rep.scalars["srev_n_prime"] = inst.srev_nprime
     verdict = main_theorem_verdict(inst, n, setting.epsilon, tol=tol)
     chain = verdict.chain
     rep.scalars["single"] = chain.single
@@ -354,7 +356,7 @@ def cmd_sweep(args) -> int:
             [
                 np_,
                 f"{vcg_revenue(setting, np_):.12g}" if np_ >= 2 else "",
-                f"{srev(setting, np_):.12g}",
+                f"{inst.srev_nprime:.12g}",
                 f"{inst.iu_tables.iu(setting.n):.12g}",
                 f"{inst.iu_tables.iu(np_):.12g}",
                 f"{participation:.12g}",
@@ -373,7 +375,6 @@ def _verify_suites(setting: AuctionSetting, rng: np.random.Generator, tol: float
     inst = Instance(setting, setting.n_prime)
     np_ = inst.n_prime
     chain = lemma_chain_check(inst, setting.n, tol=tol)
-    srev_np = chain.srev_nprime
     for item in setting.items:
         table = item.ironed
         worst_mono = min(
@@ -387,10 +388,10 @@ def _verify_suites(setting: AuctionSetting, rng: np.random.Generator, tol: float
         checks.append(
             CheckRecord.leq("iron_mean", "mean(phi_tilde) == mean(phi)", abs(mean_phi - mean_tilde), 0.0, 1e-12)
         )
-    checks.extend(_shared_checks(inst, srev_np, rng, tol))
+    checks.extend(_shared_checks(inst, rng, tol))
     if np_ >= 2:
         checks.append(
-            CheckRecord.leq("vcg_le_srev", "VCG(n') <= SRev(n')", vcg_revenue(setting, np_), srev_np, tol)
+            CheckRecord.leq("vcg_le_srev", "VCG(n') <= SRev(n')", vcg_revenue(setting, np_), inst.srev_nprime, tol)
         )
     checks.extend(chain.checks)
     worst = 0.0

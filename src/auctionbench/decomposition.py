@@ -31,7 +31,7 @@ from .dist import (
 from .errors import InstanceTooLarge, NotRegular, TooFewBidders
 from .iu import Instance, region_kernel
 from .lp import optimal_revenue
-from .myerson import all_regular, srev
+from .myerson import all_regular
 from .report import CheckRecord
 from .simple_auctions import vcg_revenue
 
@@ -307,7 +307,7 @@ def decomposition_terms(inst: Instance, n_dd: int) -> DecompositionReport:
     return DecompositionReport(
         n=n_dd,
         n_prime=n_prime,
-        srev_nprime=srev(setting, n_prime),
+        srev_nprime=inst.srev_nprime,
         single=single,
         under=under,
         over=over,

@@ -37,6 +37,7 @@ from .dist import (
     max_vector_distribution,
 )
 from .errors import EnumerationCapExceeded, TooFewBidders
+from .myerson import srev
 from .simple_auctions import vcg_revenue
 
 if TYPE_CHECKING:
@@ -82,18 +83,20 @@ class IUTables:
 class Instance:
     """One (setting, n') pair and the tables the exact chain reads, each built once.
 
-    `ghost_max`, the law of the max vector of n' - 1 ghost draws, is built on
-    construction; the IU tables and the utility statistics on first use.
+    `ghost_max`, the law of the max vector of n' - 1 ghost draws, and `srev_nprime`,
+    SRev(n'), are built on construction; the IU tables and the utility statistics on first use.
     """
 
     setting: AuctionSetting
     n_prime: int
     ghost_max: MaxVectorDistribution = field(init=False, repr=False, compare=False)
+    srev_nprime: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_prime < 1:
             raise TooFewBidders("need n_prime >= 1")
         object.__setattr__(self, "ghost_max", max_vector_distribution(self.setting, self.n_prime - 1))
+        object.__setattr__(self, "srev_nprime", srev(self.setting, self.n_prime))
 
     @cached_property
     def iu_tables(self) -> IUTables:

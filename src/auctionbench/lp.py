@@ -1,9 +1,8 @@
 """Exact optimal truthful revenue for tiny instances via a dense LP.
 
-The mechanism LP keeps full ex-post allocation variables for every bidder
-profile (no interim-only relaxation: multi-item interim feasibility is a
-known pitfall) and writes incentive and participation constraints on interim
-quantities derived linearly from them, over the full deviation set.
+Bidders are i.i.d., so a symmetric mechanism is optimal (Daskalakis and Weinberg,
+2012): the LP keeps bidder 0's ex-post rule, with ex-post feasibility (interim
+feasibility is a known multi-item pitfall) and incentive rows on interim quantities.
 
 The solver is a self-contained one-phase dense simplex so the oracle has no
 dependency beyond numpy and pivots deterministically.  It needs b_ub >= 0:
@@ -16,6 +15,7 @@ pivot column and row are nonzero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +23,9 @@ import numpy as np
 from .dist import AuctionSetting, Valuation
 from .errors import InstanceTooLarge, LPNumericalFailure, MaxIterations, TooFewBidders, Unbounded
 
-# LP size caps: profile count, and cells of the dense simplex tableau
-# (rows + 1) x (variables + slacks + 1), which bounds lp_solve's memory and
-# the work of each pivot.  Solving the 256-profile benchmark LP (a 7.9 MiB
-# tableau) peaks at 12.0 MiB under tracemalloc.
+# LP size caps: ordered profile count, and cells of the dense simplex tableau (rows + 1) x
+# (variables + slacks + 1), which bounds lp_solve's memory and the work of each pivot.
+# Solving the 256-profile benchmark LP (a 2.0 MiB tableau) peaks at 3.1 MiB under tracemalloc.
 PROFILE_CAP = 256
 TABLEAU_CAP = 1 << 22
 
@@ -138,29 +137,42 @@ def lp_solve(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> LPSolution:
 
 @dataclass
 class Mechanism:
-    """Solved mechanism: ex-post allocations plus interim quantities.
-
-    Profiles run in `itertools.product(valuations, repeat=n)` order.
-    """
+    """Solved symmetric mechanism; `pbar` and `interim_alloc` repeat bidder 0's row as read-only views."""
 
     n: int
     valuations: tuple[Valuation, ...]
     vprobs: np.ndarray
-    pi: np.ndarray  # (n, m, profiles): Pr(bidder i gets item j | profile)
+    pi: np.ndarray  # (m, valuations, rivals' multisets): Pr(bidder 0 gets item j)
     pbar: np.ndarray  # (n, valuations): interim payment
     interim_alloc: np.ndarray  # (n, valuations, m)
     revenue: float
 
 
-class MechanismLP:
-    """LP over ex-post allocations and interim payments for n i.i.d. bidders.
+def _multisets(k: int, n_vals: int) -> np.ndarray:
+    """Count vectors of k valuations out of n_vals, in descending lexicographic order."""
+    if n_vals == 1:
+        return np.array([[k]])
+    counts, low = np.zeros((1, n_vals), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for _ in range(k):
+        # each multiset in turn, extended by each valuation from its largest up
+        parent, low = np.nonzero(np.arange(n_vals) >= low[:, None])
+        counts = counts[parent]
+        counts[np.arange(len(parent)), low] += 1
+    return counts
 
-    Variables, each block flattened in C order: pi[i, j, profile], then
-    p+[i, v] and p-[i, v], whose difference is bidder i's interim payment at
-    valuation v.  Rows: one allocation row (sum_i pi[i, j, profile] <= 1) per
-    (profile, item); then, for each bidder i and true valuation a, the
-    participation row followed by the incentive rows for reports b != a in
-    ascending order.
+
+class MechanismLP:
+    """Symmetric LP over bidder 0's ex-post rule, for n i.i.d. bidders.
+
+    Multisets are count vectors over the V valuations, in descending
+    lexicographic order.  Variables, each block in C order: x[j, v, s], the
+    probability that bidder 0 gets item j holding v while the other n - 1 hold
+    the multiset s; then p+[v] and p-[v], the interim payment p+ - p- at v.
+    Rows: sum_v P[v] x[j, v, P - e_v] <= 1 per profile multiset P and item j;
+    then, per true valuation a, the participation row and the incentive rows
+    for reports b != a in ascending order, on the interim allocation sum_s
+    Pr(s) x[j, v, s], with Pr(s) the multinomial coefficient times prod_v
+    q_v^s_v (in ascending v).  The objective is n sum_v q_v (p+[v] - p-[v]).
     """
 
     def __init__(self, setting: AuctionSetting, n: int):
@@ -168,79 +180,62 @@ class MechanismLP:
             raise TooFewBidders("need n >= 1")
         self.n = n
         self.m = m = setting.m
-        vals, vprobs = setting.valuations()
-        self.valuations = vals
-        self.vprobs = vprobs
+        self.valuations, self.vprobs = vals, vprobs = setting.valuations()
         self.n_vals = n_vals = len(vals)
         # the exponent is capped so a huge n costs nothing: 2^bit_length > cap
         if n_vals ** min(n, PROFILE_CAP.bit_length()) > PROFILE_CAP:
-            raise InstanceTooLarge(
-                f"{n_vals}^{n} profiles exceed the cap {PROFILE_CAP}"
-            )
-        self.n_profiles = n_p = n_vals**n
-        self.n_pi = n * m * n_p
-        self.n_vars = self.n_pi + 2 * n * n_vals
-        # one allocation row per profile and item, n V^2 participation and incentive rows
-        n_alloc = n_p * m
-        n_rows = n_alloc + n * n_vals**2
+            raise InstanceTooLarge(f"{n_vals}^{n} profiles exceed the cap {PROFILE_CAP}")
+        if n * n_vals * m * 8 > np.iinfo(np.intp).max:
+            raise InstanceTooLarge(f"{n} bidders: the per-bidder views of the mechanism exceed numpy's array size")
+        rivals, profiles = _multisets(n - 1, n_vals), _multisets(n, n_vals)
+        n_s, n_alloc = len(rivals), len(profiles) * m
+        self.n_pi = m * n_vals * n_s
+        self.n_vars = self.n_pi + 2 * n_vals
+        n_rows = n_alloc + n_vals**2
         cells = (n_rows + 1) * (self.n_vars + n_rows + 1)
         if cells > TABLEAU_CAP:
             raise InstanceTooLarge(
                 f"{n_rows} rows x {self.n_vars} variables: {cells} tableau cells exceed the cap {TABLEAU_CAP}"
             )
 
-        # prof[i, p]: bidder i's valuation index in profile p, by mixed radix
-        # (np.indices stops at 64 dimensions, and n can be larger when V = 1)
-        prof = np.arange(n_p) // n_vals ** np.arange(n - 1, -1, -1)[:, None] % n_vals
-        # Pr(profile), multiplied left to right over bidders
-        profile_probs = vprobs[prof].prod(axis=0)
-        others = profile_probs / vprobs[prof]
-        # weights[i, v, p] = Pr(others' part of p) where bidder i holds v in p, else 0
-        self.weights = np.zeros((n, n_vals, n_p))
-        self.weights[np.arange(n)[:, None], prof, np.arange(n_p)] = others
-        # own[i, v, q]: the q-th profile in which bidder i holds v
-        own = np.argsort(prof, axis=1, kind="stable").reshape(n, n_vals, n_p // n_vals)
-
-        self.c = np.concatenate([np.zeros(self.n_pi), np.tile(vprobs, n), np.tile(-vprobs, n)])
-        self.b_ub = np.zeros(n_rows)
-        self.b_ub[:n_alloc] = 1.0
+        # Pr(s), with the multinomial coefficient as binomials so that a huge count costs nothing
+        seen, q = np.cumsum(rivals, axis=1).tolist(), vprobs.tolist()
+        self.rival_probs = probs = np.array(
+            [math.prod(map(math.comb, t, s)) * math.prod(map(pow, q, s)) for t, s in zip(seen, rivals.tolist())]
+        )
+        self.c = np.concatenate([np.zeros(self.n_pi), n * vprobs, -n * vprobs])
+        self.b_ub = np.concatenate([np.ones(n_alloc), np.zeros(n_vals**2)])
         self.a_ub = a_ub = np.zeros((n_rows, self.n_vars))
-        p, j, i = np.ix_(range(n_p), range(m), range(n))
-        a_ub[p * m + j, (i * m + j) * n_p + p] = 1.0
+        # x[j, v, s] sits in the allocation row of the profile multiset s + e_v
+        rank = {p: r for r, p in enumerate(map(tuple, profiles.tolist()))}
+        joined = (np.eye(n_vals, dtype=np.int64)[:, None] + rivals).reshape(-1, n_vals)
+        profile = np.array([rank[p] for p in map(tuple, joined.tolist())])
+        j = np.arange(m)[:, None]
+        a_ub[profile * m + j, j * n_vals * n_s + np.arange(n_vals * n_s)] = (rivals.T + 1).reshape(-1)
 
         value = np.array(vals, dtype=float)
-        i, a, k, j, q = np.ix_(range(n), range(n_vals), range(n_vals), range(m), range(n_p // n_vals))
-        plus = self.n_pi + i * n_vals  # columns of p+[i, 0] and p-[i, 0]
-        minus = plus + n * n_vals
-        # every row of (bidder i, true valuation a) charges a's truthful utility ...
-        row = n_alloc + (i * n_vals + a) * n_vals + k
-        cols = own[i, a, q]
-        a_ub[row, (i * m + j) * n_p + cols] -= value[a, j] * others[i, cols]
+        a, k, j, s = np.ix_(range(n_vals), range(n_vals), range(m), range(n_s))
+        plus, minus = self.n_pi, self.n_pi + n_vals  # columns of p+[0] and p-[0]
+        # every row of true valuation a charges a's truthful utility ...
+        row = n_alloc + a * n_vals + k
+        a_ub[row, (j * n_vals + a) * n_s + s] -= value[a, j] * probs[s]
         a_ub[row, plus + a] = 1.0
         a_ub[row, minus + a] = -1.0
         # ... and its k-th incentive row, k >= 1, credits the utility of reporting b
-        k = k[:, :, 1:]
+        k = k[:, 1:]
         b = k - (k <= a)
-        row = n_alloc + (i * n_vals + a) * n_vals + k
-        cols = own[i, b, q]
-        a_ub[row, (i * m + j) * n_p + cols] += value[a, j] * others[i, cols]
+        row = n_alloc + a * n_vals + k
+        a_ub[row, (j * n_vals + b) * n_s + s] += value[a, j] * probs[s]
         a_ub[row, plus + b] = -1.0
         a_ub[row, minus + b] = 1.0
 
     def solve(self) -> Mechanism:
         sol = lp_solve(self.c, self.a_ub, self.b_ub)
-        n = self.n
-        pi = sol.x[: self.n_pi].reshape(n, self.m, self.n_profiles)
-        plus, minus = sol.x[self.n_pi :].reshape(2, n, self.n_vals)
-        return Mechanism(
-            n=n,
-            valuations=self.valuations,
-            vprobs=self.vprobs,
-            pi=pi,
-            pbar=plus - minus,
-            interim_alloc=np.einsum("ivp,ijp->ivj", self.weights, pi),
-            revenue=sol.objective,
-        )
+        pi = sol.x[: self.n_pi].reshape(self.m, self.n_vals, -1)
+        plus, minus = sol.x[self.n_pi :].reshape(2, self.n_vals)
+        pbar = np.broadcast_to(plus - minus, (self.n, self.n_vals))
+        interim = np.broadcast_to(np.einsum("s,jvs->vj", self.rival_probs, pi), (self.n, self.n_vals, self.m))
+        return Mechanism(self.n, self.valuations, self.vprobs, pi, pbar, interim, sol.objective)
 
 
 def optimal_revenue(setting: AuctionSetting, n: int) -> tuple[float, Mechanism]:

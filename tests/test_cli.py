@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from auctionbench import lp_solve
 from auctionbench.cli import (
     EXIT_CAPS,
     EXIT_CHECK_FAILED,
@@ -25,6 +26,7 @@ from auctionbench.cli import (
 )
 from auctionbench.dist import holds_leq
 from auctionbench.errors import ConfigParseError
+from test_lp import reference_mechanism_lp
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -268,6 +270,15 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["scalars"]["rev_n"] == 1.0
 
+    def test_two_bidder_lp_matches_the_full_reference_lp(self, tmp_path, capsys):
+        # the sample configs all have n = 1; this one reaches the n >= 2 LP
+        payload = dict(json.loads((CONFIGS / "two_items.json").read_text()), n=2, n_prime=3)
+        code = main(["analyze", "--config", write_config(tmp_path, payload), "--format", "json"])
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+        c, a_ub, b_ub = reference_mechanism_lp(parse_config(payload).setting, 2)
+        want = lp_solve(c, a_ub, b_ub).objective
+        assert json.loads(capsys.readouterr().out)["scalars"]["rev_n"] == pytest.approx(want, rel=1e-9, abs=0)
+
     def test_every_record_is_judged_at_the_configured_tolerance(self, tmp_path, capsys):
         # {1, 100}: bulow_klemperer (50 vs 25.75) and chain_g_bk (75 vs 50.5)
         # both fail at the default tolerance and both hold at 0.6
@@ -432,8 +443,11 @@ class TestOneBuildPerCommand:
 
     def test_exact_analyze(self, monkeypatch, capsys):
         calls = self._counters(monkeypatch)
+        srev_calls = _count_calls(monkeypatch, "myerson", "srev")
         code = main(["analyze", "--config", str(CONFIGS / "two_items.json"), "--format", "json"])
         assert code == EXIT_CHECK_FAILED  # chain_g_bk is a known discrete counterexample
+        # SRev(n') for the chain and the shared checks, SRev(n) for Bulow-Klemperer
+        assert len(srev_calls) == 2
         counts = {name: len(c) for name, c in calls.items()}
         assert counts.pop("iron") == 2  # one per item
         assert counts.pop("max_vector_distribution") == 1  # the Instance's ghost law, reused by the checks

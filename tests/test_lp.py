@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,81 @@ def reference_mechanism_lp(setting, n):
                 rows.append(row)
                 rhs.append(0.0)
     return c, np.array(rows), np.array(rhs)
+
+
+def symmetric_reference_lp(setting, n):
+    """(c, a_ub, b_ub) of the symmetric mechanism LP, written row by row from MechanismLP's docstring.
+
+    Also returns the rivals' multisets as count tuples, in the LP's order.
+    """
+    vals, vprobs = setting.valuations()
+    m, n_vals = setting.m, len(vals)
+    q = vprobs.tolist()
+
+    def counts(multiset):
+        return tuple(multiset.count(v) for v in range(n_vals))
+
+    rivals = [counts(t) for t in itertools.combinations_with_replacement(range(n_vals), n - 1)]
+    profiles = [counts(t) for t in itertools.combinations_with_replacement(range(n_vals), n)]
+    n_x = m * n_vals * len(rivals)
+    n_vars = n_x + 2 * n_vals
+
+    def x(j, v, s):
+        return (j * n_vals + v) * len(rivals) + rivals.index(s)
+
+    def prob(s):
+        coef = math.factorial(n - 1) // math.prod(math.factorial(k) for k in s)
+        return coef * math.prod(q[v] ** k for v, k in enumerate(s))
+
+    def add_utility(row, true, report, sign):
+        """row += sign * (utility of valuation `true` reporting `report` at the interim)."""
+        for s in rivals:
+            for j in range(m):
+                row[x(j, report, s)] += sign * (vals[true][j] * prob(s))
+        row[n_x + report] -= sign
+        row[n_x + n_vals + report] += sign
+
+    c = np.zeros(n_vars)
+    for v in range(n_vals):
+        c[n_x + v] = n * vprobs[v]
+        c[n_x + n_vals + v] = -n * vprobs[v]
+    rows, rhs = [], []
+    for profile in profiles:
+        for j in range(m):
+            row = np.zeros(n_vars)
+            for v in range(n_vals):
+                if profile[v]:
+                    row[x(j, v, tuple(k - (u == v) for u, k in enumerate(profile)))] = profile[v]
+            rows.append(row)
+            rhs.append(1.0)
+    for a in range(n_vals):
+        for b in [None] + [b for b in range(n_vals) if b != a]:
+            row = np.zeros(n_vars)
+            add_utility(row, a, a, -1.0)
+            if b is not None:
+                add_utility(row, a, b, 1.0)
+            rows.append(row)
+            rhs.append(0.0)
+    return c, np.array(rows), np.array(rhs), rivals
+
+
+def expand_to_profiles(x, setting, n, rivals):
+    """A symmetric LP point as a point of `reference_mechanism_lp`.
+
+    Bidder i's allocation at the ordered profile p is x[j, p_i, counts(p_-i)];
+    every bidder's payments are bidder 0's.
+    """
+    n_vals, m = len(setting.valuations()[0]), setting.m
+    pi = x[: -2 * n_vals].reshape(m, n_vals, len(rivals))
+    profiles = list(itertools.product(range(n_vals), repeat=n))
+    full = np.zeros((n, m, len(profiles)))
+    for p, profile in enumerate(profiles):
+        for i in range(n):
+            others = profile[:i] + profile[i + 1 :]
+            s = rivals.index(tuple(others.count(v) for v in range(n_vals)))
+            full[i, :, p] = pi[:, profile[i], s]
+    plus, minus = x[-2 * n_vals :].reshape(2, n_vals)
+    return np.concatenate([full.ravel(), np.tile(plus, n), np.tile(minus, n)])
 
 
 def load_perfbench(name):
@@ -211,6 +287,18 @@ class TestLPSolve:
         assert bland.objective == pytest.approx(srev(setting, 2), abs=1e-6)
         assert bland.duality_gap <= 1e-9 * (1 + abs(bland.objective))
 
+    def test_bland_fallback_rescues_a_64_profile_lp(self, monkeypatch):
+        # Bland's rule from the first degenerate pivot on, within 2,000 pivots
+        setting = one_item_setting(defect_probe(0, "p64_8_n2_1"), 2)
+        mech_lp = MechanismLP(setting, 2)
+        harris = lp_solve(mech_lp.c, mech_lp.a_ub, mech_lp.b_ub)
+        monkeypatch.setattr(lp, "_DEGENERATE_LIMIT", 1)
+        monkeypatch.setattr(lp, "_MAX_PIVOTS", 2_000)
+        bland = lp_solve(mech_lp.c, mech_lp.a_ub, mech_lp.b_ub)
+        assert bland.bland_switches > 0
+        assert bland.objective == pytest.approx(harris.objective, rel=1e-12)
+        assert bland.objective == pytest.approx(srev(setting, 2), abs=1e-6)
+
     def test_random_lps_match_vertex_enumeration(self):
         rng = make_rng(20)
         solved = 0
@@ -290,12 +378,34 @@ class TestOptimalRevenue:
             optimal_revenue(setting, 3)
 
     def test_huge_bidder_count_refused_at_once(self, d2, point_mass):
-        # n_vals^n is never formed in full; one valuation gives one profile but
-        # too many variables
-        for item in (d2, point_mass):
-            setting = AuctionSetting(items=(item,), n=10**8, n_prime=10**8)
-            with pytest.raises(InstanceTooLarge):
-                MechanismLP(setting, 10**8)
+        # 2^(10^8) profiles: n_vals^n is never formed in full
+        with pytest.raises(InstanceTooLarge, match="profiles"):
+            MechanismLP(AuctionSetting(items=(d2,), n=10**8, n_prime=10**8), 10**8)
+        # one valuation fits any n whose per-bidder views numpy can shape
+        setting = AuctionSetting(items=(point_mass,), n=1, n_prime=2)
+        assert MechanismLP(setting, 2**60 - 1).solve().pbar.shape == (2**60 - 1, 1)
+        for n in (2**60, 10**300):
+            with pytest.raises(InstanceTooLarge, match="array size"):
+                MechanismLP(setting, n)
+
+    def test_one_valuation_solves_at_any_bidder_count(self, point_mass):
+        # one profile multiset: 3 variables and 2 rows, with no array of length n
+        n = 10**8
+        setting = AuctionSetting(items=(point_mass,), n=n, n_prime=n)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            mech_lp = MechanismLP(setting, n)
+            mech = mech_lp.solve()
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mech_lp.a_ub.shape == (2, 3)
+        assert mech.revenue == pytest.approx(1.0, rel=1e-12)
+        assert mech.pbar.shape == (n, 1) and mech.interim_alloc.shape == (n, 1, 1)
+        assert elapsed < 1.0
+        assert peak < 1 << 20
 
     def test_incentive_rows_count_toward_the_cap(self):
         # 2 items x 16 atoms, n=1: 256 profiles and 1,024 variables, but 66,048
@@ -326,15 +436,46 @@ class TestMechanismLPOracles:
         covered = set()
         for seed in range(40):
             setting = random_setting(make_rng(seed), max_items=2, max_support=3, max_bidders=3)
+            n = setting.n
             try:
-                lp = MechanismLP(setting, setting.n)
+                lp = MechanismLP(setting, n)
             except InstanceTooLarge:
                 continue
-            c, a_ub, b_ub = reference_mechanism_lp(setting, setting.n)
+            c, a_ub, b_ub, _ = symmetric_reference_lp(setting, n)
             assert np.array_equal(lp.c, c) and np.array_equal(lp.b_ub, b_ub)
             assert np.array_equal(lp.a_ub, a_ub)
-            covered.add((setting.n, setting.m))
+            if n == 1:
+                # one bidder: the symmetric LP is the full LP, element for element
+                c, a_ub, b_ub = reference_mechanism_lp(setting, n)
+                assert np.array_equal(lp.c, c) and np.array_equal(lp.b_ub, b_ub)
+                assert np.array_equal(lp.a_ub, a_ub)
+            covered.add((n, setting.m))
         assert covered == {(n, m) for n in (1, 2, 3) for m in (1, 2)}
+
+    def test_symmetric_optimum_is_the_full_lp_optimum(self):
+        # Daskalakis & Weinberg (2012): for i.i.d. bidders some optimal
+        # mechanism is symmetric, and the symmetric optimum, expanded to
+        # ordered profiles, is a feasible point of the full LP
+        covered = set()
+        for seed in range(40):
+            setting = random_setting(make_rng(seed), max_items=2, max_support=3, max_bidders=3)
+            n = setting.n
+            if n == 1:
+                continue
+            try:
+                mech_lp = MechanismLP(setting, n)
+            except InstanceTooLarge:
+                continue
+            sym = lp_solve(mech_lp.c, mech_lp.a_ub, mech_lp.b_ub)
+            c, a_ub, b_ub = reference_mechanism_lp(setting, n)
+            full = lp_solve(c, a_ub, b_ub)
+            assert sym.objective == pytest.approx(full.objective, rel=1e-9, abs=0)
+            point = expand_to_profiles(sym.x, setting, n, symmetric_reference_lp(setting, n)[3])
+            assert np.all(a_ub @ point <= b_ub + 1e-9)
+            assert np.all(point >= -1e-9)
+            assert c @ point == pytest.approx(full.objective, rel=1e-9, abs=0)
+            covered.add((n, setting.m))
+        assert covered == {(n, m) for n in (2, 3) for m in (1, 2)}
 
     def test_one_item_equals_myerson(self):
         # Myerson (1981): for one item the optimum is the ironed
@@ -372,7 +513,7 @@ class TestMechanismLPOracles:
         pytest.importorskip("scipy")
         highs_optimal_revenue = load_highs_oracle()
         for seed in range(30):
-            setting = random_setting(make_rng(seed), max_items=2, max_support=2, max_bidders=2)
+            setting = random_setting(make_rng(seed), max_items=2, max_support=2, max_bidders=3)
             items = [{"values": list(item.values), "probs": list(item.probs)} for item in setting.items]
             value, _ = optimal_revenue(setting, setting.n)
             assert value == pytest.approx(highs_optimal_revenue(items, setting.n), rel=1e-6, abs=1e-6)
