@@ -55,7 +55,10 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     Substreams are split counter-style by keying Philox with (seed, stream),
     so results do not depend on how work is scheduled.
     """
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
+    # an explicit uint64 key: numpy reads a list with an entry of 2^63 or more as float64,
+    # which merges nearby seeds and overflows the cast at 2^64 - 1 (seed -1)
+    key = np.array([seed & (2**64 - 1), stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)

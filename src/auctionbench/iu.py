@@ -48,6 +48,7 @@ MC_STREAM = 17  # substream label for the benchmark estimator
 KERNEL_CELLS = 1 << 18
 # monte_carlo_iu re-ranks its valuation codes before their radix passes this
 _CODE_LIMIT = 1 << 63
+RANK_TABLE = 1 << 20  # largest radix _rank ranks through a presence table (9 bytes a slot)
 
 
 def region_of(v: Valuation, maxvec: MaxVector) -> int | None:
@@ -178,6 +179,23 @@ def iu(setting: AuctionSetting, n: int, n_prime: int) -> float:
     return Instance(setting, n_prime).iu_tables.iu(n)
 
 
+def _rank(code: np.ndarray, radix: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Distinct count, each code's rank in code order and one index per rank, for codes below `radix`.
+
+    A presence table (O(radix)) up to RANK_TABLE slots and 16 per code, a sort (`np.unique`) above.
+    """
+    if radix > min(RANK_TABLE, 16 * len(code)):
+        distinct, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        return len(distinct), inverse, first
+    seen = np.zeros(radix, dtype=bool)
+    seen[code] = True
+    rank = np.cumsum(seen, dtype=np.intp) - 1
+    inverse = rank[code]
+    first = np.empty(rank[-1] + 1, dtype=np.intp)
+    first[inverse] = np.arange(len(code))
+    return len(first), inverse, first
+
+
 class MCEstimate(NamedTuple):
     estimate: float
     std_error: float | None
@@ -195,11 +213,12 @@ def monte_carlo_iu(
 
     Draws come from the finite product support and mostly repeat, so each
     chunk keys its valuations by one mixed-radix code of their atom indices
-    (re-ranked, not refused, where the radix would pass int64) and evaluates
-    Phi once per distinct valuation, KERNEL_CELLS // m of them per kernel
-    call, before gathering it back to the draws.  The kernel is row by row and
-    the per-sample sums keep their item order, so the estimate is the one a
-    per-draw evaluation gives, bit for bit.
+    (re-ranked, not refused, where the radix would pass int64), ranks them
+    with :func:`_rank` and evaluates Phi once per distinct valuation,
+    KERNEL_CELLS // m of them per kernel call; each item's max over bidders
+    then gathers Phi back bidder by bidder into a running maximum.  The kernel
+    is row by row, max is exact and the per-sample sums keep their item order,
+    so the estimate is the one a per-draw evaluation gives, bit for bit.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -229,20 +248,22 @@ def monte_carlo_iu(
         for j, item in enumerate(setting.items):
             idx[j] = rng.choice(sizes[j], size=batch * n, p=item.probs_arr)
             if radix * sizes[j] > _CODE_LIMIT:
-                distinct, code = np.unique(code, return_inverse=True)
-                radix = len(distinct)
+                radix, code, _ = _rank(code, radix)
             code = code * sizes[j] + idx[j]
             radix *= sizes[j]
-        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-        inverse = inverse.reshape(batch, n)
+        _, inverse, first = _rank(code, radix)
+        inverse = np.ascontiguousarray(inverse.reshape(batch, n).T)
         vals = np.stack([item.values_arr[idx[j, first]] for j, item in enumerate(setting.items)], axis=-1)
         phi = np.empty(vals.shape)
         for lo in range(0, len(vals), rows):
             part = vals[lo : lo + rows]
             phi[lo : lo + rows] = benchmark_values(part, region_kernel(part, maxvec.per_item), setting.items)
         stat = np.zeros(batch)
-        for j in range(setting.m):
-            stat += phi[:, j][inverse].max(axis=1)
+        for col in phi.T:
+            best = col[inverse[0]]
+            for ranks in inverse[1:]:
+                np.maximum(best, col[ranks], out=best)
+            stat += best
         total += float(stat.sum())
         total_sq += float((stat * stat).sum())
         done += batch

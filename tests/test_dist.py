@@ -247,3 +247,12 @@ def test_rng_determinism(stream):
     a = make_rng(123, stream).integers(0, 2**31, size=8)
     b = make_rng(123, stream).integers(0, 2**31, size=8)
     assert np.array_equal(a, b)
+
+
+def test_rng_keys_every_64_bit_seed():
+    # seeds at or above 2^63, negative ones among them, keep their own streams
+    def draws(seed):
+        return make_rng(seed).integers(0, 2**31, size=8).tolist()
+
+    assert draws(-1) == draws(2**64 - 1)
+    assert len({tuple(draws(s)) for s in (0, -1, -2, 2**63, 2**63 + 1)}) == 5

@@ -1,5 +1,7 @@
 """The per-max-vector flow certificates and the region-form revenue bound."""
 
+import time
+
 import pytest
 
 from auctionbench import (
@@ -13,6 +15,7 @@ from auctionbench import (
     optimal_revenue,
     verify_dual_certificate,
 )
+from auctionbench.dist import holds_leq
 from auctionbench.duality import combine_flows, flow_residuals, region_form_phi
 from auctionbench.generators import random_setting
 from auctionbench.iu import region_of
@@ -115,6 +118,36 @@ class TestCertificate:
                 assert cert.flow_residual_max <= 1e-9
                 assert cert.phi_match_max <= 1e-9
                 assert cert.bound_holds
+
+    def test_verdict_matches_the_per_bidder_sum(self):
+        # the bound summed bidder by bidder, as before the symmetric shortcut,
+        # gives the same verdict at several bidder counts
+        rng = make_rng(65)
+        for _ in range(10):
+            setting = random_setting(rng, max_items=2, max_support=2, max_bidders=1, max_ghosts=4)
+            maxvec = max_vector_distribution(setting, setting.n_prime - 1)
+            for n in (1, 2, 3):
+                _, mech = optimal_revenue(setting, n)
+                for m_vec, _prob in maxvec.joint():
+                    bound = sum(
+                        mech.vprobs[vidx]
+                        * mech.interim_alloc[i, vidx, j]
+                        * (item.ironed.phi_plus[item.values.index(v[j])] if region_of(v, m_vec) == j else v[j])
+                        for i in range(n)
+                        for vidx, v in enumerate(mech.valuations)
+                        for j, item in enumerate(setting.items)
+                    )
+                    cert = verify_dual_certificate(setting, n, m_vec, mechanism=mech)
+                    assert cert.bound_holds == holds_leq(mech.revenue, bound, 1e-6)
+
+    def test_point_mass_at_a_million_bidders(self, point_mass):
+        # one point-mass item: the LP is tiny at any n, and so is the check
+        setting = AuctionSetting(items=(point_mass,), n=1, n_prime=2)
+        _, mech = optimal_revenue(setting, 10**6)
+        t0 = time.perf_counter()
+        cert = verify_dual_certificate(setting, 10**6, (1.0,), mechanism=mech)
+        assert time.perf_counter() - t0 < 0.5
+        assert cert.bound_holds
 
     def test_averaged_bound_reproduces_benchmark_duality(self):
         # weighting the per-max-vector bound by the max-vector law recovers

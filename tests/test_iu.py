@@ -27,7 +27,7 @@ from auctionbench import (
 from auctionbench.cli import load_config
 from auctionbench.errors import EnumerationCapExceeded
 from auctionbench.generators import random_setting
-from auctionbench.iu import KERNEL_CELLS, MC_STREAM, benchmark_values, region_kernel
+from auctionbench.iu import KERNEL_CELLS, MC_STREAM, RANK_TABLE, benchmark_values, region_kernel
 from auctionbench.myerson import iron
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -372,7 +372,7 @@ class TestMonteCarlo:
             setting = random_setting(rng, max_items=4, max_support=4, max_bidders=4)
             assert_mc_matches_per_draw(setting, setting.n, setting.n_prime, 1500, k, chunk)
 
-    def test_product_support_past_int64_matches_per_draw_reference(self):
+    def test_product_support_past_int64_matches_per_draw_reference(self, monkeypatch):
         # 70 binary items: the valuation code needs 70 bits.  The first items
         # take the top digits, so a code wrapped mod 2^64 would merge draws
         # that differ only there; most items barely move, so all draws would merge
@@ -382,8 +382,23 @@ class TestMonteCarlo:
             items=(coin,) * 7 + (lopsided,) * 63, n=1, n_prime=3, caps=Caps(product_support=1 << 70)
         )
         assert setting.product_support_size > 1 << 63
+        # 24 binary items fit int64 but not the presence table, so the
+        # per-chunk rank sorts
+        wide = AuctionSetting(items=(coin,) * 24, n=1, n_prime=3, caps=Caps(product_support=1 << 24))
+        assert RANK_TABLE < wide.product_support_size < 1 << 63
+        sorts = []
+        unique = np.unique
+
+        def counted_unique(*args, **kwargs):
+            sorts.append(args[0].size)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted_unique)
         for chunk in MC_CHUNKS:
             assert_mc_matches_per_draw(setting, 2, 3, 3000 if chunk > 7 else 100, 8, chunk)
+            sorts.clear()
+            assert_mc_matches_per_draw(wide, 2, 3, 3000 if chunk > 7 else 100, 9, chunk)
+            assert sorts
 
     def test_phi_once_per_distinct_valuation(self, monkeypatch):
         # 4 binary items: at most 16 distinct valuations per chunk, against
@@ -397,8 +412,12 @@ class TestMonteCarlo:
             assert vals.size <= KERNEL_CELLS
             return region_kernel(vals, *args, **kwargs)
 
+        def no_sort(*args, **kwargs):
+            raise AssertionError("16 valuations rank through the presence table, not np.unique")
+
         # the package re-exports the function iu, so fetch the module itself
         monkeypatch.setattr(importlib.import_module("auctionbench.iu"), "region_kernel", counted)
+        monkeypatch.setattr(np, "unique", no_sort)
         monte_carlo_iu(setting, 8, 8, 200_000, seed=21)
         chunks = math.ceil(200_000 / (1 << 16))
         assert sum(rows) <= 16 * chunks
