@@ -58,6 +58,10 @@ EXIT_CAPS = 3
 EXIT_LP = 4
 EXIT_CHECK_FAILED = 5
 
+# Largest config item value.  The chain and the Monte-Carlo estimator square
+# sums of values (variances, second moments), which must stay finite in binary64.
+_MAX_VALUE = 1e100
+
 
 def _decimal(x, what: str) -> float:
     """Parse a decimal-string (or plain number) config field to a finite binary64."""
@@ -144,6 +148,8 @@ def parse_config(raw: dict) -> InstanceConfig:
             probs = [_decimal(p, f"items[{k}].probs") for p in entry["probs"]]
         except (KeyError, TypeError) as exc:
             raise ConfigParseError(f"items[{k}] must have 'values' and 'probs' lists") from exc
+        if max(values, default=0.0) > _MAX_VALUE:
+            raise ConfigParseError(f"items[{k}].values: {max(values)!r} exceeds {_MAX_VALUE:g}")
         try:
             items.append(make_item_distribution(values, probs))
         except AuctionBenchError as exc:

@@ -33,7 +33,7 @@ from .iu import Instance, region_kernel
 from .lp import optimal_revenue
 from .myerson import all_regular
 from .report import CheckRecord
-from .simple_auctions import vcg_revenue
+from .simple_auctions import ronen_bound_from_law, vcg_revenue
 
 HIGH_PAIR_FACTOR = 6.0  # capped-utility mean at least this multiple of the posted-revenue kernel
 NICE_PROB_FLOOR = 7.0 / 9.0
@@ -217,7 +217,7 @@ def surplus_event_probability(
 
 @dataclass
 class DecompositionReport:
-    """Terms of the benchmark split plus the verdicts of the inequality chains."""
+    """Split terms (core = n' E_M[E[U_hat | M]], tail = n' E_M[r sum_j Pr(v_j > T_j)]) and the chains' verdicts."""
 
     n: int
     n_prime: int
@@ -226,7 +226,6 @@ class DecompositionReport:
     under: float
     over: float
     tail: float
-    tail_unclipped: float
     core: float
     surplus_bound: float
     iu_n: float
@@ -244,55 +243,43 @@ class DecompositionReport:
         return all(c.holds for c in self.checks if c.holds is not None)
 
 
+def _at_or_below(law: ScalarDistribution, table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """table[k] at the last atom k of `law` at or below each x, 0 where there is none."""
+    return np.concatenate(([0.0], table))[law.values_arr.searchsorted(x, side="right")]
+
+
+def _max_mean(images: np.ndarray, probs: np.ndarray, n: int, renorm_tol: float) -> float:
+    """E[max of n i.i.d. draws] of the law with mass probs[i] at images[i], equal images merged."""
+    return iid_max_expectation(ScalarDistribution.from_atoms(zip(images.tolist(), probs.tolist()), renorm_tol), n)
+
+
 def decomposition_terms(inst: Instance, n_dd: int) -> DecompositionReport:
-    """Exact decomposition terms at bidder count n'."""
+    """Exact decomposition terms at bidder count n', each read from a table the instance holds.
+
+    Core is n' E_M[E[U_hat | M]] (atom x keeps x - M_j iff M_j <= x <= T_j); Tail is n' E_M[r sum_j Pr(v_j > T_j)].
+    """
     setting, n_prime = inst.setting, inst.n_prime
     if not (1 <= n_dd <= n_prime):
         raise TooFewBidders("need 1 <= n_dd <= n_prime")
     tables, stats, maxvec = inst.iu_tables, inst.stats, inst.ghost_max
     vals = np.array(tables.valuations)
 
-    # Single: expected max over n' bidders of phi_tilde^+ weighted by the region probability
-    single = 0.0
-    for j, item in enumerate(setting.items):
+    # per item, the max over n' of Single phi_tilde^+ P_j(v), Under v_j Pr(M_j > v_j), Over E[M_j; M_j <= v_j]
+    single = under = over = 0.0
+    for j, (item, law_j) in enumerate(zip(setting.items, maxvec.per_item)):
         weighted = item.ironed.phi_plus[item.values_arr.searchsorted(vals[:, j])] * tables.p_region[:, j]
-        law = ScalarDistribution.from_atoms(zip(weighted.tolist(), tables.vprobs.tolist()), renorm_tol=1e-9)
-        single += iid_max_expectation(law, n_prime)
+        single += _max_mean(weighted, tables.vprobs, n_prime, 1e-9)
+        undercut = 1.0 - _at_or_below(law_j, law_j.cdf_arr, item.values_arr)
+        under += _max_mean(item.values_arr * undercut, item.probs_arr, n_prime, MASS_TOL * 10)
+        kept = _at_or_below(law_j, np.cumsum(law_j.values_arr * law_j.probs_arr), item.values_arr)
+        over += _max_mean(kept, item.probs_arr, n_prime, MASS_TOL * 10)
 
-    # Under: expected max of v_j * Pr(v_j undercut by the ghost max)
-    under = 0.0
-    for j, item in enumerate(setting.items):
-        law_j = maxvec.per_item[j]
-        law = item.map_through(lambda x, law_j=law_j: x * (1.0 - law_j.cdf(x)))
-        under += iid_max_expectation(law, n_prime)
-
-    # Over: expected max of E_M[M_j; M_j <= v_j]
-    over = 0.0
-    for j, item in enumerate(setting.items):
-        law_j = maxvec.per_item[j]
-
-        def h(x: float, law_j=law_j) -> float:
-            mask = law_j.values_arr <= x
-            return float(np.dot(law_j.values_arr[mask], law_j.probs_arr[mask]))
-
-        over += iid_max_expectation(item.map_through(h), n_prime)
-
-    # Tail and Core over the joint max-vector law
-    tail_unclipped = 0.0
-    tail = 0.0
-    core = 0.0
-    # per item, the best posted revenue above M_j for every M
-    r_star = [item.posted_revenue([st.m_vec[j] for st in stats]).tolist() for j, item in enumerate(setting.items)]
-    for i, st in enumerate(stats):
-        for j, item in enumerate(setting.items):
-            t_j = st.thresholds[j]
-            mj = st.m_vec[j]
-            tail_term = st.r_ron_total * (1.0 - item.cdf(t_j))
-            tail_unclipped += n_prime * st.prob * tail_term
-            tail += n_prime * st.prob * min(tail_term, r_star[j][i])
-            for x, p in zip(item.values, item.probs):
-                if mj <= x <= t_j:
-                    core += n_prime * st.prob * p * (x - mj)
+    prob, r, e_u_hat, *thresholds = np.array([(st.prob, st.r_ron_total, st.e_u_hat, *st.thresholds) for st in stats]).T
+    # No clip at r*_j(M_j) is needed: the first atom y above T_j = M_j + r (r = r_ron_total)
+    # has y > r, so r Pr(v_j > T_j) <= y Pr(v_j >= y) <= r*_j(M_j).
+    above = sum(1.0 - _at_or_below(item, item.cdf_arr, t_j) for item, t_j in zip(setting.items, thresholds))
+    tail = n_prime * float(prob @ (r * above))
+    core = n_prime * float(prob @ e_u_hat)
 
     # Surplus: n' E_{M,v}[sum_j (v_j - M_j)^+ 1(some rival utility >= v_j - M_j)],
     # summed over M first for each v: E_M[(v_j - M_j)^+] minus the part where
@@ -303,7 +290,6 @@ def decomposition_terms(inst: Instance, n_dd: int) -> DecompositionReport:
     rival_free = region_kernel(vals, maxvec.per_item, strict_ties=True, weighted=True).sum(axis=1)
     surplus_bound = n_prime * float(tables.vprobs @ (excess - rival_free))
 
-    ronen_mass = n_prime * sum(st.prob * st.r_ron_total for st in stats)
     return DecompositionReport(
         n=n_dd,
         n_prime=n_prime,
@@ -312,12 +298,11 @@ def decomposition_terms(inst: Instance, n_dd: int) -> DecompositionReport:
         under=under,
         over=over,
         tail=tail,
-        tail_unclipped=tail_unclipped,
         core=core,
         surplus_bound=surplus_bound,
         iu_n=tables.iu(n_dd),
         iu_nprime=tables.iu(n_prime),
-        ronen_mass=ronen_mass,
+        ronen_mass=ronen_bound_from_law(setting, maxvec, n_prime),
     )
 
 

@@ -96,7 +96,8 @@ class ScalarDistribution:
             raise ProbabilityMassError("values must be strictly increasing")
         if min(self.probs) <= 0:
             raise NonPositiveProbability("all atom probabilities must be positive")
-        if abs(sum(self.probs) - 1.0) > MASS_TOL:
+        # written so that a NaN mass, which fails every comparison, is refused
+        if not abs(sum(self.probs) - 1.0) <= MASS_TOL:
             raise ProbabilityMassError("probabilities must sum to 1")
         probs_arr = np.asarray(self.probs, dtype=np.float64)
         cdf = np.cumsum(probs_arr)
@@ -112,8 +113,8 @@ class ScalarDistribution:
         """Sort, merge equal values, drop zero masses, renormalize."""
         merged: dict[float, float] = {}
         for v, p in pairs:
-            if p < 0:
-                raise NonPositiveProbability(f"negative probability {p!r}")
+            if not p >= 0:
+                raise NonPositiveProbability(f"negative or NaN probability {p!r}")
             if p > 0:
                 merged[float(v)] = merged.get(float(v), 0.0) + float(p)
         if not merged:
@@ -212,8 +213,8 @@ def segmented_from_atoms(
     and every mass is divided by its law's total.
     """
     if not (weights > 0).all():
-        if (weights < 0).any():
-            raise NonPositiveProbability("negative probability")
+        if not (weights >= 0).all():
+            raise NonPositiveProbability("negative or NaN probability")
         keep = weights > 0
         seg, values, weights = seg[keep], values[keep], weights[keep]
     # one integer key per atom, (law, dense rank of its value): two plain
@@ -254,8 +255,8 @@ class ItemDistribution(ScalarDistribution):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.values[0] < 0:
-            raise NegativeValue("item values must be non-negative")
+        if not (self.values[0] >= 0 and self.values[-1] < math.inf):
+            raise NegativeValue("item values must be finite and non-negative")
         from .myerson import iron  # myerson imports this module
 
         object.__setattr__(self, "ironed", iron(self))

@@ -6,7 +6,7 @@ class AuctionBenchError(Exception):
 
 
 class NegativeValue(AuctionBenchError):
-    """A support value (or other quantity required non-negative) is negative."""
+    """A support value (or other quantity required non-negative) is negative, or an item value is not finite."""
 
 
 class EmptySupport(AuctionBenchError):

@@ -249,7 +249,8 @@ def monte_carlo_iu(
             idx[j] = rng.choice(sizes[j], size=batch * n, p=item.probs_arr)
             if radix * sizes[j] > _CODE_LIMIT:
                 radix, code, _ = _rank(code, radix)
-            code = code * sizes[j] + idx[j]
+            code *= sizes[j]
+            code += idx[j]
             radix *= sizes[j]
         _, inverse, first = _rank(code, radix)
         inverse = np.ascontiguousarray(inverse.reshape(batch, n).T)

@@ -100,6 +100,8 @@ class TestConfigParsing:
             ({"n_prime": 1}, "^n_prime must"),
             ({"n": 3, "n_prime": 2}, "^n_prime must"),
             ({"tolerance": -1}, "^tolerance must"),
+            # squared, 1e300 overflows binary64
+            ({"items": [{"values": ["1", 1e300], "probs": ["0.5", "0.5"]}]}, r"^items\[0\].values: "),
         ],
     )
     def test_bad_field_is_a_config_error(self, override, match):
@@ -116,7 +118,13 @@ class TestConfigParsing:
 # probabilities, and huge integers into n, n_prime and seed: n or n_prime
 # beyond the caps must be refused at once.  A huge samples count is valid
 # input that asks for an astronomically long run, so it is left out.
-JUNK = st.sampled_from([None, True, "nan", "inf", "-inf", "abc", "", "2.5", float("nan"), float("inf"), -1, 0, [1], {}])
+# The containers are built afresh per draw: a shared {} could be filled with
+# junk, or with itself, by a later field.
+JUNK = (
+    st.sampled_from([None, True, "nan", "inf", "-inf", "abc", "", "2.5", float("nan"), float("inf"), -1, 0])
+    | st.builds(lambda: [1])
+    | st.builds(dict)
+)
 JUNK_ATOM = JUNK | st.sampled_from([1e300, 1e-300, "1e999"])
 JUNK_COUNT = JUNK | st.sampled_from([10**8, 1e300, str(10**40)])
 _ITEM = st.lists(st.sampled_from(["0", "1", "2", "3.5", 7]), min_size=1, max_size=2, unique=True).flatmap(
@@ -155,7 +163,7 @@ def fuzzed_configs(draw):
             items[0] = junk
         elif field.startswith("item.") and isinstance(items[0], dict):
             items[0][field[5:]] = junk
-        elif field in ("value", "prob") and isinstance(items[0], dict) and isinstance(items[0][field + "s"], list):
+        elif field in ("value", "prob") and isinstance(items[0], dict) and isinstance(items[0].get(field + "s"), list):
             items[0][field + "s"][0] = junk
         elif "." not in field and field not in ("value", "prob", "item"):
             payload[field] = junk
@@ -171,7 +179,7 @@ def test_fuzzed_config_gives_a_documented_exit_code(tmp_path, capsys, payload):
 
 
 class TestGoldenReports:
-    """The JSON report and exit code of every sample config, and of verify and sweep runs, byte for byte."""
+    """The JSON report and exit code of every sample config, and of verify, sweep and iron runs, byte for byte."""
 
     @pytest.mark.parametrize("name", ["two_point", "two_items", "irregular_three_point", "near_uniform_many_items"])
     def test_config_report(self, name, capsys):
@@ -186,6 +194,10 @@ class TestGoldenReports:
             (
                 "sweep_two_items.csv",
                 ["sweep", "--config", str(CONFIGS / "two_items.json"), "--n-prime-min", "1", "--n-prime-max", "8"],
+            ),
+            (
+                "iron_irregular_three_point.csv",
+                ["iron", "--config", str(CONFIGS / "irregular_three_point.json"), "--format", "csv"],
             ),
         ],
     )

@@ -4,6 +4,7 @@ import functools
 import operator
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from auctionbench import (
 from auctionbench import decomposition
 from auctionbench.cli import load_config
 from auctionbench.decomposition import surplus_event_probability
+from auctionbench.dist import ScalarDistribution, iid_max_expectation
 from auctionbench.errors import NotRegular
 from auctionbench.generators import random_setting
 from auctionbench.simple_auctions import ronen_r_star
@@ -78,6 +80,60 @@ def assert_stats_bit_identical(setting, n_prime):
         assert stat.var_u_hat == law_u_hat.variance()
         assert stat.fee_pd == max(e_hat - 2.0 * r_total, 0.0)
         assert stat.nice_prob == (law_u_hat.tail(e_hat / 2.0) if e_hat > 0 else 1.0)
+
+
+def reference_terms(inst):
+    """Term-by-term reference for decomposition_terms: Single, map_through Under and
+    Over, the clipped per-(M, j) Tail, the per-(M, j, x) Core loop and the stats-sum
+    Ronen mass."""
+    setting, n_prime = inst.setting, inst.n_prime
+    tables, stats, maxvec = inst.iu_tables, inst.stats, inst.ghost_max
+    vals = np.array(tables.valuations)
+
+    single = 0.0
+    for j, item in enumerate(setting.items):
+        weighted = item.ironed.phi_plus[item.values_arr.searchsorted(vals[:, j])] * tables.p_region[:, j]
+        law = ScalarDistribution.from_atoms(zip(weighted.tolist(), tables.vprobs.tolist()), renorm_tol=1e-9)
+        single += iid_max_expectation(law, n_prime)
+
+    under = 0.0
+    for j, item in enumerate(setting.items):
+        law_j = maxvec.per_item[j]
+        law = item.map_through(lambda x, law_j=law_j: x * (1.0 - law_j.cdf(x)))
+        under += iid_max_expectation(law, n_prime)
+
+    over = 0.0
+    for j, item in enumerate(setting.items):
+        law_j = maxvec.per_item[j]
+
+        def h(x, law_j=law_j):
+            mask = law_j.values_arr <= x
+            return float(np.dot(law_j.values_arr[mask], law_j.probs_arr[mask]))
+
+        over += iid_max_expectation(item.map_through(h), n_prime)
+
+    tail = 0.0
+    core = 0.0
+    r_star = [item.posted_revenue([st.m_vec[j] for st in stats]).tolist() for j, item in enumerate(setting.items)]
+    for i, st in enumerate(stats):
+        for j, item in enumerate(setting.items):
+            t_j = st.thresholds[j]
+            mj = st.m_vec[j]
+            tail_term = st.r_ron_total * (1.0 - item.cdf(t_j))
+            tail += n_prime * st.prob * min(tail_term, r_star[j][i])
+            for x, p in zip(item.values, item.probs):
+                if mj <= x <= t_j:
+                    core += n_prime * st.prob * p * (x - mj)
+
+    ronen_mass = n_prime * sum(st.prob * st.r_ron_total for st in stats)
+    return {"single": single, "under": under, "over": over, "tail": tail, "core": core, "ronen_mass": ronen_mass}
+
+
+def assert_terms_match_reference(setting):
+    inst = Instance(setting, setting.n_prime)
+    rep = decomposition_terms(inst, setting.n)
+    for name, want in reference_terms(inst).items():
+        assert getattr(rep, name) == pytest.approx(want, rel=1e-12, abs=0.0), name
 
 
 @st.composite
@@ -316,8 +372,20 @@ class TestTerms:
         rng = make_rng(50)
         for _ in range(30):
             setting = random_setting(rng, max_ghosts=5)
-            rep = decomposition_terms(Instance(setting, setting.n_prime), setting.n)
-            assert rep.tail == pytest.approx(rep.tail_unclipped, abs=1e-12)
+            inst = Instance(setting, setting.n_prime)
+            rep = decomposition_terms(inst, setting.n)
+            assert rep.tail == pytest.approx(reference_terms(inst)["tail"], abs=1e-12)
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+    def test_terms_match_reference_on_configs(self, config):
+        assert_terms_match_reference(load_config(config).setting)
+
+    def test_terms_match_reference_on_drawn_settings(self):
+        # a value grid of 0..5 makes utilities tie across items; ghost atoms are
+        # item atoms, so M_j = v_j ties at every item
+        rng = make_rng(57)
+        for _ in range(120):
+            assert_terms_match_reference(random_setting(rng, max_items=3, max_ghosts=5, max_value=5))
 
     def test_surplus_between_core_and_split(self):
         rng = make_rng(51)

@@ -74,6 +74,25 @@ class TestConstruction:
         with pytest.raises(ProbabilityMassError):
             make_item_distribution([1, 2], [0.5, 0.4])
 
+    def test_nan_mass_refused(self):
+        # NaN fails both the positivity and the unit-sum comparison
+        with pytest.raises((NonPositiveProbability, ProbabilityMassError)):
+            ScalarDistribution((1.0, 2.0), (math.nan, 1.0))
+        with pytest.raises((NonPositiveProbability, ProbabilityMassError)):
+            ScalarDistribution((1.0, 2.0), (1.0, math.nan))
+
+    def test_nan_atom_not_dropped(self):
+        # a NaN mass is neither negative nor positive; it must not vanish as a zero mass would
+        with pytest.raises(NonPositiveProbability):
+            ScalarDistribution.from_atoms([(1.0, math.nan), (2.0, 1.0)])
+        with pytest.raises(NonPositiveProbability):
+            segmented_from_atoms(np.array([0, 0]), np.array([1.0, 2.0]), np.array([math.nan, 1.0]), 1)
+
+    @pytest.mark.parametrize("values", [[1, math.inf], [math.nan]])
+    def test_non_finite_item_value_refused(self, values):
+        with pytest.raises(NegativeValue):
+            make_item_distribution(values, [1 / len(values)] * len(values))
+
     def test_cdf_monotone_ends_at_one(self):
         rng = make_rng(90)
         for _ in range(50):
