@@ -46,7 +46,6 @@ from .myerson import all_regular, srev, srev_item
 from .report import AnalysisReport, CheckRecord
 from .simple_auctions import (
     bulow_klemperer_check,
-    ronen_bound_from_law,
     sequential_posted_price_bound,
     vcg_revenue,
     vcg_with_reserve_bound,
@@ -195,8 +194,7 @@ def _shared_checks(inst: Instance, rng: np.random.Generator, tol: float) -> list
     if np_ >= 2:
         s2 = step2_inequality_check(inst, n, tol)
         checks.append(CheckRecord.leq("step2", "IU(n,n') <= (n/n')*IU(n',n') + VCG(n')", s2.lhs, s2.rhs, tol))
-    ronen = ronen_bound_from_law(setting, inst.ghost_max, np_)
-    checks.append(CheckRecord.leq("ronen_le_srev", "RonenBound(n') <= SRev(n')", ronen, srev_np, tol))
+    checks.append(CheckRecord.leq("ronen_le_srev", "RonenBound(n') <= SRev(n')", inst.ronen_nprime, srev_np, tol))
     for j, item in enumerate(setting.items):
         lhs = max(vcg_with_reserve_bound(setting, j, x, np_) for x in (0.0,) + item.values)
         checks.append(
@@ -400,9 +398,8 @@ def _verify_suites(setting: AuctionSetting, rng: np.random.Generator, tol: float
             CheckRecord.leq("vcg_le_srev", "VCG(n') <= SRev(n')", vcg_revenue(setting, np_), inst.srev_nprime, tol)
         )
     checks.extend(chain.checks)
-    worst = 0.0
-    for st in inst.stats:
-        worst = max(worst, st.var_u_hat - 2.0 * st.r_ron_total**2)
+    stats = inst.stats
+    worst = max(0.0, float((stats.var_u_hat - 2.0 * stats.r_ron_total**2).max()))
     checks.append(CheckRecord.leq("capped_variance", "Var(U_hat) <= 2 r^2", worst, 0.0, tol))
     deviation = max(tie_break_independence_check(item, 3) for item in setting.items)
     checks.append(

@@ -33,7 +33,7 @@ from .iu import Instance, region_kernel
 from .lp import optimal_revenue
 from .myerson import all_regular
 from .report import CheckRecord
-from .simple_auctions import ronen_bound_from_law, vcg_revenue
+from .simple_auctions import vcg_revenue
 
 HIGH_PAIR_FACTOR = 6.0  # capped-utility mean at least this multiple of the posted-revenue kernel
 NICE_PROB_FLOOR = 7.0 / 9.0
@@ -41,20 +41,21 @@ HIGH_SQUARE_FACTOR = 81.0 / 49.0  # 1 / NICE_PROB_FLOOR^2
 PI_CHAIN_CONSTANT = 17.0
 
 
-@dataclass(frozen=True)
-class UtilityStats:
-    """Capped-utility statistics for one ghost max vector M."""
+class UtilityStats(NamedTuple):
+    """Capped-utility statistics, one entry per ghost max vector M in ``itertools.product`` order.
 
-    m_vec: MaxVector
-    prob: float
-    r_ron_total: float  # sum over items of the best posted revenue above M_j
-    thresholds: tuple[float, ...]  # T_j = r_ron_total + M_j
-    law_u: ScalarDistribution  # law of sum_j max(v_j - M_j, 0)
-    law_u_hat: ScalarDistribution  # law of the capped sum
-    e_u_hat: float
-    var_u_hat: float
-    fee_pd: float  # prior-dependent fee max(E[U_hat] - 2 r, 0)
-    nice_prob: float  # Pr(U_hat >= E[U_hat] / 2)
+    U is sum_j max(v_j - M_j, 0); U_hat counts item j's utility only where it is at most r_ron_total.
+    """
+
+    m_vecs: np.ndarray  # (K, m), row k is the max vector M
+    prob: np.ndarray  # Pr(M)
+    r_ron_total: np.ndarray  # sum over items of the best posted revenue above M_j
+    e_u_hat: np.ndarray
+    var_u_hat: np.ndarray
+    fee_pd: np.ndarray  # prior-dependent fee max(E[U_hat] - 2 r, 0)
+    fee_accept: np.ndarray  # Pr(U_hat >= fee_pd)
+    nice_prob: np.ndarray  # Pr(U_hat >= E[U_hat] / 2)
+    pair_mass: np.ndarray  # E[U(s) 1(U(s) <= U(w))] for s, w i.i.d.
 
 
 # Pairs worked per kernel call.  Max vectors are folded in blocks under this
@@ -101,35 +102,18 @@ def _blocks(widths: list[int], laws: list[int], budget: int):
     yield lo, len(widths)
 
 
-def build_utility_stats(inst: Instance) -> tuple[UtilityStats, ...]:
-    """Exact per-M table over the joint max-vector support.
+def utility_laws(setting: AuctionSetting, m_vecs: np.ndarray, r_totals: np.ndarray):
+    """Yield (lo, hat, laws) per block of at most PAIR_BUDGET pairs, so memory is bounded per block.
 
-    The raw and capped utility laws of every max vector M are built together,
-    as flat per-M segments, by one fold over the items: map item 0, then
-    convolve in items 1, 2, ... one at a time.  Every step reproduces the
-    per-M ``from_atoms`` / ``map_through`` / ``convolve`` fold bit for bit:
-
-    - pairs are formed in ``convolve``'s order, a-major and b-minor;
-    - masses of equal values are added in input order;
-    - each law's normalising total is summed left to right in order of first
-      occurrence, and every stage is renormalised;
-    - M runs in ``itertools.product`` order, prob(M) is the left-to-right
-      product of its per-item probabilities and r_ron_total the left-to-right
-      sum of its per-item posted revenues.
-
-    Where the cap binds at no atom, the capped law is the raw law (the same
-    object).  Max vectors are processed in blocks of at most PAIR_BUDGET
-    pairs per kernel call, so memory is bounded per block.
+    Law i of `laws` is the law of U given M = m_vecs[lo + i] and law hat[i]
+    that of U_hat, capped at r_totals[lo + i]; hat[i] = i where the cap binds
+    at no atom, since U_hat is U there.  The fold maps item 0, then convolves
+    in items 1, 2, ... one at a time, and reproduces the per-M ``map_through``
+    / ``convolve`` fold bit for bit: pairs in ``convolve``'s order (a-major),
+    masses of equal values added in input order, each law's normalising total
+    summed left to right in order of first occurrence, every stage renormalised.
     """
-    setting = inst.setting
-    inst.ghost_max.check_joint_cap(setting.caps)
-    laws = inst.ghost_max.per_item
-    index = [ix.ravel() for ix in np.indices([len(law.values) for law in laws])]
-    m_cols = [law.values_arr[ix] for law, ix in zip(laws, index)]
-    probs = functools.reduce(operator.mul, [law.probs_arr[ix] for law, ix in zip(laws, index)])
-    r_star = [item.posted_revenue(law.values_arr)[ix] for item, law, ix in zip(setting.items, laws, index)]
-    r_totals = functools.reduce(operator.add, r_star)
-
+    m_cols = m_vecs.T
     # Per M, a bound on the atoms and pairs of every fold stage: item j's
     # utility law has at most 1 + #{v_j > M_j} atoms.
     sizes = [
@@ -138,45 +122,67 @@ def build_utility_stats(inst: Instance) -> tuple[UtilityStats, ...]:
     ]
     widths = np.maximum(functools.reduce(operator.mul, sizes), max(len(item.values) for item in setting.items))
     # The cap binds at M when some item's top utility exceeds r_ron_total.
-    # Elsewhere every capped utility equals the raw one, so the capped fold
-    # would repeat the raw fold exactly: it is folded only where the cap binds.
     binds = functools.reduce(
         operator.or_,
         [np.maximum(item.values_arr[-1] - m_col, 0.0) > r_totals for item, m_col in zip(setting.items, m_cols)],
     )
-    m_vecs = list(zip(*(m_col.tolist() for m_col in m_cols)))
-    out = []
     for lo, hi in _blocks(widths.tolist(), (1 + binds).tolist(), PAIR_BUDGET):
         # laws of the block: the raw utility of every M, then the capped
         # utility of every M where the cap binds
         bound = lo + np.flatnonzero(binds[lo:hi])
         rows = np.concatenate((np.arange(lo, hi), bound))
         caps = np.concatenate((np.full(hi - lo, np.inf), r_totals[bound]))
-        folded = None
-        for item, m_col in zip(setting.items, m_cols):
-            item_laws = _item_utility_laws(item, m_col[rows], caps)
-            folded = item_laws if folded is None else _convolve_segments(folded, item_laws)
-        block_laws = folded.laws()
-        capped_law = dict(zip(bound.tolist(), block_laws[hi - lo :]))
-        for i, prob, r_total in zip(range(lo, hi), probs[lo:hi].tolist(), r_totals[lo:hi].tolist()):
-            law_u = block_laws[i - lo]
-            law_u_hat = capped_law.get(i, law_u)
-            e_hat = law_u_hat.expectation()
-            out.append(
-                UtilityStats(
-                    m_vec=m_vecs[i],
-                    prob=prob,
-                    r_ron_total=r_total,
-                    thresholds=tuple(r_total + mj for mj in m_vecs[i]),
-                    law_u=law_u,
-                    law_u_hat=law_u_hat,
-                    e_u_hat=e_hat,
-                    var_u_hat=law_u_hat.variance(),
-                    fee_pd=max(e_hat - 2.0 * r_total, 0.0),
-                    nice_prob=law_u_hat.tail(e_hat / 2.0) if e_hat > 0 else 1.0,
-                )
-            )
-    return tuple(out)
+        item_laws = (_item_utility_laws(item, m_col[rows], caps) for item, m_col in zip(setting.items, m_cols))
+        laws = functools.reduce(_convolve_segments, item_laws)
+        hat = np.arange(hi - lo)
+        hat[bound - lo] = np.arange(hi - lo, len(rows))
+        yield lo, hat, laws
+
+
+def build_utility_stats(inst: Instance) -> UtilityStats:
+    """Exact per-M statistics over the joint max-vector support, as columns.
+
+    prob(M) is the left-to-right product of its per-item probabilities and
+    r_ron_total the left-to-right sum of its per-item posted revenues.  Each
+    block of ``utility_laws`` is reduced to its columns and dropped, so no
+    per-M law is kept.  Means and masses are ``np.bincount`` sums per law, in
+    another order than ``ScalarDistribution.expectation``'s ``np.dot``, so
+    they may differ from the per-law methods in the last bits.
+    """
+    setting = inst.setting
+    inst.ghost_max.check_joint_cap(setting.caps)
+    laws = inst.ghost_max.per_item
+    index = [ix.ravel() for ix in np.indices([len(law.values) for law in laws])]
+    m_vecs = np.stack([law.values_arr[ix] for law, ix in zip(laws, index)], axis=1)
+    probs = functools.reduce(operator.mul, [law.probs_arr[ix] for law, ix in zip(laws, index)])
+    r_star = [item.posted_revenue(law.values_arr)[ix] for item, law, ix in zip(setting.items, laws, index)]
+    r_totals = functools.reduce(operator.add, r_star)
+
+    e_u_hat, var_u_hat, fee_pd, fee_accept, nice_prob, pair_mass = (np.empty(len(probs)) for _ in range(6))
+    for lo, hat, block_laws in utility_laws(setting, m_vecs, r_totals):
+        block = slice(lo, lo + len(hat))
+        values, weights, counts = block_laws.values, block_laws.probs, np.diff(block_laws.starts)
+        seg, rows = np.arange(len(counts)).repeat(counts), np.arange(len(counts))
+        pos = np.arange(len(seg)) - block_laws.starts[seg]
+        # below[s, k] = Pr(U < k-th atom of law s), a row-wise cumsum that sums
+        # left to right as cdf_arr does, and 1 exactly past the last atom
+        below = np.zeros((len(counts), counts.max() + 1))
+        below[seg, pos + 1] = weights
+        below = below.cumsum(axis=1)
+        below[rows, counts] = 1.0
+
+        def tail(x: np.ndarray) -> np.ndarray:  # Pr(U >= x[s]) per law s
+            return 1.0 - below[rows, np.bincount(seg, values < x[seg]).astype(np.intp)]
+
+        mean = np.bincount(seg, values * weights)
+        fee = np.zeros(len(counts))
+        fee[hat] = np.maximum(mean[hat] - 2.0 * r_totals[block], 0.0)
+        e_u_hat[block], fee_pd[block] = mean[hat], fee[hat]
+        var_u_hat[block] = np.bincount(seg, (values - mean[seg]) ** 2 * weights)[hat]
+        fee_accept[block], nice_prob[block] = tail(fee)[hat], tail(mean / 2.0)[hat]
+        # E[U(s) 1(U(s) <= U(w))] = sum_a p_a a Pr(U >= a), over the raw laws
+        pair_mass[block] = np.bincount(seg, weights * values * (1.0 - below[seg, pos]))[: len(hat)]
+    return UtilityStats(m_vecs, probs, r_totals, e_u_hat, var_u_hat, fee_pd, fee_accept, nice_prob, pair_mass)
 
 
 class EventProbabilities(NamedTuple):
@@ -274,12 +280,13 @@ def decomposition_terms(inst: Instance, n_dd: int) -> DecompositionReport:
         kept = _at_or_below(law_j, np.cumsum(law_j.values_arr * law_j.probs_arr), item.values_arr)
         over += _max_mean(kept, item.probs_arr, n_prime, MASS_TOL * 10)
 
-    prob, r, e_u_hat, *thresholds = np.array([(st.prob, st.r_ron_total, st.e_u_hat, *st.thresholds) for st in stats]).T
+    prob, r = stats.prob, stats.r_ron_total
     # No clip at r*_j(M_j) is needed: the first atom y above T_j = M_j + r (r = r_ron_total)
     # has y > r, so r Pr(v_j > T_j) <= y Pr(v_j >= y) <= r*_j(M_j).
-    above = sum(1.0 - _at_or_below(item, item.cdf_arr, t_j) for item, t_j in zip(setting.items, thresholds))
+    thresholds = r[:, None] + stats.m_vecs
+    above = sum(1.0 - _at_or_below(item, item.cdf_arr, thresholds[:, j]) for j, item in enumerate(setting.items))
     tail = n_prime * float(prob @ (r * above))
-    core = n_prime * float(prob @ e_u_hat)
+    core = n_prime * float(prob @ stats.e_u_hat)
 
     # Surplus: n' E_{M,v}[sum_j (v_j - M_j)^+ 1(some rival utility >= v_j - M_j)],
     # summed over M first for each v: E_M[(v_j - M_j)^+] minus the part where
@@ -302,7 +309,7 @@ def decomposition_terms(inst: Instance, n_dd: int) -> DecompositionReport:
         surplus_bound=surplus_bound,
         iu_n=tables.iu(n_dd),
         iu_nprime=tables.iu(n_prime),
-        ronen_mass=ronen_bound_from_law(setting, maxvec, n_prime),
+        ronen_mass=inst.ronen_nprime,
     )
 
 
@@ -318,12 +325,9 @@ def bvcg_constructed_revenue(inst: Instance) -> BVCGFloor:
     participation_lb is an exact lower bound on the best entry-fee revenue.
     Zero fees are always accepted.
     """
-    fee_mass = inst.n_prime * sum(st.prob * st.fee_pd for st in inst.stats)
-    participation = 0.0
-    for st in inst.stats:
-        accept = st.law_u_hat.tail(st.fee_pd) if st.fee_pd > 0 else 1.0
-        participation += st.prob * st.fee_pd * accept
-    return BVCGFloor(fee_mass, inst.n_prime * participation)
+    stats = inst.stats
+    fee_mass = inst.n_prime * float(stats.prob @ stats.fee_pd)
+    return BVCGFloor(fee_mass, inst.n_prime * float((stats.prob * stats.fee_pd) @ stats.fee_accept))
 
 
 class PIBVCGFloor(NamedTuple):
@@ -339,14 +343,9 @@ def pi_bvcg_constructed_revenue(inst: Instance) -> PIBVCGFloor:
     revenue_lb = n' E_M E_{s,w}[U_M(s) 1(U_M(s) <= U_M(w))] with s, w i.i.d.
     s_all is the nice-set weighted mean n' E_M[Pr(nice)^2 E[U_hat]].
     """
-    revenue = 0.0
-    s_all = 0.0
-    for st in inst.stats:
-        law = st.law_u
-        # E_{s,w}[U(s) 1(U(s) <= U(w))] = sum_a p_a a Pr(U >= a)
-        inner = sum(p * a * law.tail(a) for a, p in zip(law.values, law.probs))
-        revenue += st.prob * inner
-        s_all += st.prob * st.nice_prob**2 * st.e_u_hat
+    stats = inst.stats
+    revenue = float(stats.prob @ stats.pair_mass)
+    s_all = float((stats.prob * stats.nice_prob**2) @ stats.e_u_hat)
     return PIBVCGFloor(inst.n_prime * revenue, inst.n_prime * s_all)
 
 
@@ -429,15 +428,14 @@ def lemma_chain_check(
                 value,
                 PI_CHAIN_CONSTANT * rep.pi_bvcg_floor,
             )
-        high_nice = [
-            st.nice_prob for st in inst.stats if st.e_u_hat >= HIGH_PAIR_FACTOR * st.r_ron_total
-        ]
-        if high_nice:
+        stats = inst.stats
+        high = stats.e_u_hat >= HIGH_PAIR_FACTOR * stats.r_ron_total
+        if high.any():
             add_leq(
                 "chain_g_nice",
                 "Pr(nice) >= 7/9 on every high pair",
                 NICE_PROB_FLOOR,
-                min(high_nice),
+                float(stats.nice_prob[high].min()),
             )
     return rep
 

@@ -38,7 +38,7 @@ from .dist import (
 )
 from .errors import EnumerationCapExceeded, TooFewBidders
 from .myerson import srev
-from .simple_auctions import vcg_revenue
+from .simple_auctions import ronen_bound_from_law, vcg_revenue
 
 if TYPE_CHECKING:
     from .decomposition import UtilityStats
@@ -84,27 +84,30 @@ class IUTables:
 class Instance:
     """One (setting, n') pair and the tables the exact chain reads, each built once.
 
-    `ghost_max`, the law of the max vector of n' - 1 ghost draws, and `srev_nprime`,
-    SRev(n'), are built on construction; the IU tables and the utility statistics on first use.
+    `ghost_max`, the law of the max vector of n' - 1 ghost draws, `srev_nprime`, SRev(n'),
+    and `ronen_nprime`, the Ronen floor at n', are built on construction; the IU tables and
+    the utility statistics on first use.
     """
 
     setting: AuctionSetting
     n_prime: int
     ghost_max: MaxVectorDistribution = field(init=False, repr=False, compare=False)
     srev_nprime: float = field(init=False, repr=False, compare=False)
+    ronen_nprime: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_prime < 1:
             raise TooFewBidders("need n_prime >= 1")
         object.__setattr__(self, "ghost_max", max_vector_distribution(self.setting, self.n_prime - 1))
         object.__setattr__(self, "srev_nprime", srev(self.setting, self.n_prime))
+        object.__setattr__(self, "ronen_nprime", ronen_bound_from_law(self.setting, self.ghost_max, self.n_prime))
 
     @cached_property
     def iu_tables(self) -> IUTables:
         return build_iu_tables(self)
 
     @cached_property
-    def stats(self) -> tuple[UtilityStats, ...]:
+    def stats(self) -> UtilityStats:
         from .decomposition import build_utility_stats  # decomposition imports this module
 
         return build_utility_stats(self)

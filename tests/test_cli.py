@@ -181,7 +181,9 @@ def test_fuzzed_config_gives_a_documented_exit_code(tmp_path, capsys, payload):
 class TestGoldenReports:
     """The JSON report and exit code of every sample config, and of verify, sweep and iron runs, byte for byte."""
 
-    @pytest.mark.parametrize("name", ["two_point", "two_items", "irregular_three_point", "near_uniform_many_items"])
+    @pytest.mark.parametrize(
+        "name", ["two_point", "two_items", "irregular_three_point", "near_uniform_many_items", "fee_positive"]
+    )
     def test_config_report(self, name, capsys):
         code = main(["analyze", "--config", str(CONFIGS / f"{name}.json"), "--format", "json"])
         assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
@@ -451,6 +453,7 @@ class TestOneBuildPerCommand:
             "optimal_revenue": _count_calls(monkeypatch, "lp", "optimal_revenue"),
             "iron": _count_calls(monkeypatch, "myerson", "iron"),
             "max_vector_distribution": _count_calls(monkeypatch, "dist", "max_vector_distribution"),
+            "ronen_bound_from_law": _count_calls(monkeypatch, "simple_auctions", "ronen_bound_from_law"),
         }
 
     def test_exact_analyze(self, monkeypatch, capsys):
@@ -471,7 +474,7 @@ class TestOneBuildPerCommand:
         main(["verify", "--seed", "3", "--count", "3"])
         # SRev(n') for the chain and the shared checks, SRev(n) for Bulow-Klemperer
         assert len(srev_calls) == 2 * 3
-        for name in ("build_iu_tables", "build_utility_stats", "lemma_chain_check"):
+        for name in ("build_iu_tables", "build_utility_stats", "lemma_chain_check", "ronen_bound_from_law"):
             assert len(calls[name]) == 3, name
             assert len({id(args[0]) for args in calls[name]}) == 3, name
         # one ironing per item: the three settings hold five items

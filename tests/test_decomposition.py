@@ -2,6 +2,7 @@
 
 import functools
 import operator
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from auctionbench import (
     make_rng,
     max_vector_distribution,
     pi_bvcg_constructed_revenue,
-    ronen_bound,
 )
 from auctionbench import decomposition
 from auctionbench.cli import load_config
@@ -64,22 +64,35 @@ def reference_utility_stats(setting, n_prime):
     return out
 
 
+def utility_law_pairs(stats, setting):
+    """(law_u, law_u_hat) per max vector, from the blocks of decomposition.utility_laws."""
+    out = []
+    for lo, hat, laws in decomposition.utility_laws(setting, stats.m_vecs, stats.r_ron_total):
+        assert lo == len(out)
+        block = laws.laws()
+        out.extend((block[i], block[h]) for i, h in enumerate(hat.tolist()))
+    return out
+
+
 def assert_stats_bit_identical(setting, n_prime):
-    got = build_utility_stats(Instance(setting, n_prime))
+    """The laws equal the per-M fold bit for bit; each statistic column matches the
+    ScalarDistribution method on the reference law up to the order of its sum."""
+    stats = build_utility_stats(Instance(setting, n_prime))
     want = reference_utility_stats(setting, n_prime)
-    assert len(got) == len(want)
-    for stat, (m_vec, prob, r_total, law_u, law_u_hat) in zip(got, want):
-        assert stat.m_vec == m_vec
-        assert stat.prob == prob
-        assert stat.r_ron_total == r_total
-        assert stat.thresholds == tuple(r_total + mj for mj in m_vec)
-        assert stat.law_u == law_u
-        assert stat.law_u_hat == law_u_hat
+    assert [tuple(m_vec) for m_vec in stats.m_vecs.tolist()] == [m_vec for m_vec, *_ in want]
+    assert stats.prob.tolist() == [prob for _, prob, *_ in want]
+    assert stats.r_ron_total.tolist() == [r_total for _, _, r_total, *_ in want]
+    assert utility_law_pairs(stats, setting) == [(law_u, law_u_hat) for *_, law_u, law_u_hat in want]
+    close = functools.partial(pytest.approx, rel=1e-13, abs=1e-15)
+    for i, (_, _, r_total, law_u, law_u_hat) in enumerate(want):
         e_hat = law_u_hat.expectation()
-        assert stat.e_u_hat == e_hat
-        assert stat.var_u_hat == law_u_hat.variance()
-        assert stat.fee_pd == max(e_hat - 2.0 * r_total, 0.0)
-        assert stat.nice_prob == (law_u_hat.tail(e_hat / 2.0) if e_hat > 0 else 1.0)
+        fee = max(e_hat - 2.0 * r_total, 0.0)
+        assert stats.e_u_hat[i] == close(e_hat)
+        assert stats.var_u_hat[i] == close(law_u_hat.variance())
+        assert stats.fee_pd[i] == close(fee)
+        assert stats.fee_accept[i] == close(law_u_hat.tail(fee))
+        assert stats.nice_prob[i] == close(law_u_hat.tail(e_hat / 2.0))
+        assert stats.pair_mass[i] == close(sum(p * a * law_u.tail(a) for a, p in zip(law_u.values, law_u.probs)))
 
 
 def reference_terms(inst):
@@ -114,18 +127,19 @@ def reference_terms(inst):
 
     tail = 0.0
     core = 0.0
-    r_star = [item.posted_revenue([st.m_vec[j] for st in stats]).tolist() for j, item in enumerate(setting.items)]
-    for i, st in enumerate(stats):
+    m_vecs, probs, r_totals = stats.m_vecs.tolist(), stats.prob.tolist(), stats.r_ron_total.tolist()
+    r_star = [item.posted_revenue(stats.m_vecs[:, j]).tolist() for j, item in enumerate(setting.items)]
+    for i, (m_vec, prob, r_total) in enumerate(zip(m_vecs, probs, r_totals)):
         for j, item in enumerate(setting.items):
-            t_j = st.thresholds[j]
-            mj = st.m_vec[j]
-            tail_term = st.r_ron_total * (1.0 - item.cdf(t_j))
-            tail += n_prime * st.prob * min(tail_term, r_star[j][i])
+            mj = m_vec[j]
+            t_j = r_total + mj
+            tail_term = r_total * (1.0 - item.cdf(t_j))
+            tail += n_prime * prob * min(tail_term, r_star[j][i])
             for x, p in zip(item.values, item.probs):
                 if mj <= x <= t_j:
-                    core += n_prime * st.prob * p * (x - mj)
+                    core += n_prime * prob * p * (x - mj)
 
-    ronen_mass = n_prime * sum(st.prob * st.r_ron_total for st in stats)
+    ronen_mass = n_prime * sum(prob * r_total for prob, r_total in zip(probs, r_totals))
     return {"single": single, "under": under, "over": over, "tail": tail, "core": core, "ronen_mass": ronen_mass}
 
 
@@ -164,36 +178,36 @@ def joint_u_hat_law(setting, m_vec, r_total):
 
 class TestUtilityStats:
     def test_d2_hand_values(self, setting_d2):
-        stats = {st.m_vec: st for st in build_utility_stats(Instance(setting_d2, 2))}
-        low = stats[(1.0,)]
-        assert low.r_ron_total == pytest.approx(1.0)
-        assert low.thresholds == pytest.approx((2.0,))
-        assert dict(zip(low.law_u_hat.values, low.law_u_hat.probs)) == pytest.approx(
-            {0.0: 0.5, 1.0: 0.5}
-        )
-        assert low.e_u_hat == pytest.approx(0.5)
-        assert low.var_u_hat == pytest.approx(0.25)
-        assert low.fee_pd == 0.0
-        assert low.nice_prob == pytest.approx(0.5)
-        high = stats[(2.0,)]
-        assert high.r_ron_total == 0.0
-        assert high.e_u_hat == 0.0
-        assert high.fee_pd == 0.0
+        stats = build_utility_stats(Instance(setting_d2, 2))
+        # M = (1,) then (2,)
+        assert stats.m_vecs.tolist() == [[1.0], [2.0]]
+        assert stats.prob.tolist() == pytest.approx([0.5, 0.5])
+        (_, low_hat), _ = utility_law_pairs(stats, setting_d2)
+        assert dict(zip(low_hat.values, low_hat.probs)) == pytest.approx({0.0: 0.5, 1.0: 0.5})
+        assert stats.r_ron_total.tolist() == pytest.approx([1.0, 0.0])
+        assert stats.e_u_hat.tolist() == pytest.approx([0.5, 0.0])
+        assert stats.var_u_hat[0] == pytest.approx(0.25)
+        assert stats.fee_pd.tolist() == [0.0, 0.0]
+        assert stats.fee_accept.tolist() == [1.0, 1.0]
+        assert stats.nice_prob[0] == pytest.approx(0.5)
+        assert stats.pair_mass.tolist() == pytest.approx([0.25, 0.0])
 
     def test_point_mass_all_zero(self, point_mass):
         setting = AuctionSetting(items=(point_mass,), n=1, n_prime=2)
-        (st,) = build_utility_stats(Instance(setting, 2))
-        assert st.r_ron_total == 0.0
-        assert st.e_u_hat == 0.0
-        assert st.fee_pd == 0.0
+        stats = build_utility_stats(Instance(setting, 2))
+        assert stats.r_ron_total.tolist() == [0.0]
+        assert stats.e_u_hat.tolist() == [0.0]
+        assert stats.fee_pd.tolist() == [0.0]
 
     def test_convolution_matches_joint_enumeration(self):
         rng = make_rng(40)
         for _ in range(20):
             setting = random_setting(rng, max_items=3, max_support=3, max_ghosts=4)
-            for st in build_utility_stats(Instance(setting, setting.n_prime)):
-                oracle = joint_u_hat_law(setting, st.m_vec, st.r_ron_total)
-                got = dict(zip(st.law_u_hat.values, st.law_u_hat.probs))
+            stats = build_utility_stats(Instance(setting, setting.n_prime))
+            laws = utility_law_pairs(stats, setting)
+            for m_vec, r_total, (_, law_u_hat) in zip(stats.m_vecs.tolist(), stats.r_ron_total.tolist(), laws):
+                oracle = joint_u_hat_law(setting, m_vec, r_total)
+                got = dict(zip(law_u_hat.values, law_u_hat.probs))
                 assert sorted(got) == pytest.approx(sorted(oracle), abs=1e-12)
                 for (gv, gp), (ov, op) in zip(sorted(got.items()), sorted(oracle.items())):
                     assert gp == pytest.approx(op, abs=1e-12)
@@ -218,8 +232,8 @@ class TestUtilityStats:
         rng = make_rng(42)
         for _ in range(50):
             setting = random_setting(rng, max_ghosts=6)
-            for st in build_utility_stats(Instance(setting, setting.n_prime)):
-                assert st.var_u_hat <= 2.0 * st.r_ron_total**2 + 1e-9
+            stats = build_utility_stats(Instance(setting, setting.n_prime))
+            assert (stats.var_u_hat <= 2.0 * stats.r_ron_total**2 + 1e-9).all()
 
     def test_per_item_cap_bound(self):
         # per item: max of u_hat(x) * Pr(u_hat >= u_hat(x)) stays below the posted kernel
@@ -241,17 +255,34 @@ class TestUtilityStats:
         rng = make_rng(44)
         for _ in range(50):
             setting = random_setting(rng, max_ghosts=6)
-            for st in build_utility_stats(Instance(setting, setting.n_prime)):
-                if st.fee_pd > 0:
-                    assert st.law_u_hat.prob_below(st.fee_pd) <= 0.5 + 1e-12
+            stats = build_utility_stats(Instance(setting, setting.n_prime))
+            for fee, accept, (_, law_u_hat) in zip(stats.fee_pd, stats.fee_accept, utility_law_pairs(stats, setting)):
+                if fee > 0:
+                    assert law_u_hat.prob_below(fee) <= 0.5 + 1e-12
+                    assert accept >= 0.5 - 1e-12
 
     def test_nice_prob_on_high_pairs(self):
         rng = make_rng(45)
         for _ in range(50):
             setting = random_setting(rng, max_ghosts=6)
-            for st in build_utility_stats(Instance(setting, setting.n_prime)):
-                if st.e_u_hat >= 6.0 * st.r_ron_total:
-                    assert st.nice_prob >= 7.0 / 9.0 - 1e-12
+            stats = build_utility_stats(Instance(setting, setting.n_prime))
+            high = stats.e_u_hat >= 6.0 * stats.r_ron_total
+            assert (stats.nice_prob[high] >= 7.0 / 9.0 - 1e-12).all()
+
+
+    def test_stats_keep_only_columns(self):
+        # fee_positive.json has 3,125 max vectors; a law per M held 8.5 MiB
+        setting = load_config(CONFIGS[0].parent / "fee_positive.json").setting
+        inst = Instance(setting, setting.n_prime)
+        tracemalloc.start()
+        try:
+            stats = inst.stats
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(stats.prob) == 3125
+        assert all(isinstance(column, np.ndarray) for column in stats)
+        assert retained <= 1 << 20
 
 
 class TestBatchedUtilityLaws:
@@ -273,6 +304,20 @@ class TestBatchedUtilityLaws:
         setting = AuctionSetting(items=(item, item, item), n=1, n_prime=3)
         monkeypatch.setattr(decomposition, "PAIR_BUDGET", 8)
         assert_stats_bit_identical(setting, 3)
+
+    def test_positive_fee_where_the_cap_binds(self):
+        # test_fee_positive_instance's items with a rare value 50 on the last one:
+        # at the single max vector (n' = 1) the fee is positive and the cap binds,
+        # so the acceptance and the mean differ between the raw and capped laws
+        item = make_item_distribution([0, 1, 2, 3, 4], [0.1, 0.45, 0.15, 0.075, 0.225])
+        rare = make_item_distribution([0, 1, 2, 3, 4, 50], [0.1, 0.45, 0.15, 0.075, 0.224, 0.001])
+        setting = AuctionSetting(items=(item,) * 4 + (rare,), n=1, n_prime=1)
+        stats = build_utility_stats(Instance(setting, 1))
+        ((law_u, law_u_hat),) = utility_law_pairs(stats, setting)
+        assert stats.fee_pd[0] > 0
+        assert law_u.tail(stats.fee_pd[0]) > law_u_hat.tail(stats.fee_pd[0])
+        assert law_u.expectation() > law_u_hat.expectation()
+        assert_stats_bit_identical(setting, 1)
 
 
 class TestEventProbabilities:
@@ -319,14 +364,12 @@ class TestEventProbabilities:
             setting = random_setting(rng, max_items=3, max_support=3, max_ghosts=4)
             maxvec = max_vector_distribution(setting, setting.n_prime - 1)
             stats = build_utility_stats(Instance(setting, setting.n_prime))
-            for st in stats:
+            for m_vec, r_total in zip(map(tuple, stats.m_vecs.tolist()), stats.r_ron_total.tolist()):
                 for j, item in enumerate(setting.items):
                     for x in item.values:
-                        if x > st.thresholds[j]:
-                            srp = surplus_event_probability(
-                                setting, maxvec.per_item, j, x, st.m_vec
-                            )
-                            assert srp <= st.r_ron_total / (x - st.m_vec[j]) + 1e-9
+                        if x > r_total + m_vec[j]:
+                            srp = surplus_event_probability(setting, maxvec.per_item, j, x, m_vec)
+                            assert srp <= r_total / (x - m_vec[j]) + 1e-9
 
 
 class TestTerms:
@@ -347,25 +390,6 @@ class TestTerms:
         assert rep.under == 0.0
         assert rep.tail == 0.0
         assert rep.core == 0.0
-
-    def test_core_equals_capped_utility_mass(self):
-        rng = make_rng(48)
-        for _ in range(30):
-            setting = random_setting(rng, max_ghosts=5)
-            n_prime = setting.n_prime
-            inst = Instance(setting, n_prime)
-            rep = decomposition_terms(inst, setting.n)
-            oracle = n_prime * sum(st.prob * st.e_u_hat for st in inst.stats)
-            assert rep.core == pytest.approx(oracle, abs=1e-9)
-
-    def test_ronen_mass_matches_ronen_bound(self):
-        rng = make_rng(49)
-        for _ in range(30):
-            setting = random_setting(rng, max_ghosts=5)
-            rep = decomposition_terms(Instance(setting, setting.n_prime), setting.n)
-            assert rep.ronen_mass == pytest.approx(
-                ronen_bound(setting, setting.n_prime), abs=1e-9
-            )
 
     def test_tail_clip_is_vacuous(self):
         # the per-(M, j) kernel never exceeds the posted kernel, so the clip is an identity
@@ -412,12 +436,12 @@ class TestTerms:
             laws = max_vector_distribution(setting, n_prime - 1).per_item
             inst = Instance(setting, n_prime)
             ref = scale = 0.0
-            for s in inst.stats:
+            for m_vec, prob in zip(map(tuple, inst.stats.m_vecs.tolist()), inst.stats.prob.tolist()):
                 for j, item in enumerate(setting.items):
                     for x, p in zip(item.values, item.probs):
-                        if x >= s.m_vec[j]:
-                            w = n_prime * s.prob * p * (x - s.m_vec[j])
-                            ref += w * surplus_event_probability(setting, laws, j, x, s.m_vec)
+                        if x >= m_vec[j]:
+                            w = n_prime * prob * p * (x - m_vec[j])
+                            ref += w * surplus_event_probability(setting, laws, j, x, m_vec)
                             scale += w
             got = decomposition_terms(inst, setting.n).surplus_bound
             assert abs(got - ref) <= 1e-12 * max(scale, 1.0)
@@ -454,10 +478,12 @@ class TestFloors:
         item = make_item_distribution([0, 1, 2, 3, 4], [0.1, 0.45, 0.15, 0.075, 0.225])
         setting = AuctionSetting(items=(item,) * 5, n=1, n_prime=2)
         inst = Instance(setting, 2)
-        at_zero = next(st for st in inst.stats if st.m_vec == (0.0,) * 5)
-        assert at_zero.r_ron_total == pytest.approx(4.5)
-        assert at_zero.e_u_hat == pytest.approx(5 * 1.875)
-        assert at_zero.fee_pd == pytest.approx(0.375)
+        stats = inst.stats
+        (at_zero,) = np.flatnonzero((stats.m_vecs == 0.0).all(axis=1))
+        assert stats.r_ron_total[at_zero] == pytest.approx(4.5)
+        assert stats.e_u_hat[at_zero] == pytest.approx(5 * 1.875)
+        assert stats.fee_pd[at_zero] == pytest.approx(0.375)
+        assert np.flatnonzero(stats.fee_pd).tolist() == [at_zero]
         fee_mass, participation = bvcg_constructed_revenue(inst)
         assert fee_mass > 0
         assert fee_mass <= 2.0 * participation + 1e-9
