@@ -38,6 +38,7 @@ from .errors import (
     InstanceTooLarge,
     LPNumericalFailure,
     MaxIterations,
+    OutputError,
     Unbounded,
 )
 from .generators import MAX_VALUE, random_setting
@@ -296,6 +297,15 @@ def _format_table(rep: AnalysisReport) -> str:
     return "\n".join(lines)
 
 
+def _write_out(path: str | None, text: str) -> None:
+    """Write `text` and a newline to `path` when one is given."""
+    if path:
+        try:
+            Path(path).write_text(text + "\n")
+        except OSError as exc:
+            raise OutputError(f"cannot write --out: {exc}") from exc
+
+
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     if args.mode is not None:
@@ -311,8 +321,7 @@ def cmd_analyze(args) -> int:
         output = rep.to_json()
     else:
         output = _format_table(rep)
-    if args.out:
-        Path(args.out).write_text(rep.to_json() + "\n")
+    _write_out(args.out, rep.to_json())
     print(output)
     return EXIT_OK if rep.all_hold() else EXIT_CHECK_FAILED
 
@@ -335,8 +344,7 @@ def cmd_iron(args) -> int:
         for j, value, p, pt, reg in rows:
             lines.append(f"  {j:4d} {value:10.6g} {p:12.6g} {pt:12.6g}  {reg}")
         output = "\n".join(lines)
-    if args.out:
-        Path(args.out).write_text(output + "\n")
+    _write_out(args.out, output)
     print(output)
     return EXIT_OK
 
@@ -368,8 +376,7 @@ def cmd_sweep(args) -> int:
             ]
         )
     output = buf.getvalue().rstrip("\n")
-    if args.out:
-        Path(args.out).write_text(output + "\n")
+    _write_out(args.out, output)
     print(output)
     return EXIT_OK
 
@@ -510,6 +517,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OutputError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_CONFIG
     except EnumerationCapExceeded as exc:
         print(f"enumeration cap: {exc}", file=sys.stderr)

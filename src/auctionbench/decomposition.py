@@ -3,8 +3,9 @@
 Everything is computed exactly over the joint law of the ghost max vector M.
 Bidders are exchangeable and the other bidders' profile enters only through
 M, so per-bidder sums collapse to a factor n'.  Per item and conditional on
-M, the capped utility depends only on that item's value, so the law of the
-capped utility sum is a convolution of per-item laws.
+M, the capped utility depends only on that item's value, so the capped
+utility sum is read off the product grid of the items' values, on the box
+above M where some utility can be positive.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from .dist import (
     MASS_TOL,
     MaxVector,
     ScalarDistribution,
-    Segments,
     Valuation,
     iid_max_expectation,
     max_vector_distribution,
-    segmented_from_atoms,
+    product_grid,
 )
 from .errors import InstanceTooLarge, NotRegular, TooFewBidders
 from .iu import Instance, region_kernel
@@ -58,130 +58,81 @@ class UtilityStats(NamedTuple):
     pair_mass: np.ndarray  # E[U(s) 1(U(s) <= U(w))] for s, w i.i.d.
 
 
-# Pairs worked per kernel call.  Max vectors are folded in blocks under this
-# budget, so the kernel's peak memory does not grow with the joint support.
-PAIR_BUDGET = 1 << 16
+# Box cells worked per block.  Max vectors are laid out in blocks under this
+# budget, so peak memory does not grow with the joint support.
+PAIR_BUDGET = 1 << 14
 
 
-def _item_utility_laws(item: ScalarDistribution, m_col: np.ndarray, caps: np.ndarray) -> Segments:
-    """Per law s, the law of u if u <= caps[s] else 0, u = max(v - m_col[s], 0).
-
-    The segmented twin of ``item.map_through``: atoms in item order.
-    """
-    u = np.maximum(item.values_arr[None, :] - m_col[:, None], 0.0)
-    mapped = np.where(u <= caps[:, None], u, 0.0)
-    seg = np.arange(len(caps)).repeat(len(item.values))
-    weights = np.broadcast_to(item.probs_arr, u.shape).ravel()
-    return segmented_from_atoms(seg, mapped.ravel(), weights, len(caps), MASS_TOL * 10)
-
-
-def _convolve_segments(a: Segments, b: Segments) -> Segments:
-    """Per law s, the law of X + Y for X ~ a[s], Y ~ b[s]: ``convolve``'s pairs, a-major."""
-    len_a, len_b = a.starts[1:] - a.starts[:-1], b.starts[1:] - b.starts[:-1]
-    n_pairs = len_a * len_b
-    seg = np.arange(len(n_pairs)).repeat(n_pairs)
-    k = np.arange(len(seg)) - (n_pairs.cumsum() - n_pairs).repeat(n_pairs)
-    ia = a.starts[seg] + k // len_b[seg]
-    ib = b.starts[seg] + k % len_b[seg]
-    return segmented_from_atoms(
-        seg, a.values[ia] + b.values[ib], a.probs[ia] * b.probs[ib], len(n_pairs), MASS_TOL * 10
-    )
-
-
-def _blocks(widths: list[int], laws: list[int], budget: int):
-    """Cut 0..len(widths) into runs [lo, hi) with sum(laws) * max(widths) <= budget.
+def _blocks(widths: list[int], budget: int):
+    """Cut 0..len(widths), widths non-decreasing, into runs [lo, hi) with (hi - lo) * widths[hi - 1] <= budget.
 
     A single entry over the budget gets a run of its own.
     """
-    lo, widest, count = 0, 0, 0
-    for i, (width, n_laws) in enumerate(zip(widths, laws)):
-        widest, count = max(widest, width), count + n_laws
-        if i > lo and count * widest > budget:
+    lo = 0
+    for i, width in enumerate(widths):
+        if i > lo and (i + 1 - lo) * width > budget:
             yield lo, i
-            lo, widest, count = i, width, n_laws
+            lo = i
     yield lo, len(widths)
-
-
-def utility_laws(setting: AuctionSetting, m_vecs: np.ndarray, r_totals: np.ndarray):
-    """Yield (lo, hat, laws) per block of at most PAIR_BUDGET pairs, so memory is bounded per block.
-
-    Law i of `laws` is the law of U given M = m_vecs[lo + i] and law hat[i]
-    that of U_hat, capped at r_totals[lo + i]; hat[i] = i where the cap binds
-    at no atom, since U_hat is U there.  The fold maps item 0, then convolves
-    in items 1, 2, ... one at a time, and reproduces the per-M ``map_through``
-    / ``convolve`` fold bit for bit: pairs in ``convolve``'s order (a-major),
-    masses of equal values added in input order, each law's normalising total
-    summed left to right in order of first occurrence, every stage renormalised.
-    """
-    m_cols = m_vecs.T
-    # Per M, a bound on the atoms and pairs of every fold stage: item j's
-    # utility law has at most 1 + #{v_j > M_j} atoms.
-    sizes = [
-        1 + len(item.values) - np.searchsorted(item.values_arr, m_col, side="right")
-        for item, m_col in zip(setting.items, m_cols)
-    ]
-    widths = np.maximum(functools.reduce(operator.mul, sizes), max(len(item.values) for item in setting.items))
-    # The cap binds at M when some item's top utility exceeds r_ron_total.
-    binds = functools.reduce(
-        operator.or_,
-        [np.maximum(item.values_arr[-1] - m_col, 0.0) > r_totals for item, m_col in zip(setting.items, m_cols)],
-    )
-    for lo, hi in _blocks(widths.tolist(), (1 + binds).tolist(), PAIR_BUDGET):
-        # laws of the block: the raw utility of every M, then the capped
-        # utility of every M where the cap binds
-        bound = lo + np.flatnonzero(binds[lo:hi])
-        rows = np.concatenate((np.arange(lo, hi), bound))
-        caps = np.concatenate((np.full(hi - lo, np.inf), r_totals[bound]))
-        item_laws = (_item_utility_laws(item, m_col[rows], caps) for item, m_col in zip(setting.items, m_cols))
-        laws = functools.reduce(_convolve_segments, item_laws)
-        hat = np.arange(hi - lo)
-        hat[bound - lo] = np.arange(hi - lo, len(rows))
-        yield lo, hat, laws
 
 
 def build_utility_stats(inst: Instance) -> UtilityStats:
     """Exact per-M statistics over the joint max-vector support, as columns.
 
-    prob(M) is the left-to-right product of its per-item probabilities and
-    r_ron_total the left-to-right sum of its per-item posted revenues.  Each
-    block of ``utility_laws`` is reduced to its columns and dropped, so no
-    per-M law is kept.  Means and masses are ``np.bincount`` sums per law, in
-    another order than ``ScalarDistribution.expectation``'s ``np.dot``, so
-    they may differ from the per-law methods in the last bits.
+    Given M, item j's utility max(v_j - M_j, 0) is 0 at every atom at or
+    below M_j, so the laws of U and U_hat live on the box of the product grid
+    that starts, per item, at the last atom lo_j at or below M_j (the first
+    atom if there is none), lo_j carrying the mass cdf_arr[lo_j].  Each M is
+    one dense row of its box's cells in ``itertools.product`` order, padded
+    with massless cells, and rows sorted by box width are worked in blocks of
+    at most PAIR_BUDGET cells.  U and U_hat are summed in item order, as the
+    per-M ``convolve`` fold adds them; the columns are mass-weighted row sums,
+    so they may differ from the per-law methods in the last bits.
     """
-    setting = inst.setting
-    inst.ghost_max.check_joint_cap(setting.caps)
-    laws = inst.ghost_max.per_item
-    index = [ix.ravel() for ix in np.indices([len(law.values) for law in laws])]
-    m_vecs = np.stack([law.values_arr[ix] for law, ix in zip(laws, index)], axis=1)
-    probs = functools.reduce(operator.mul, [law.probs_arr[ix] for law, ix in zip(laws, index)])
-    r_star = [item.posted_revenue(law.values_arr)[ix] for item, law, ix in zip(setting.items, laws, index)]
-    r_totals = functools.reduce(operator.add, r_star)
+    items = inst.setting.items
+    inst.ghost_max.check_joint_cap(inst.setting.caps)
+    m_vecs, probs = product_grid(inst.ghost_max.per_item)
+    m_cols = m_vecs.T
+    r_totals = functools.reduce(operator.add, [item.posted_revenue(m) for item, m in zip(items, m_cols)])
+    lo = np.stack([np.maximum(item.values_arr.searchsorted(m, "right") - 1, 0) for item, m in zip(items, m_cols)])
+    sides = np.array([[len(item.values)] for item in items]) - lo
+    # strides[j] = sides[j + 1] * ... * sides[m - 1]; digit j of cell c is c // strides[j] % sides[j]
+    strides = np.cumprod(np.vstack((np.ones_like(sides[:1]), sides[:0:-1])), axis=0)[::-1]
+    widths = strides[0] * sides[0]
+    # rows in order of box width, so each block is a slice
+    order = widths.argsort(kind="stable")
+    widths, r_sorted = widths[order], r_totals[order]
+    m_sorted, lo, sides, strides = (per_item[:, order] for per_item in (m_cols, lo, sides, strides))
 
-    e_u_hat, var_u_hat, fee_pd, fee_accept, nice_prob, pair_mass = (np.empty(len(probs)) for _ in range(6))
-    for lo, hat, block_laws in utility_laws(setting, m_vecs, r_totals):
-        block = slice(lo, lo + len(hat))
-        values, weights, counts = block_laws.values, block_laws.probs, np.diff(block_laws.starts)
-        seg, rows = np.arange(len(counts)).repeat(counts), np.arange(len(counts))
-        pos = np.arange(len(seg)) - block_laws.starts[seg]
-        # below[s, k] = Pr(U < k-th atom of law s), a row-wise cumsum that sums
-        # left to right as cdf_arr does, and 1 exactly past the last atom
-        below = np.zeros((len(counts), counts.max() + 1))
-        below[seg, pos + 1] = weights
-        below = below.cumsum(axis=1)
-        below[rows, counts] = 1.0
-
-        def tail(x: np.ndarray) -> np.ndarray:  # Pr(U >= x[s]) per law s
-            return 1.0 - below[rows, np.bincount(seg, values < x[seg]).astype(np.intp)]
-
-        mean = np.bincount(seg, values * weights)
-        fee = np.zeros(len(counts))
-        fee[hat] = np.maximum(mean[hat] - 2.0 * r_totals[block], 0.0)
-        e_u_hat[block], fee_pd[block] = mean[hat], fee[hat]
-        var_u_hat[block] = np.bincount(seg, (values - mean[seg]) ** 2 * weights)[hat]
-        fee_accept[block], nice_prob[block] = tail(fee)[hat], tail(mean / 2.0)[hat]
-        # E[U(s) 1(U(s) <= U(w))] = sum_a p_a a Pr(U >= a), over the raw laws
-        pair_mass[block] = np.bincount(seg, weights * values * (1.0 - below[seg, pos]))[: len(hat)]
+    columns = np.empty((6, len(probs)))
+    for a, b in _blocks(widths.tolist(), PAIR_BUDGET):
+        cells = np.arange(widths[b - 1])
+        r = r_sorted[a:b, None]
+        u = u_hat = 0.0
+        mass = (cells < widths[a:b, None]).astype(np.float64)
+        for item, m_col, lo_j, side, stride in zip(items, m_sorted, lo, sides, strides):
+            digit = cells // stride[a:b, None] % side[a:b, None]
+            atom = lo_j[a:b, None] + digit
+            u_j = np.maximum(item.values_arr[atom] - m_col[a:b, None], 0.0)
+            u, u_hat = u + u_j, u_hat + np.where(u_j <= r, u_j, 0.0)
+            mass = mass * np.where(digit == 0, item.cdf_arr[atom], item.probs_arr[atom])
+        mean = (mass * u_hat).sum(axis=1)
+        fee = np.maximum(mean - 2.0 * r[:, 0], 0.0)
+        var = (mass * (u_hat - mean[:, None]) ** 2).sum(axis=1)
+        # Pr(U_hat >= x) = 1 - the mass strictly below x
+        accept = 1.0 - np.where(u_hat < fee[:, None], mass, 0.0).sum(axis=1)
+        nice = 1.0 - np.where(u_hat < mean[:, None] / 2.0, mass, 0.0).sum(axis=1)
+        # E[U(s) 1(U(s) <= U(w))] = sum_a Pr(U = a) a Pr(U >= a): sort each row by U and
+        # read Pr(U < a) at the first cell of a's run of equal values
+        rows = np.arange(b - a)[:, None]
+        by_u = u.argsort(axis=1)
+        u, mass = u[rows, by_u], mass[rows, by_u]
+        below = np.zeros_like(mass)
+        mass[:, :-1].cumsum(axis=1, out=below[:, 1:])
+        run_head = np.maximum.accumulate(np.where(u != np.roll(u, 1, axis=1), cells, 0), axis=1)
+        pair = (mass * u * (1.0 - below[rows, run_head])).sum(axis=1)
+        columns[:, a:b] = mean, var, fee, accept, nice, pair
+    e_u_hat, var_u_hat, fee_pd, fee_accept, nice_prob, pair_mass = columns[:, order.argsort()]
     return UtilityStats(m_vecs, probs, r_totals, e_u_hat, var_u_hat, fee_pd, fee_accept, nice_prob, pair_mass)
 
 

@@ -119,8 +119,8 @@ class ScalarDistribution:
                 merged[float(v)] = merged.get(float(v), 0.0) + float(p)
         if not merged:
             raise EmptySupport("no atoms with positive probability")
-        # left to right in order of first occurrence; segmented_from_atoms
-        # reproduces this order, which sum() does not promise (3.12+ compensates)
+        # left to right in order of first occurrence, which sum() does not
+        # promise (3.12+ compensates)
         total = functools.reduce(operator.add, merged.values())
         if abs(total - 1.0) > renorm_tol:
             raise ProbabilityMassError(f"probability mass {total} too far from 1")
@@ -179,73 +179,14 @@ class ScalarDistribution:
         return ScalarDistribution.from_atoms(pairs, renorm_tol=MASS_TOL * 10)
 
 
-class Segments(NamedTuple):
-    """Many finite laws in flat arrays: law s is values/probs[starts[s]:starts[s + 1]]."""
+def product_grid(laws: Sequence[ScalarDistribution]) -> tuple[np.ndarray, np.ndarray]:
+    """The product of independent laws in ``itertools.product`` order: (K, m) values and K probabilities.
 
-    starts: np.ndarray
-    values: np.ndarray
-    probs: np.ndarray
-
-    def laws(self) -> list[ScalarDistribution]:
-        values, probs, starts = self.values.tolist(), self.probs.tolist(), self.starts.tolist()
-        return [ScalarDistribution(tuple(values[lo:hi]), tuple(probs[lo:hi])) for lo, hi in zip(starts, starts[1:])]
-
-
-def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
-    """True where a run of equal keys starts."""
-    new_run = np.empty(len(sorted_keys), dtype=bool)
-    new_run[:1] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_run[1:])
-    return new_run
-
-
-def segmented_from_atoms(
-    seg: np.ndarray, values: np.ndarray, weights: np.ndarray, n_seg: int, renorm_tol: float = RENORM_TOL
-) -> Segments:
-    """:meth:`ScalarDistribution.from_atoms` for many laws at once, bit for bit.
-
-    Atom i belongs to law ``seg[i]``; ``seg`` must be non-decreasing, and the
-    atoms of one law are in the order from_atoms would receive them.  As in
-    from_atoms, zero masses are dropped, masses of equal values are added in
-    input order (``np.bincount`` adds each bucket in index order), each law's
-    total is summed left to right in order of first occurrence (a row-wise
-    ``cumsum`` over a zero-padded matrix; ``np.sum`` would sum pairwise)
-    and every mass is divided by its law's total.
+    Each probability is the product of its per-law masses taken left to right, as ``math.prod`` takes it.
     """
-    if not (weights > 0).all():
-        if not (weights >= 0).all():
-            raise NonPositiveProbability("negative or NaN probability")
-        keep = weights > 0
-        seg, values, weights = seg[keep], values[keep], weights[keep]
-    # one integer key per atom, (law, dense rank of its value): two plain
-    # sorts beat np.lexsort
-    by_value = values.argsort()
-    rank = np.empty(len(values), dtype=np.int64)
-    rank[by_value] = _run_starts(values[by_value]).cumsum() - 1
-    key = seg * len(values) + rank
-    order = key.argsort()
-    new_run = _run_starts(key[order])
-    group = np.empty(len(order), dtype=np.intp)
-    group[order] = new_run.cumsum() - 1
-    mass = np.bincount(group, weights=weights)
-    heads = np.flatnonzero(new_run)
-    group_vals, group_seg = values[order[heads]], seg[order[heads]]
-    counts = np.bincount(group_seg, minlength=n_seg)
-    if not counts.all():
-        raise EmptySupport("no atoms with positive probability")
-    starts = np.concatenate(([0], counts.cumsum()))
-    # groups by (law, first occurrence): atoms are laid out law-major, so
-    # first occurrences in atom order are already in that order
-    is_first = np.zeros(len(order), dtype=bool)
-    is_first[np.minimum.reduceat(order, heads)] = True
-    by_first = group[is_first]
-    row = group_seg[by_first]
-    padded = np.zeros((n_seg, counts.max()))
-    padded[row, np.arange(len(row)) - starts[row]] = mass[by_first]
-    total = padded.cumsum(axis=1)[:, -1]
-    if (np.abs(total - 1.0) > renorm_tol).any():
-        raise ProbabilityMassError(f"probability mass too far from 1 (worst {total.min()}..{total.max()})")
-    return Segments(starts, group_vals, mass / total[group_seg])
+    index = [ix.ravel() for ix in np.indices([len(law.values) for law in laws])]
+    values = np.stack([law.values_arr[ix] for law, ix in zip(laws, index)], axis=1)
+    return values, functools.reduce(operator.mul, [law.probs_arr[ix] for law, ix in zip(laws, index)])
 
 
 class ItemDistribution(ScalarDistribution):
@@ -318,14 +259,8 @@ class AuctionSetting:
 
     def valuations(self) -> tuple[tuple[Valuation, ...], np.ndarray]:
         """Enumerate the product support with joint probabilities."""
-        combos = tuple(itertools.product(*(d.values for d in self.items)))
-        probs = np.array(
-            [math.prod(d.probs[d.values.index(v)] for d, v in zip(self.items, combo)) for combo in combos]
-        )
-        return combos, probs
-
-    def valuation_prob(self, v: Valuation) -> float:
-        return math.prod(d.probs[d.values.index(x)] for d, x in zip(self.items, v))
+        values, probs = product_grid(self.items)
+        return tuple(map(tuple, values.tolist())), probs
 
 
 @dataclass(frozen=True)

@@ -62,11 +62,11 @@ def build_lambda_prime(setting: AuctionSetting, m_vec: MaxVector) -> DualFlow:
     """
     _check_cap(setting)
     lam: dict[FlowKey, float] = {}
-    valuations, _ = setting.valuations()
-    for v in valuations:
+    valuations, vprobs = setting.valuations()
+    for v, fv in zip(valuations, vprobs.tolist()):
         region = region_of(v, m_vec)
         if region is None:
-            lam[(v, SINK)] = setting.valuation_prob(v)
+            lam[(v, SINK)] = fv
             continue
         j = region
         item = setting.items[j]
@@ -140,26 +140,25 @@ def combine_flows(prime: DualFlow, star: DualFlow) -> DualFlow:
 
 def flow_residuals(setting: AuctionSetting, flow: DualFlow) -> dict[Valuation, float]:
     """Conservation residual f(v) - out(v) + in(v) at every valuation."""
-    valuations, _ = setting.valuations()
+    valuations, vprobs = setting.valuations()
     out: dict[Valuation, float] = {v: 0.0 for v in valuations}
     inc: dict[Valuation, float] = {v: 0.0 for v in valuations}
     for (a, b), w in flow.lam.items():
         out[a] += w
         if b is not SINK:
             inc[b] += w
-    return {v: setting.valuation_prob(v) - out[v] + inc[v] for v in valuations}
+    return {v: fv - out[v] + inc[v] for v, fv in zip(valuations, vprobs.tolist())}
 
 
 def phi_from_flow(setting: AuctionSetting, flow: DualFlow) -> dict[Valuation, tuple[float, ...]]:
     """Flow virtual value per item: v_j minus the normalized incoming drift."""
-    valuations, _ = setting.valuations()
+    valuations, vprobs = setting.valuations()
     incoming: dict[Valuation, list[tuple[Valuation, float]]] = {v: [] for v in valuations}
     for (a, b), w in flow.lam.items():
         if b is not SINK:
             incoming[b].append((a, w))
     out = {}
-    for v in valuations:
-        fv = setting.valuation_prob(v)
+    for v, fv in zip(valuations, vprobs.tolist()):
         out[v] = tuple(
             v[j] - sum(w * (a[j] - v[j]) for a, w in incoming[v]) / fv for j in range(setting.m)
         )

@@ -66,3 +66,7 @@ class MaxIterations(AuctionBenchError):
 
 class ConfigParseError(AuctionBenchError):
     """An instance config file could not be parsed or validated."""
+
+
+class OutputError(AuctionBenchError):
+    """A result could not be written to the file asked for."""

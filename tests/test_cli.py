@@ -178,6 +178,22 @@ def test_fuzzed_config_gives_a_documented_exit_code(tmp_path, capsys, payload):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--config", str(CONFIGS / "two_point.json")],
+        ["sweep", "--config", str(CONFIGS / "two_point.json"), "--n-prime-min", "1", "--n-prime-max", "2"],
+        ["iron", "--config", str(CONFIGS / "two_point.json")],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_exits_2_in_one_line(tmp_path, capsys, argv):
+    code = main(argv + ["--out", str(tmp_path / "missing" / "out.txt")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("cannot write --out: ") and err.count("\n") == 1
+
+
 class TestGoldenReports:
     """The JSON report and exit code of every sample config, and of verify, sweep and iron runs, byte for byte."""
 
@@ -200,6 +216,11 @@ class TestGoldenReports:
             (
                 "iron_irregular_three_point.csv",
                 ["iron", "--config", str(CONFIGS / "irregular_three_point.json"), "--format", "csv"],
+            ),
+            # an integer grid, where the most utility sums tie; bvcg_floor reaches 1.5e-15
+            (
+                "sweep_fee_positive.csv",
+                ["sweep", "--config", str(CONFIGS / "fee_positive.json"), "--n-prime-min", "1", "--n-prime-max", "4"],
             ),
         ],
     )

@@ -1,6 +1,8 @@
 """Capped-utility statistics, the five-term split, entry-fee floors, and the chains."""
 
 import functools
+import itertools
+import math
 import operator
 import tracemalloc
 from pathlib import Path
@@ -64,25 +66,19 @@ def reference_utility_stats(setting, n_prime):
     return out
 
 
-def utility_law_pairs(stats, setting):
-    """(law_u, law_u_hat) per max vector, from the blocks of decomposition.utility_laws."""
-    out = []
-    for lo, hat, laws in decomposition.utility_laws(setting, stats.m_vecs, stats.r_ron_total):
-        assert lo == len(out)
-        block = laws.laws()
-        out.extend((block[i], block[h]) for i, h in enumerate(hat.tolist()))
-    return out
+def utility_law_pairs(setting, n_prime):
+    """(law_u, law_u_hat) per max vector in itertools.product order, from the per-M reference fold."""
+    return [(law_u, law_u_hat) for *_, law_u, law_u_hat in reference_utility_stats(setting, n_prime)]
 
 
 def assert_stats_bit_identical(setting, n_prime):
-    """The laws equal the per-M fold bit for bit; each statistic column matches the
-    ScalarDistribution method on the reference law up to the order of its sum."""
+    """M, Pr(M) and r_ron_total equal the per-M fold's bit for bit; each statistic column
+    matches the ScalarDistribution method on the reference law up to the order of its sum."""
     stats = build_utility_stats(Instance(setting, n_prime))
     want = reference_utility_stats(setting, n_prime)
     assert [tuple(m_vec) for m_vec in stats.m_vecs.tolist()] == [m_vec for m_vec, *_ in want]
     assert stats.prob.tolist() == [prob for _, prob, *_ in want]
     assert stats.r_ron_total.tolist() == [r_total for _, _, r_total, *_ in want]
-    assert utility_law_pairs(stats, setting) == [(law_u, law_u_hat) for *_, law_u, law_u_hat in want]
     close = functools.partial(pytest.approx, rel=1e-13, abs=1e-15)
     for i, (_, _, r_total, law_u, law_u_hat) in enumerate(want):
         e_hat = law_u_hat.expectation()
@@ -164,16 +160,31 @@ def small_settings(draw):
 
 
 def joint_u_hat_law(setting, m_vec, r_total):
-    """Oracle for the capped-utility-sum law: enumerate the product support."""
-    vals, vprobs = setting.valuations()
+    """Oracle for the capped-utility-sum law: enumerate the product support; r_total = inf gives U."""
     atoms = {}
-    for v, p in zip(vals, vprobs):
+    for combo in itertools.product(*(zip(d.values, d.probs) for d in setting.items)):
         total = 0.0
-        for x, mj in zip(v, m_vec):
+        for (x, _), mj in zip(combo, m_vec):
             u = max(x - mj, 0.0)
             total += u if u <= r_total else 0.0
+        p = math.prod(q for _, q in combo)
         atoms[total] = atoms.get(total, 0.0) + p
     return atoms
+
+
+def joint_columns(setting, m_vec, r_total):
+    """Every UtilityStats statistic at M from the product-support oracle laws of U_hat and U."""
+    hat, raw = joint_u_hat_law(setting, m_vec, r_total), joint_u_hat_law(setting, m_vec, math.inf)
+    mean = sum(a * p for a, p in hat.items())
+    fee = max(mean - 2.0 * r_total, 0.0)
+    return {
+        "e_u_hat": mean,
+        "var_u_hat": sum(p * (a - mean) ** 2 for a, p in hat.items()),
+        "fee_pd": fee,
+        "fee_accept": sum(p for a, p in hat.items() if a >= fee),
+        "nice_prob": sum(p for a, p in hat.items() if a >= mean / 2.0),
+        "pair_mass": sum(p * a * sum(q for b, q in raw.items() if b >= a) for a, p in raw.items()),
+    }
 
 
 class TestUtilityStats:
@@ -182,7 +193,7 @@ class TestUtilityStats:
         # M = (1,) then (2,)
         assert stats.m_vecs.tolist() == [[1.0], [2.0]]
         assert stats.prob.tolist() == pytest.approx([0.5, 0.5])
-        (_, low_hat), _ = utility_law_pairs(stats, setting_d2)
+        (_, low_hat), _ = utility_law_pairs(setting_d2, 2)
         assert dict(zip(low_hat.values, low_hat.probs)) == pytest.approx({0.0: 0.5, 1.0: 0.5})
         assert stats.r_ron_total.tolist() == pytest.approx([1.0, 0.0])
         assert stats.e_u_hat.tolist() == pytest.approx([0.5, 0.0])
@@ -204,13 +215,9 @@ class TestUtilityStats:
         for _ in range(20):
             setting = random_setting(rng, max_items=3, max_support=3, max_ghosts=4)
             stats = build_utility_stats(Instance(setting, setting.n_prime))
-            laws = utility_law_pairs(stats, setting)
-            for m_vec, r_total, (_, law_u_hat) in zip(stats.m_vecs.tolist(), stats.r_ron_total.tolist(), laws):
-                oracle = joint_u_hat_law(setting, m_vec, r_total)
-                got = dict(zip(law_u_hat.values, law_u_hat.probs))
-                assert sorted(got) == pytest.approx(sorted(oracle), abs=1e-12)
-                for (gv, gp), (ov, op) in zip(sorted(got.items()), sorted(oracle.items())):
-                    assert gp == pytest.approx(op, abs=1e-12)
+            for i, (m_vec, r_total) in enumerate(zip(stats.m_vecs.tolist(), stats.r_ron_total.tolist())):
+                for name, want in joint_columns(setting, m_vec, r_total).items():
+                    assert getattr(stats, name)[i] == pytest.approx(want, abs=1e-12), name
 
     def test_capped_below_cap_and_raw(self):
         rng = make_rng(41)
@@ -256,7 +263,8 @@ class TestUtilityStats:
         for _ in range(50):
             setting = random_setting(rng, max_ghosts=6)
             stats = build_utility_stats(Instance(setting, setting.n_prime))
-            for fee, accept, (_, law_u_hat) in zip(stats.fee_pd, stats.fee_accept, utility_law_pairs(stats, setting)):
+            laws = utility_law_pairs(setting, setting.n_prime)
+            for fee, accept, (_, law_u_hat) in zip(stats.fee_pd, stats.fee_accept, laws):
                 if fee > 0:
                     assert law_u_hat.prob_below(fee) <= 0.5 + 1e-12
                     assert accept >= 0.5 - 1e-12
@@ -271,22 +279,24 @@ class TestUtilityStats:
 
 
     def test_stats_keep_only_columns(self):
-        # fee_positive.json has 3,125 max vectors; a law per M held 8.5 MiB
+        # fee_positive.json has 3,125 max vectors; a law per M held 8.5 MiB, and
+        # the blocks of at most PAIR_BUDGET box cells bound the working memory
         setting = load_config(CONFIGS[0].parent / "fee_positive.json").setting
         inst = Instance(setting, setting.n_prime)
         tracemalloc.start()
         try:
             stats = inst.stats
-            retained, _ = tracemalloc.get_traced_memory()
+            retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(stats.prob) == 3125
         assert all(isinstance(column, np.ndarray) for column in stats)
         assert retained <= 1 << 20
+        assert peak <= 4 << 20
 
 
 class TestBatchedUtilityLaws:
-    """build_utility_stats equals the per-M map_through / convolve fold exactly."""
+    """build_utility_stats matches the per-M map_through / convolve fold, column by column."""
 
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
     def test_configs(self, config):
@@ -299,10 +309,16 @@ class TestBatchedUtilityLaws:
         assert_stats_bit_identical(setting, setting.n_prime)
 
     def test_blocks_do_not_change_the_laws(self, monkeypatch):
-        # a tiny pair budget splits the max vectors into many blocks
+        # a tiny cell budget splits the max vectors into many blocks, and rows
+        # wider than the budget get blocks of their own
         item = make_item_distribution([0, 1, 2.5, 4], [0.1, 0.4, 0.2, 0.3])
         setting = AuctionSetting(items=(item, item, item), n=1, n_prime=3)
+        whole = build_utility_stats(Instance(setting, 3))
         monkeypatch.setattr(decomposition, "PAIR_BUDGET", 8)
+        split = build_utility_stats(Instance(setting, 3))
+        close = functools.partial(pytest.approx, rel=1e-13, abs=1e-15)
+        for name, column in zip(split._fields, split):
+            assert column == close(getattr(whole, name)), name
         assert_stats_bit_identical(setting, 3)
 
     def test_positive_fee_where_the_cap_binds(self):
@@ -313,7 +329,7 @@ class TestBatchedUtilityLaws:
         rare = make_item_distribution([0, 1, 2, 3, 4, 50], [0.1, 0.45, 0.15, 0.075, 0.224, 0.001])
         setting = AuctionSetting(items=(item,) * 4 + (rare,), n=1, n_prime=1)
         stats = build_utility_stats(Instance(setting, 1))
-        ((law_u, law_u_hat),) = utility_law_pairs(stats, setting)
+        ((law_u, law_u_hat),) = utility_law_pairs(setting, 1)
         assert stats.fee_pd[0] > 0
         assert law_u.tail(stats.fee_pd[0]) > law_u_hat.tail(stats.fee_pd[0])
         assert law_u.expectation() > law_u_hat.expectation()

@@ -20,7 +20,6 @@ from auctionbench import (
     variance,
     variance_ub_check,
 )
-from auctionbench.dist import segmented_from_atoms
 from auctionbench.errors import (
     EmptySupport,
     EnumerationCapExceeded,
@@ -29,7 +28,7 @@ from auctionbench.errors import (
     ProbabilityMassError,
     TooFewBidders,
 )
-from auctionbench.generators import random_law
+from auctionbench.generators import random_law, random_setting
 
 
 def brute_force_order_stat(law, n, which):
@@ -85,8 +84,6 @@ class TestConstruction:
         # a NaN mass is neither negative nor positive; it must not vanish as a zero mass would
         with pytest.raises(NonPositiveProbability):
             ScalarDistribution.from_atoms([(1.0, math.nan), (2.0, 1.0)])
-        with pytest.raises(NonPositiveProbability):
-            segmented_from_atoms(np.array([0, 0]), np.array([1.0, 2.0]), np.array([math.nan, 1.0]), 1)
 
     @pytest.mark.parametrize("values", [[1, math.inf], [math.nan]])
     def test_non_finite_item_value_refused(self, values):
@@ -108,35 +105,16 @@ class TestConstruction:
         with pytest.raises(EnumerationCapExceeded):
             AuctionSetting(items=(big,) * 3, n=1, n_prime=2)
 
-
-# laws as atom lists: values repeat so atoms merge, some masses are zero, and
-# a law can have more than 8 atoms (numpy sums pairwise from 8 on)
-_ATOMS = st.lists(
-    st.tuples(st.sampled_from([k / 10 for k in range(16)]), st.sampled_from([0.0, 0.1, 1.0, 2.0, 3.0, 7.0])),
-    min_size=1,
-    max_size=30,
-).filter(lambda atoms: any(p > 0 for _, p in atoms))
-
-
-class TestSegmentedFromAtoms:
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(_ATOMS, min_size=1, max_size=5))
-    def test_matches_from_atoms_bit_for_bit(self, laws):
-        laws = [[(v, p / sum(q for _, q in atoms)) for v, p in atoms] for atoms in laws]
-        seg = np.repeat(np.arange(len(laws)), [len(atoms) for atoms in laws])
-        values = np.array([v for atoms in laws for v, _ in atoms])
-        weights = np.array([p for atoms in laws for _, p in atoms])
-        got = segmented_from_atoms(seg, values, weights, len(laws)).laws()
-        assert got == [ScalarDistribution.from_atoms(atoms) for atoms in laws]
-
-    def test_rejects_what_from_atoms_rejects(self):
-        seg = np.array([0, 0])
-        with pytest.raises(NonPositiveProbability):
-            segmented_from_atoms(seg, np.array([1.0, 2.0]), np.array([1.5, -0.5]), 1)
-        with pytest.raises(EmptySupport):
-            segmented_from_atoms(seg, np.array([1.0, 2.0]), np.array([0.0, 0.0]), 1)
-        with pytest.raises(ProbabilityMassError):
-            segmented_from_atoms(seg, np.array([1.0, 2.0]), np.array([0.5, 0.4]), 1)
+    def test_valuations_are_the_product_enumeration(self):
+        # the joint probabilities are math.prod's left-to-right products, bit for bit
+        rng = make_rng(5)
+        for _ in range(300):
+            setting = random_setting(rng, 4, 5, max_ghosts=8)
+            vals, probs = setting.valuations()
+            assert vals == tuple(itertools.product(*(d.values for d in setting.items)))
+            assert probs.tolist() == [
+                math.prod(d.probs[d.values.index(x)] for d, x in zip(setting.items, v)) for v in vals
+            ]
 
 
 class TestMaxVector:
