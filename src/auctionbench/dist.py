@@ -25,6 +25,7 @@ from .errors import (
     NonPositiveProbability,
     ProbabilityMassError,
     TooFewBidders,
+    size_text,
 )
 
 if TYPE_CHECKING:
@@ -245,7 +246,7 @@ class AuctionSetting:
             raise ValueError("epsilon must lie in (0, 1]")
         if self.product_support_size > self.caps.product_support:
             raise EnumerationCapExceeded(
-                f"product support size {self.product_support_size} exceeds cap "
+                f"product support size {size_text(self.product_support_size)} exceeds cap "
                 f"{self.caps.product_support}; raise the cap or use Monte-Carlo mode"
             )
 
@@ -281,7 +282,7 @@ class MaxVectorDistribution:
     def check_joint_cap(self, caps: Caps) -> None:
         if self.joint_size() > caps.product_support:
             raise EnumerationCapExceeded(
-                f"joint max-vector support {self.joint_size()} exceeds cap {caps.product_support}"
+                f"joint max-vector support {size_text(self.joint_size())} exceeds cap {caps.product_support}"
             )
 
     def joint(self, caps: Caps = DEFAULT_CAPS) -> Iterator[tuple[MaxVector, float]]:

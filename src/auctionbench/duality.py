@@ -1,178 +1,129 @@
-"""Dual-flow certificates for the region-based revenue upper bound.
+"""Dual-flow certificates for the region-based revenue upper bound (Cai, Devanur and Weinberg, 2016).
 
-For a fixed ghost max vector M, a non-negative mass transport on valuations
-(with a sink state for exits) certifies that any truthful auction's revenue
-is at most the expected region-mixed virtual welfare.  The flow has two
-parts: downward chains inside each item region plus exits to the sink, and a
-symmetric adjacent-pair correction derived from the floor-restricted ironing
-of each region slice.
+For a fixed ghost max vector M, a non-negative flow on valuations, with a sink for exits, bounds any
+truthful auction's revenue by the expected region-mixed virtual welfare.  Arrays run over the product
+support in ``product_grid`` order, where index i's neighbours along item j are i -/+ stride_j.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .dist import AuctionSetting, MaxVector, Valuation, holds_leq
-from .errors import EnumerationCapExceeded
-from .iu import region_of
+import numpy as np
+
+from .dist import AuctionSetting, MaxVector, holds_leq, product_grid
+from .errors import EnumerationCapExceeded, size_text
 from .lp import Mechanism, optimal_revenue
 from .myerson import iron_restricted
 
-SINK = None  # dummy valuation with zero allocation and payment
 
-FlowKey = tuple[Valuation, Valuation | None]
+class DualFlow(NamedTuple):
+    """Non-negative flow on the product support for one fixed max vector."""
 
-
-@dataclass
-class DualFlow:
-    """Non-negative flow on valuations for one fixed max vector."""
-
-    setting: AuctionSetting
-    m_vec: MaxVector
-    lam: dict[FlowKey, float]
-
-    def min_entry(self) -> float:
-        return min(self.lam.values(), default=0.0)
+    chain: np.ndarray  # (nv, m): lambda' from v to its predecessor along j
+    exit: np.ndarray  # (nv,): lambda' from v to the sink
+    pair: np.ndarray  # (nv, m): lambda* between v and its successor along j, the same each way
 
 
-def _check_cap(setting: AuctionSetting) -> None:
+class _Grid(NamedTuple):
+    vals: np.ndarray  # (nv, m) valuations
+    vprobs: np.ndarray  # (nv,) their probabilities
+    idx: np.ndarray  # (nv, m) atom index of v_j in item j
+    sizes: list[int]  # atoms of each item
+    stride: np.ndarray  # (m,) index step between neighbours along item j
+    gap: np.ndarray  # (nv, m) from v_j up to the next atom; 1 at the top, which nothing crosses
+
+
+def _grid(setting: AuctionSetting) -> _Grid:
+    sizes = [len(item.values) for item in setting.items]
+    vals, vprobs = product_grid(setting.items)
+    idx = np.indices(sizes).reshape(len(sizes), -1).T
+    stride = np.array([math.prod(sizes[j + 1 :]) for j in range(len(sizes))])
+    gap = _gather(idx, [np.append(np.diff(item.values_arr), 1.0) for item in setting.items])
+    return _Grid(vals, vprobs, idx, sizes, stride, gap)
+
+
+def _gather(idx: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
+    """(nv, m): item j's per-atom table read at each valuation's atom index idx[:, j]."""
+    return np.stack([table[idx[:, j]] for j, table in enumerate(tables)], axis=1)
+
+
+def _step(g: _Grid, a: np.ndarray, step: int) -> np.ndarray:
+    """a at v's neighbour `step` atoms along j, a[i + step * stride_j, j], for every (i, j); 0 off the grid."""
+    on_grid = (g.idx + step >= 0) & (g.idx + step < g.sizes)
+    rows = np.where(on_grid, np.arange(len(a))[:, None] + step * g.stride, len(a))
+    return np.concatenate([a, np.zeros((1, a.shape[1]), a.dtype)])[rows, np.arange(a.shape[1])]
+
+
+def _regions(g: _Grid, m_vec: MaxVector) -> np.ndarray:
+    """(nv, m) mask of v in region j: the first j maximizing u_j = v_j - M_j (iu.region_of's rule), if u_j >= 0."""
+    u = g.vals - np.asarray(m_vec)
+    return np.eye(u.shape[1], dtype=bool)[u.argmax(axis=1)] & (u.max(axis=1) >= 0.0)[:, None]
+
+
+def _slice_ironing(setting: AuctionSetting, g: _Grid, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The region-form phi, and per v in region j the surplus sum_{x > v_j} f_j(x) (r(x) - phi_j(x)), 0 elsewhere.
+
+    r is item j's ironing restricted to the floor of v's slice (the other items' values fixed), which
+    region j meets in an upper set of item j's atoms: item j is ironed once per floor that occurs.
+    """
+    phi_region, surplus = g.vals.copy(), np.zeros(own.shape)
+    for j, item in enumerate(setting.items):
+        # the atom index of each slice's floor: its member count below the top of item j
+        floor = np.broadcast_to(g.sizes[j] - own[:, j].reshape(g.sizes).sum(axis=j, keepdims=True), g.sizes).ravel()
+        for lo in np.unique(floor[own[:, j]]).tolist():
+            ironed = list(iron_restricted(item, item.values[lo]).values())
+            terms = [p * (r - phi) for p, r, phi in zip(item.probs[lo:], ironed, item.ironed.phi[lo:])]
+            rows = own[:, j] & (floor == lo)
+            k = g.idx[rows, j] - lo
+            phi_region[rows, j] = np.array(ironed)[k]
+            surplus[rows, j] = np.array([sum(terms[t + 1 :]) for t in range(len(terms))])[k]
+    return phi_region, surplus
+
+
+def dual_flow(setting: AuctionSetting, m_vec: MaxVector) -> DualFlow:
+    """Region chains and sink exits (lambda'), and the adjacent-pair correction (lambda*).
+
+    Residual-region mass goes to the sink.  In region j, Pr(y >= v_j) f_{-j}(v_{-j}) flows to the
+    predecessor along j, or to the sink where that leaves the region.  lambda* carries f_{-j}(v_{-j}) /
+    (x' - v_j) times the surplus above v_j between slice members v_j < x' each way: no net mass.
+    """
     nv = setting.product_support_size
     if nv * nv > setting.caps.joint_terms:
-        raise EnumerationCapExceeded(f"{nv}^2 flow entries exceed cap {setting.caps.joint_terms}")
+        raise EnumerationCapExceeded(f"{size_text(nv * nv)} flow entries exceed cap {setting.caps.joint_terms}")
+    g = _grid(setting)
+    own = _regions(g, m_vec)
+    mass = _gather(g.idx, [item.probs_arr for item in setting.items])
+    # f_{-j}(v_{-j}): the other items' masses multiplied left to right, as math.prod does
+    f_minus = np.stack([np.delete(mass, j, axis=1).prod(axis=1) for j in range(setting.m)], axis=1)
+    weight = (1.0 - _gather(g.idx, [np.append(0.0, item.cdf_arr[:-1]) for item in setting.items])) * f_minus
+    chains = own & _step(g, own, -1)
+    return DualFlow(
+        np.where(chains, weight, 0.0),
+        np.where(own.any(axis=1), np.where(own & ~chains, weight, 0.0).sum(axis=1), g.vprobs),
+        f_minus / g.gap * _slice_ironing(setting, g, own)[1],
+    )
 
 
-def _dec(setting: AuctionSetting, v: Valuation, j: int) -> Valuation | None:
-    """Predecessor of v along item j; the sink when v_j is the bottom of the support."""
-    values = setting.items[j].values
-    idx = values.index(v[j])
-    if idx == 0:
-        return SINK
-    return v[:j] + (values[idx - 1],) + v[j + 1 :]
+def flow_residuals(setting: AuctionSetting, flow: DualFlow) -> np.ndarray:
+    """Conservation residual f(v) - out(v) + in(v) at every valuation; lambda* moves no net mass."""
+    g = _grid(setting)
+    return g.vprobs - flow.exit - flow.chain.sum(axis=1) + _step(g, flow.chain, 1).sum(axis=1)
 
 
-def build_lambda_prime(setting: AuctionSetting, m_vec: MaxVector) -> DualFlow:
-    """Region chains and sink exits.
-
-    Residual-region mass goes straight to the sink; inside an item region,
-    mass Pr(y >= v_j) f_{-j}(v_{-j}) flows to the predecessor along j while it
-    stays in the region, and exits to the sink where the predecessor leaves it.
-    """
-    _check_cap(setting)
-    lam: dict[FlowKey, float] = {}
-    valuations, vprobs = setting.valuations()
-    for v, fv in zip(valuations, vprobs.tolist()):
-        region = region_of(v, m_vec)
-        if region is None:
-            lam[(v, SINK)] = fv
-            continue
-        j = region
-        item = setting.items[j]
-        f_minus_j = math.prod(
-            d.probs[d.values.index(x)] for jj, (d, x) in enumerate(zip(setting.items, v)) if jj != j
-        )
-        weight = item.tail(v[j]) * f_minus_j
-        dec = _dec(setting, v, j)
-        if dec is not SINK and region_of(dec, m_vec) == j:
-            lam[(v, dec)] = weight
-        else:
-            lam[(v, SINK)] = weight
-    return DualFlow(setting, m_vec, lam)
+def phi_from_flow(setting: AuctionSetting, flow: DualFlow) -> np.ndarray:
+    """Flow virtual value per item, (nv, m): v_j minus the normalized incoming drift along j."""
+    g = _grid(setting)
+    from_above = _step(g, flow.chain, 1) + flow.pair
+    from_below = _step(g, flow.pair, -1)
+    return g.vals - (from_above * g.gap - from_below * _step(g, g.gap, -1)) / g.vprobs[:, None]
 
 
-def _region_slices(setting: AuctionSetting, m_vec: MaxVector):
-    """Each non-empty slice of an item region, as (j, rest, members, restricted).
-
-    The slice fixes the other items' values `rest` (in item order, j left
-    out); `members` are item j's values x whose valuation lies in region j,
-    and `restricted` is item j's ironing restricted to the support points at
-    or above the slice floor min(members).
-    """
-    for j, item in enumerate(setting.items):
-        others = [d.values for jj, d in enumerate(setting.items) if jj != j]
-        for rest in itertools.product(*others):
-            members = [x for x in item.values if region_of(rest[:j] + (x,) + rest[j:], m_vec) == j]
-            if members:
-                yield j, rest, members, iron_restricted(item, members[0])
-
-
-def build_lambda_star(setting: AuctionSetting, m_vec: MaxVector) -> DualFlow:
-    """Symmetric adjacent-pair weights from restricted ironing of region slices.
-
-    For each item j and fixed off-coordinates, the slice of the region along
-    j is an upper set with some floor x*; the weight between consecutive
-    values x < x' is the ironing surplus above x spread over the gap.  Both
-    directions carry the same weight, so the net flow is zero everywhere.
-    """
-    _check_cap(setting)
-    lam: dict[FlowKey, float] = {}
-    for j, rest, _, restricted in _region_slices(setting, m_vec):
-        item = setting.items[j]
-        phi = item.ironed.phi
-        f_minus_j = math.prod(
-            d.probs[d.values.index(x)]
-            for d, x in zip((dd for jj, dd in enumerate(setting.items) if jj != j), rest)
-        )
-        lo = len(item.values) - len(restricted)
-        for idx in range(lo, len(item.values) - 1):
-            x, x_next = item.values[idx], item.values[idx + 1]
-            surplus = sum(
-                item.probs[k] * (restricted[item.values[k]] - phi[k])
-                for k in range(idx + 1, len(item.values))
-            )
-            weight = f_minus_j / (x_next - x) * surplus
-            if weight == 0.0:
-                continue
-            a, b = rest[:j] + (x,) + rest[j:], rest[:j] + (x_next,) + rest[j:]
-            lam[(a, b)] = lam.get((a, b), 0.0) + weight
-            lam[(b, a)] = lam.get((b, a), 0.0) + weight
-    return DualFlow(setting, m_vec, lam)
-
-
-def combine_flows(prime: DualFlow, star: DualFlow) -> DualFlow:
-    lam = dict(prime.lam)
-    for key, w in star.lam.items():
-        lam[key] = lam.get(key, 0.0) + w
-    return DualFlow(prime.setting, prime.m_vec, lam)
-
-
-def flow_residuals(setting: AuctionSetting, flow: DualFlow) -> dict[Valuation, float]:
-    """Conservation residual f(v) - out(v) + in(v) at every valuation."""
-    valuations, vprobs = setting.valuations()
-    out: dict[Valuation, float] = {v: 0.0 for v in valuations}
-    inc: dict[Valuation, float] = {v: 0.0 for v in valuations}
-    for (a, b), w in flow.lam.items():
-        out[a] += w
-        if b is not SINK:
-            inc[b] += w
-    return {v: fv - out[v] + inc[v] for v, fv in zip(valuations, vprobs.tolist())}
-
-
-def phi_from_flow(setting: AuctionSetting, flow: DualFlow) -> dict[Valuation, tuple[float, ...]]:
-    """Flow virtual value per item: v_j minus the normalized incoming drift."""
-    valuations, vprobs = setting.valuations()
-    incoming: dict[Valuation, list[tuple[Valuation, float]]] = {v: [] for v in valuations}
-    for (a, b), w in flow.lam.items():
-        if b is not SINK:
-            incoming[b].append((a, w))
-    out = {}
-    for v, fv in zip(valuations, vprobs.tolist()):
-        out[v] = tuple(
-            v[j] - sum(w * (a[j] - v[j]) for a, w in incoming[v]) / fv for j in range(setting.m)
-        )
-    return out
-
-
-def region_form_phi(setting: AuctionSetting, m_vec: MaxVector) -> dict[Valuation, tuple[float, ...]]:
-    """The simplified form: v_j off-region, restricted-ironed value on-region."""
-    valuations, _ = setting.valuations()
-    out = {v: list(v) for v in valuations}
-    for j, rest, members, restricted in _region_slices(setting, m_vec):
-        for x in members:
-            out[rest[:j] + (x,) + rest[j:]][j] = restricted[x]
-    return {v: tuple(row) for v, row in out.items()}
+def region_form_phi(setting: AuctionSetting, m_vec: MaxVector) -> np.ndarray:
+    """The simplified form, (nv, m): v_j off region j, r(v_j) on it."""
+    g = _grid(setting)
+    return _slice_ironing(setting, g, _regions(g, m_vec))[0]
 
 
 class DualCertificate(NamedTuple):
@@ -188,35 +139,24 @@ def verify_dual_certificate(
     mechanism: Mechanism | None = None,
     tol: float = 1e-6,
 ) -> DualCertificate:
-    """Check the certificate for one max vector against the optimal mechanism.
+    """Check the certificate for one max vector against the optimal mechanism, or `mechanism` (n bidders, this setting).
 
-    Verifies conservation of the combined flow, agreement of the flow virtual
-    values with the simplified region form, and that the region-mixed virtual
-    welfare (with the non-negative part of the ironed virtual value) dominates
-    the LP-optimal revenue under the LP's own interim allocations.
+    Verifies conservation of the combined flow, agreement of the flow virtual values with the simplified
+    region form, and that the region-mixed virtual welfare (with the non-negative part of the ironed
+    virtual value) dominates the mechanism's revenue under its own interim allocations.
     """
     if mechanism is None:
         _, mechanism = optimal_revenue(setting, n)
-    flow = combine_flows(build_lambda_prime(setting, m_vec), build_lambda_star(setting, m_vec))
-    residuals = flow_residuals(setting, flow)
-    flow_residual_max = max(abs(r) for r in residuals.values())
-
-    phi_flow = phi_from_flow(setting, flow)
-    phi_region = region_form_phi(setting, m_vec)
-    phi_match_max = max(
-        abs(a - b) for v in phi_flow for a, b in zip(phi_flow[v], phi_region[v])
-    )
-
+    elif mechanism.n != n or len(mechanism.valuations) != setting.product_support_size:
+        nv, mech_nv = setting.product_support_size, len(mechanism.valuations)
+        raise ValueError(f"mechanism for {mechanism.n} bidders on {mech_nv} valuations, not {n} on {nv}")
+    flow = dual_flow(setting, m_vec)
+    g = _grid(setting)
+    kernel = np.where(_regions(g, m_vec), _gather(g.idx, [item.ironed.phi_plus for item in setting.items]), g.vals)
     # the mechanism is symmetric: every bidder's interim allocation is bidder 0's
-    bound = 0.0
-    for vidx, v in enumerate(mechanism.valuations):
-        region = region_of(v, m_vec)
-        fv = mechanism.vprobs[vidx]
-        for j, item in enumerate(setting.items):
-            kernel = item.ironed.phi_plus[item.values.index(v[j])] if region == j else v[j]
-            bound += fv * mechanism.interim_alloc[0, vidx, j] * kernel
+    bound = mechanism.vprobs @ (mechanism.interim_alloc[0] * kernel).sum(axis=1)
     return DualCertificate(
-        flow_residual_max,
-        phi_match_max,
-        holds_leq(mechanism.revenue, mechanism.n * bound, tol),
+        float(np.abs(flow_residuals(setting, flow)).max()),
+        float(np.abs(phi_from_flow(setting, flow) - region_form_phi(setting, m_vec)).max()),
+        holds_leq(mechanism.revenue, n * float(bound), tol),
     )

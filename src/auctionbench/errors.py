@@ -44,6 +44,11 @@ class EnumerationCapExceeded(AuctionBenchError):
     """
 
 
+def size_text(k: int) -> str:
+    """A count for a cap message: its digits up to 2^64, else "about 2^e" (Python prints no int past 4,300 digits)."""
+    return str(k) if k.bit_length() <= 64 else f"about 2^{k.bit_length() - 1}"
+
+
 class NotRegular(AuctionBenchError):
     """An operation that requires regular items was invoked on an irregular setting."""
 

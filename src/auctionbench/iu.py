@@ -36,7 +36,7 @@ from .dist import (
     make_rng,
     max_vector_distribution,
 )
-from .errors import EnumerationCapExceeded, TooFewBidders
+from .errors import EnumerationCapExceeded, TooFewBidders, size_text
 from .myerson import srev
 from .simple_auctions import ronen_bound_from_law, vcg_revenue
 
@@ -163,7 +163,7 @@ def build_iu_tables(inst: Instance) -> IUTables:
     nv = setting.product_support_size
     if nv * maxvec.joint_size() > setting.caps.joint_terms:
         raise EnumerationCapExceeded(
-            f"valuations x max-vectors = {nv * maxvec.joint_size()} exceeds cap "
+            f"valuations x max-vectors = {size_text(nv * maxvec.joint_size())} exceeds cap "
             f"{setting.caps.joint_terms}; use monte_carlo_iu"
         )
     valuations, vprobs = setting.valuations()

@@ -288,6 +288,15 @@ class TestAnalyze:
         assert code == EXIT_CAPS
         assert "monte_carlo" in err
 
+    def test_cap_message_past_the_int_to_str_limit(self, tmp_path, capsys):
+        # 2^15000 valuations: the count has 4,516 digits, more than Python converts an int to
+        payload = dict(D2_CONFIG, items=D2_CONFIG["items"] * 15_000, mode="monte_carlo", samples=10)
+        code = main(["analyze", "--config", write_config(tmp_path, payload)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == EXIT_CAPS
+        assert len(lines) == 2 and lines[1].startswith("hint: ")
+        assert lines[0].startswith("enumeration cap: product support size about 2^15000 exceeds cap 4096")
+
     def test_lp_over_the_tableau_cap_reports_null_revenue(self, tmp_path, capsys):
         item = {"values": [str(v) for v in range(1, 17)], "probs": ["0.0625"] * 16}
         payload = {"items": [item, item], "n": 1, "n_prime": 2}

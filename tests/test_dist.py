@@ -9,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from auctionbench import (
+    DEFAULT_CAPS,
     AuctionSetting,
+    MaxVectorDistribution,
     ScalarDistribution,
     chebyshev_check,
     iid_max_expectation,
@@ -104,6 +106,15 @@ class TestConstruction:
         big = make_item_distribution(list(range(1, 18)), [1 / 17] * 17)
         with pytest.raises(EnumerationCapExceeded):
             AuctionSetting(items=(big,) * 3, n=1, n_prime=2)
+
+    def test_cap_messages_state_a_huge_count_by_its_bit_length(self, d2):
+        # 2^15000 has 4,516 digits, more than Python converts an int to
+        with pytest.raises(EnumerationCapExceeded, match=r"^product support size about 2\^15000 exceeds cap 4096;"):
+            AuctionSetting(items=(d2,) * 15_000, n=1, n_prime=2)
+        with pytest.raises(EnumerationCapExceeded, match=r"^joint max-vector support about 2\^15000 exceeds cap 4096$"):
+            MaxVectorDistribution(1, (d2,) * 15_000).check_joint_cap(DEFAULT_CAPS)
+        with pytest.raises(EnumerationCapExceeded, match="^product support size 4913 exceeds cap 4096;"):
+            AuctionSetting(items=(make_item_distribution(range(17), [1 / 17] * 17),) * 3, n=1, n_prime=2)
 
     def test_valuations_are_the_product_enumeration(self):
         # the joint probabilities are math.prod's left-to-right products, bit for bit

@@ -230,6 +230,13 @@ class TestBuildTables:
         with pytest.raises(EnumerationCapExceeded):
             build_iu_tables(Instance(setting, 2))
 
+    def test_cap_message_states_a_huge_count_by_its_bit_length(self):
+        # 16^3750 valuations times as many max vectors: 2^30000, 9,031 digits
+        item = make_item_distribution(range(1, 17), [1 / 16] * 16)
+        setting = AuctionSetting(items=(item,) * 3750, n=1, n_prime=2, caps=Caps(product_support=1 << 15_000))
+        with pytest.raises(EnumerationCapExceeded, match=r"^valuations x max-vectors = about 2\^30000 exceeds cap "):
+            build_iu_tables(Instance(setting, 2))
+
 
 class TestRegionKernel:
     @pytest.mark.parametrize("name", ["two_point", "two_items", "irregular_three_point", "near_uniform_many_items"])
