@@ -112,6 +112,8 @@ def load_config(path: str | Path) -> InstanceConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"malformed JSON at byte offset {exc.pos}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer past 4,300 digits, or nesting too deep
+        raise ConfigParseError(f"malformed JSON: {str(exc).partition(';')[0]}") from exc
     return parse_config(raw)
 
 
@@ -273,15 +275,8 @@ def run_analysis(cfg: InstanceConfig) -> AnalysisReport:
     rep.scalars["branch2_holds"] = verdict.branch2_holds
     rep.checks.extend(verdict.checks)
     if verdict.holds is not None:
-        rep.add(
-            CheckRecord(
-                "theorem_dichotomy",
-                "branch1 or branch2 holds",
-                0.0,
-                1.0 if verdict.holds else 0.0,
-                verdict.holds,
-            )
-        )
+        holds = verdict.holds
+        rep.add(CheckRecord("theorem_dichotomy", "branch1 or branch2 holds", 0.0, 1.0 if holds else 0.0, holds))
     return rep
 
 
@@ -317,10 +312,7 @@ def cmd_analyze(args) -> int:
     if args.tolerance is not None:
         cfg.tolerance = args.tolerance
     rep = run_analysis(cfg)
-    if args.format == "json":
-        output = rep.to_json()
-    else:
-        output = _format_table(rep)
+    output = rep.to_json() if args.format == "json" else _format_table(rep)
     _write_out(args.out, rep.to_json())
     print(output)
     return EXIT_OK if rep.all_hold() else EXIT_CHECK_FAILED
@@ -523,7 +515,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except EnumerationCapExceeded as exc:
         print(f"enumeration cap: {exc}", file=sys.stderr)
-        print("hint: set mode=monte_carlo or raise caps in the config", file=sys.stderr)
+        verify = args.command == "verify"  # verify reads no config
+        hint = "lower --max-items or --max-support" if verify else "set mode=monte_carlo or raise caps in the config"
+        print(f"hint: {hint}", file=sys.stderr)
         return EXIT_CAPS
     except (InstanceTooLarge, LPNumericalFailure, Unbounded, MaxIterations) as exc:
         print(f"LP error: {exc}", file=sys.stderr)

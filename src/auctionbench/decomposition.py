@@ -221,15 +221,17 @@ def decomposition_terms(inst: Instance, n_dd: int) -> DecompositionReport:
     tables, stats, maxvec = inst.iu_tables, inst.stats, inst.ghost_max
     vals = np.array(tables.valuations)
 
-    # per item, the max over n' of Single phi_tilde^+ P_j(v), Under v_j Pr(M_j > v_j), Over E[M_j; M_j <= v_j]
-    single = under = over = 0.0
+    # per item, the max over n' of Single phi_tilde^+ P_j(v), Under v_j Pr(M_j > v_j), Over E[M_j; M_j <= v_j];
+    # excess sums E_{M,v}[(v_j - M_j)^+] = E_v[v_j Pr(M_j <= v_j) - E[M_j; M_j <= v_j]] for Surplus
+    single = under = over = excess = 0.0
     for j, (item, law_j) in enumerate(zip(setting.items, maxvec.per_item)):
         weighted = item.ironed.phi_plus[item.values_arr.searchsorted(vals[:, j])] * tables.p_region[:, j]
         single += _max_mean(weighted, tables.vprobs, n_prime, 1e-9)
-        undercut = 1.0 - _at_or_below(law_j, law_j.cdf_arr, item.values_arr)
-        under += _max_mean(item.values_arr * undercut, item.probs_arr, n_prime, MASS_TOL * 10)
+        below = _at_or_below(law_j, law_j.cdf_arr, item.values_arr)
+        under += _max_mean(item.values_arr * (1.0 - below), item.probs_arr, n_prime, MASS_TOL * 10)
         kept = _at_or_below(law_j, np.cumsum(law_j.values_arr * law_j.probs_arr), item.values_arr)
         over += _max_mean(kept, item.probs_arr, n_prime, MASS_TOL * 10)
+        excess += float(item.probs_arr @ (item.values_arr * below - kept))
 
     prob, r = stats.prob, stats.r_ron_total
     # No clip at r*_j(M_j) is needed: the first atom y above T_j = M_j + r (r = r_ron_total)
@@ -240,13 +242,9 @@ def decomposition_terms(inst: Instance, n_dd: int) -> DecompositionReport:
     core = n_prime * float(prob @ stats.e_u_hat)
 
     # Surplus: n' E_{M,v}[sum_j (v_j - M_j)^+ 1(some rival utility >= v_j - M_j)],
-    # summed over M first for each v: E_M[(v_j - M_j)^+] minus the part where
-    # every rival utility stays strictly below.
-    excess = sum(
-        np.maximum(vals[:, j, None] - law.values_arr, 0.0) @ law.probs_arr for j, law in enumerate(maxvec.per_item)
-    )
+    # the excess minus the part where every rival utility stays strictly below.
     rival_free = region_kernel(vals, maxvec.per_item, strict_ties=True, weighted=True).sum(axis=1)
-    surplus_bound = n_prime * float(tables.vprobs @ (excess - rival_free))
+    surplus_bound = n_prime * (excess - float(tables.vprobs @ rival_free))
 
     return DecompositionReport(
         n=n_dd,

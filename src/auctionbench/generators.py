@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dist import AuctionSetting, Caps, DEFAULT_CAPS, ItemDistribution, ScalarDistribution, make_item_distribution
+from .errors import EnumerationCapExceeded, size_text
 
 MAX_VALUE = 12  # items are drawn on the value grid 0..MAX_VALUE
 
@@ -50,8 +51,15 @@ def random_setting(
 ) -> AuctionSetting:
     m = int(rng.integers(1, max_items + 1))
     make = random_regular_item if regular_only else random_item
-    items = tuple(make(rng, max_support, max_value) for _ in range(m))
+    items, size = [], 1  # refused as soon as the product support of the items drawn passes the cap
+    while len(items) < m and size <= caps.product_support:
+        items.append(make(rng, max_support, max_value))
+        size *= len(items[-1].values)
+    if size > caps.product_support:
+        raise EnumerationCapExceeded(
+            f"the first {len(items)} of {m} items span {size_text(size)} valuations, over cap {caps.product_support}"
+        )
     n = int(rng.integers(1, max_bidders + 1))
     n_prime = int(rng.integers(n, max_ghosts + 1))
-    return AuctionSetting(items=items, n=n, n_prime=max(n_prime, n), caps=caps)
+    return AuctionSetting(items=tuple(items), n=n, n_prime=max(n_prime, n), caps=caps)
 

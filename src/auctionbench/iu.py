@@ -44,7 +44,7 @@ if TYPE_CHECKING:
     from .decomposition import UtilityStats
 
 MC_STREAM = 17  # substream label for the benchmark estimator
-# distinct valuations x items per region_kernel call in monte_carlo_iu; bounds its memory
+# atoms x valuation rows per region_kernel block; bounds the kernel's temporaries
 KERNEL_CELLS = 1 << 18
 # monte_carlo_iu re-ranks its valuation codes before their radix passes this
 _CODE_LIMIT = 1 << 63
@@ -126,25 +126,29 @@ def region_kernel(
     weak for j' > j (the smallest-index tie-break), which makes the result the
     region probability P_j(v); with `strict_ties` it is strict for every j'.
     The weight w is 1, or u_j when `weighted`.  Atoms sit on a leading axis and
-    are added in atom order.
+    are added in atom order.  Rows go in blocks of KERNEL_CELLS // (most atoms of any M_j),
+    so no (atoms x rows) temporary passes KERNEL_CELLS cells; a row's bits do not depend on its block.
     """
     vals = np.asarray(vals, dtype=np.float64)
-    out = np.empty(vals.shape)
-    atoms = (-1,) + (1,) * (vals.ndim - 1)
-    for j, law in enumerate(max_laws):
-        u = vals[..., j] - law.values_arr.reshape(atoms)
-        term = np.where(u >= 0.0, law.probs_arr.reshape(atoms), 0.0)
-        if weighted:
-            term *= u
-        for jp, rival in enumerate(max_laws):
-            if jp != j:
-                # survival[i] = Pr(M_jp > values[i - 1]) and survival[0] = 1; u_jp < u
-                # is M_jp > v_jp - u (search "right"), u_jp <= u is M_jp >= v_jp - u ("left")
-                survival = np.concatenate(([1.0], 1.0 - rival.cdf_arr))
-                side = "left" if jp > j and not strict_ties else "right"
-                term *= survival[rival.values_arr.searchsorted(vals[..., jp] - u, side=side)]
-        out[..., j] = term.cumsum(axis=0)[-1]
-    return out
+    rows = vals.reshape(-1, vals.shape[-1])
+    out = np.empty(rows.shape)
+    block = max(1, KERNEL_CELLS // max(len(law.values) for law in max_laws))
+    for lo in range(0, len(rows), block):
+        cols = rows[lo : lo + block].T.copy()  # contiguous per item: the rival loop reads whole columns
+        for j, law in enumerate(max_laws):
+            u = cols[j] - law.values_arr[:, None]
+            term = np.where(u >= 0.0, law.probs_arr[:, None], 0.0)
+            if weighted:
+                term *= u
+            for jp, rival in enumerate(max_laws):
+                if jp != j:
+                    # survival[i] = Pr(M_jp > values[i - 1]) and survival[0] = 1; u_jp < u
+                    # is M_jp > v_jp - u (search "right"), u_jp <= u is M_jp >= v_jp - u ("left")
+                    survival = np.concatenate(([1.0], 1.0 - rival.cdf_arr))
+                    side = "left" if jp > j and not strict_ties else "right"
+                    term *= survival[rival.values_arr.searchsorted(cols[jp] - u, side=side)]
+            out[lo : lo + block, j] = term.cumsum(axis=0)[-1]
+    return out.reshape(vals.shape)
 
 
 def benchmark_values(vals: np.ndarray, p_region: np.ndarray, items: Sequence[ItemDistribution]) -> np.ndarray:
@@ -217,11 +221,11 @@ def monte_carlo_iu(
     Draws come from the finite product support and mostly repeat, so each
     chunk keys its valuations by one mixed-radix code of their atom indices
     (re-ranked, not refused, where the radix would pass int64), ranks them
-    with :func:`_rank` and evaluates Phi once per distinct valuation,
-    KERNEL_CELLS // m of them per kernel call; each item's max over bidders
-    then gathers Phi back bidder by bidder into a running maximum.  The kernel
-    is row by row, max is exact and the per-sample sums keep their item order,
-    so the estimate is the one a per-draw evaluation gives, bit for bit.
+    with :func:`_rank` and evaluates Phi once per distinct valuation in one
+    kernel call; each item's max over bidders then gathers Phi back bidder by
+    bidder into a running maximum.  The kernel is row by row, max is exact and
+    the per-sample sums keep their item order, so the estimate is the one a
+    per-draw evaluation gives, bit for bit.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -232,9 +236,8 @@ def monte_carlo_iu(
         raise EnumerationCapExceeded(
             f"bidders x items = {cells} exceeds cap {setting.caps.joint_terms} per sample"
         )
-    # draws per chunk (the random stream) and distinct valuations per kernel call (memory)
+    # draws per chunk: the random stream and the memory of one chunk
     chunk = min(chunk, setting.caps.joint_terms // cells)
-    rows = max(1, KERNEL_CELLS // setting.m)
     sizes = [len(item.values) for item in setting.items]
     maxvec = max_vector_distribution(setting, n_prime - 1)
     rng = make_rng(seed, MC_STREAM)
@@ -258,10 +261,7 @@ def monte_carlo_iu(
         _, inverse, first = _rank(code, radix)
         inverse = np.ascontiguousarray(inverse.reshape(batch, n).T)
         vals = np.stack([item.values_arr[idx[j, first]] for j, item in enumerate(setting.items)], axis=-1)
-        phi = np.empty(vals.shape)
-        for lo in range(0, len(vals), rows):
-            part = vals[lo : lo + rows]
-            phi[lo : lo + rows] = benchmark_values(part, region_kernel(part, maxvec.per_item), setting.items)
+        phi = benchmark_values(vals, region_kernel(vals, maxvec.per_item), setting.items)
         stat = np.zeros(batch)
         for col in phi.T:
             best = col[inverse[0]]

@@ -6,6 +6,7 @@ import io
 import json
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,23 @@ class TestConfigParsing:
         path.write_text('{"items": [}')
         with pytest.raises(ConfigParseError, match="byte offset"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # an integer literal past Python's 4,300-digit int conversion limit
+            '{"items": [{"values": ["1"], "probs": ["1"]}], "n": 1, "seed": ' + "9" * 5000 + "}",
+            # nesting deeper than the decoder's recursion limit
+            "[" * 200_000 + "]" * 200_000,
+        ],
+        ids=["long_integer", "deep_nesting"],
+    )
+    def test_json_the_decoder_refuses_is_a_config_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["analyze", "--config", str(path)]) == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: malformed JSON: ")
 
     def test_missing_field(self):
         with pytest.raises(ConfigParseError, match="items"):
@@ -253,6 +271,26 @@ class TestHugeBidderCounts:
         assert elapsed < 2.0
 
 
+def test_exact_analyze_memory_at_the_in_cap_extreme():
+    # one item of 4,096 equal-mass atoms at n' = 50: 4,096 valuations x 4,096 max
+    # vectors is exactly caps.joint_terms; the region kernel's row blocks keep the
+    # (valuations x atoms) temporaries, 128 MiB each unblocked, out of the peak
+    payload = {
+        "items": [{"values": list(range(1, 4097)), "probs": ["0.000244140625"] * 4096}],
+        "n": 1,
+        "n_prime": 50,
+        "mode": "exact",
+    }
+    cfg = parse_config(payload)
+    tracemalloc.start()
+    try:
+        run_analysis(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 << 20
+
+
 class TestAnalyze:
     def test_exit_zero_and_values(self, tmp_path, capsys):
         code = main(["analyze", "--config", write_config(tmp_path, D2_CONFIG)])
@@ -436,6 +474,16 @@ class TestVerifyCommand:
 
     def test_zero_count(self, capsys):
         assert main(["verify", "--seed", "1", "--count", "0"]) == 0
+
+    def test_refused_before_every_item_is_drawn(self, monkeypatch, capsys):
+        # up to 10^5 items at up to 3 atoms each: the product support passes the cap
+        # (4,096) after a few dozen items, and random_setting stops drawing there
+        calls = _count_calls(monkeypatch, "generators", "random_item")
+        assert main(["verify", "--seed", "1", "--count", "2", "--max-items", str(10**5)]) == EXIT_CAPS
+        assert 0 < len(calls) < 100
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("enumeration cap: ")
+        assert lines[1] == "hint: lower --max-items or --max-support"
 
     @pytest.mark.parametrize(
         "flags",

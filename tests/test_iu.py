@@ -274,6 +274,55 @@ class TestRegionKernel:
         assert region_kernel(v, laws, strict_ties=True, weighted=True).tolist() == [[0.25, 0.25]]
 
 
+class TestKernelBlocks:
+    """region_kernel walks its rows in blocks of KERNEL_CELLS // (most atoms of any M_j)."""
+
+    # the two flag pairs the package calls the kernel with
+    FLAGS = [{}, {"strict_ties": True, "weighted": True}]
+
+    def assert_blocks_change_no_bit(self, monkeypatch, vals, laws):
+        """Blocks of one row and of five rows (the last one ragged unless rows divide by 5) against one block."""
+        module = importlib.import_module("auctionbench.iu")
+        atoms = max(len(law.values) for law in laws)
+        assert vals.size // vals.shape[-1] * atoms <= KERNEL_CELLS  # one block at the real cap
+        for flags in self.FLAGS:
+            whole = region_kernel(vals, laws, **flags)
+            for rows in (1, 5):
+                monkeypatch.setattr(module, "KERNEL_CELLS", rows * atoms + atoms - 1)
+                blocked = region_kernel(vals, laws, **flags)
+                monkeypatch.setattr(module, "KERNEL_CELLS", KERNEL_CELLS)
+                assert blocked.shape == whole.shape and (blocked == whole).all()
+
+    def test_drawn_settings(self, monkeypatch):
+        rng = make_rng(38)
+        ragged = 0
+        for _ in range(25):
+            setting = random_setting(rng, max_items=3, max_support=3, max_ghosts=5)
+            laws = max_vector_distribution(setting, setting.n_prime - 1).per_item
+            vals = np.array(setting.valuations()[0])
+            ragged += len(vals) % 5 != 0
+            self.assert_blocks_change_no_bit(monkeypatch, vals, laws)
+        assert ragged
+
+    def test_sample_shaped_input(self, monkeypatch):
+        # the (4, 3, m) inputs of TestRegionKernel.test_sample_shaped_input: 12 rows, so five-row
+        # blocks cross the leading axis and end in a ragged block of two
+        rng = make_rng(37)
+        for _ in range(20):
+            setting = random_setting(rng, max_items=3, max_support=3, max_ghosts=5)
+            laws = max_vector_distribution(setting, setting.n_prime - 1).per_item
+            vals = np.stack([rng.choice(item.values_arr, size=(4, 3)) for item in setting.items], axis=-1)
+            self.assert_blocks_change_no_bit(monkeypatch, vals, laws)
+
+    def test_cap_below_the_atom_count_gives_one_row_blocks(self, monkeypatch):
+        # KERNEL_CELLS below the atom count still walks one row at a time
+        laws = max_vector_distribution(load_config(CONFIGS / "two_items.json").setting, 3).per_item
+        vals = np.array([[1.0, 2.0], [2.0, 1.0], [2.0, 2.0]])
+        whole = region_kernel(vals, laws)
+        monkeypatch.setattr(importlib.import_module("auctionbench.iu"), "KERNEL_CELLS", 1)
+        assert (region_kernel(vals, laws) == whole).all()
+
+
 class TestIU:
     def test_examples(self, setting_d2, point_mass):
         assert iu(setting_d2, 1, 2) == pytest.approx(1.25)
