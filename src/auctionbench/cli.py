@@ -40,6 +40,7 @@ from .errors import (
     MaxIterations,
     OutputError,
     Unbounded,
+    size_text,
 )
 from .generators import MAX_VALUE, random_setting
 from .iu import Instance, monte_carlo_iu, step2_inequality_check, tie_break_independence_check
@@ -94,6 +95,13 @@ def _integer(x, what: str) -> int:
     raise ConfigParseError(f"{what}: expected an integer, got {x!r}")
 
 
+def _count(x, what: str) -> int:
+    """Parse a bidder count: an integer that binary64 can hold, since the order statistics raise CDFs to it."""
+    if (k := _integer(x, what)) > sys.float_info.max:
+        raise ConfigParseError(f"{what}: {size_text(k)} exceeds the largest binary64, {sys.float_info.max!r}")
+    return k
+
+
 @dataclass
 class InstanceConfig:
     setting: AuctionSetting
@@ -122,7 +130,7 @@ def parse_config(raw: dict) -> InstanceConfig:
         raise ConfigParseError("config must be a JSON object")
     try:
         items_raw = raw["items"]
-        n = _integer(raw["n"], "n")
+        n = _count(raw["n"], "n")
     except KeyError as exc:
         raise ConfigParseError(f"missing required field {exc.args[0]!r}") from exc
     if not isinstance(items_raw, list) or not items_raw:
@@ -131,7 +139,9 @@ def parse_config(raw: dict) -> InstanceConfig:
     if not 0.0 < epsilon <= 1.0:
         raise ConfigParseError(f"epsilon must lie in (0, 1], got {epsilon!r}")
     n_prime = raw.get("n_prime")
-    n_prime = math.ceil(20.0 * n / epsilon) if n_prime is None else _integer(n_prime, "n_prime")
+    if n_prime is None and 20.0 * n / epsilon == math.inf:
+        raise ConfigParseError(f"n_prime: ceil(20 * n / epsilon) overflows binary64 at n={n}, epsilon={epsilon!r}")
+    n_prime = math.ceil(20.0 * n / epsilon) if n_prime is None else _count(n_prime, "n_prime")
     if n_prime < max(n, 2):
         raise ConfigParseError(f"n_prime must be at least max(n, 2), got n_prime={n_prime}, n={n}")
     caps_raw = raw.get("caps", {})
@@ -161,8 +171,6 @@ def parse_config(raw: dict) -> InstanceConfig:
         raise ConfigParseError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
     try:
         setting = AuctionSetting(items=tuple(items), n=n, n_prime=n_prime, epsilon=epsilon, caps=caps)
-    except EnumerationCapExceeded:
-        raise
     except AuctionBenchError as exc:
         raise ConfigParseError(str(exc)) from exc
     samples = _integer(raw.get("samples", 100_000), "samples")
@@ -232,8 +240,8 @@ def run_analysis(cfg: InstanceConfig) -> AnalysisReport:
     if cfg.mode == "monte_carlo":
         rep.scalars["srev_n"] = srev(setting, n)
         rep.scalars["srev_n_prime"] = srev(setting, np_)
+        est_np = monte_carlo_iu(setting, np_, np_, cfg.samples, cfg.seed + 1)  # first: n' >= n costs the most cells
         est_n = monte_carlo_iu(setting, n, np_, cfg.samples, cfg.seed)
-        est_np = monte_carlo_iu(setting, np_, np_, cfg.samples, cfg.seed + 1)
         rep.scalars["iu_n_estimate"] = est_n.estimate
         rep.scalars["iu_n_std_error"] = est_n.std_error
         rep.scalars["iu_n_prime_estimate"] = est_np.estimate
@@ -446,6 +454,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _generator_int(text: str) -> int:
+    if (value := _positive_int(text)) >= 1 << 63:  # verify's generators draw below it in int64
+        raise argparse.ArgumentTypeError(f"must be at most 2^63 - 1, got {value}")
+    return value
+
+
 def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -485,9 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--count", type=_non_negative_int, default=100)
     p_verify.add_argument("--max-support", type=int, choices=range(1, MAX_VALUE + 2), metavar="N", default=3,
                           help=f"at most {MAX_VALUE + 1}, the points of the value grid 0..{MAX_VALUE}")
-    p_verify.add_argument("--max-items", type=_positive_int, default=2)
-    p_verify.add_argument("--max-bidders", type=_positive_int, default=2)
-    p_verify.add_argument("--max-ghosts", type=_positive_int, default=6, help="at least --max-bidders")
+    p_verify.add_argument("--max-items", type=_generator_int, default=2)
+    p_verify.add_argument("--max-bidders", type=_generator_int, default=2)
+    p_verify.add_argument("--max-ghosts", type=_generator_int, default=6, help="at least --max-bidders")
     p_verify.add_argument("--tolerance", type=_tolerance, default=CHECK_TOL)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -515,8 +529,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except EnumerationCapExceeded as exc:
         print(f"enumeration cap: {exc}", file=sys.stderr)
-        verify = args.command == "verify"  # verify reads no config
-        hint = "lower --max-items or --max-support" if verify else "set mode=monte_carlo or raise caps in the config"
+        hint = ("lower --max-items, --max-support or --max-ghosts" if args.command == "verify"  # verify reads no config
+                else "raise caps in the config (an exact run can also set mode=monte_carlo)")
         print(f"hint: {hint}", file=sys.stderr)
         return EXIT_CAPS
     except (InstanceTooLarge, LPNumericalFailure, Unbounded, MaxIterations) as exc:

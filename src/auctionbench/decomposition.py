@@ -90,8 +90,7 @@ def build_utility_stats(inst: Instance) -> UtilityStats:
     so they may differ from the per-law methods in the last bits.
     """
     items = inst.setting.items
-    inst.ghost_max.check_joint_cap(inst.setting.caps)
-    m_vecs, probs = product_grid(inst.ghost_max.per_item)
+    m_vecs, probs = product_grid(inst.ghost_max.per_item, inst.setting.caps.product_support)
     m_cols = m_vecs.T
     r_totals = functools.reduce(operator.add, [item.posted_revenue(m) for item, m in zip(items, m_cols)])
     lo = np.stack([np.maximum(item.values_arr.searchsorted(m, "right") - 1, 0) for item, m in zip(items, m_cols)])
@@ -146,9 +145,7 @@ def event_probabilities(v: Valuation, setting: AuctionSetting, n_prime: int) -> 
 
     p_nf_j = Pr(M_j <= v_j) - Pr(M_j <= v_j and every other utility strictly below v_j - M_j).
     """
-    maxvec = max_vector_distribution(setting, n_prime - 1)
-    maxvec.check_joint_cap(setting.caps)
-    laws = maxvec.per_item
+    laws = max_vector_distribution(setting, n_prime - 1).per_item
     rival_free = region_kernel(np.array([v]), laws, strict_ties=True)[0].tolist()
     p_und = tuple(1.0 - law.cdf(vj) for law, vj in zip(laws, v))
     p_nf = tuple(max(law.cdf(vj) - free, 0.0) for law, vj, free in zip(laws, v, rival_free))

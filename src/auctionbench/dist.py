@@ -9,7 +9,6 @@ substreams from the root seed with a counter-based (Philox) scheme.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -64,7 +63,11 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Caps:
-    """Enumeration caps; exceeding one raises EnumerationCapExceeded."""
+    """Enumeration caps; exceeding one raises EnumerationCapExceeded.
+
+    `product_support` bounds each product grid built (valuations, ghost max vectors, the dual grid); `joint_terms`
+    bounds valuations x max vectors, flow entries, posted prices and one Monte-Carlo sample's region-kernel cells.
+    """
 
     product_support: int = 4096
     joint_terms: int = 1 << 24
@@ -180,12 +183,16 @@ class ScalarDistribution:
         return ScalarDistribution.from_atoms(pairs, renorm_tol=MASS_TOL * 10)
 
 
-def product_grid(laws: Sequence[ScalarDistribution]) -> tuple[np.ndarray, np.ndarray]:
+def product_grid(laws: Sequence[ScalarDistribution], cap: int) -> tuple[np.ndarray, np.ndarray]:
     """The product of independent laws in ``itertools.product`` order: (K, m) values and K probabilities.
 
     Each probability is the product of its per-law masses taken left to right, as ``math.prod`` takes it.
+    K above `cap` raises EnumerationCapExceeded before anything is built; this is the one product-support check.
     """
-    index = [ix.ravel() for ix in np.indices([len(law.values) for law in laws])]
+    sizes = [len(law.values) for law in laws]
+    if (size := math.prod(sizes)) > cap:
+        raise EnumerationCapExceeded(f"product support size {size_text(size)} exceeds cap {cap}")
+    index = [ix.ravel() for ix in np.indices(sizes)]
     values = np.stack([law.values_arr[ix] for law, ix in zip(laws, index)], axis=1)
     return values, functools.reduce(operator.mul, [law.probs_arr[ix] for law, ix in zip(laws, index)])
 
@@ -244,11 +251,6 @@ class AuctionSetting:
             raise TooFewBidders("need n_prime >= n")
         if not (0.0 < self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in (0, 1]")
-        if self.product_support_size > self.caps.product_support:
-            raise EnumerationCapExceeded(
-                f"product support size {size_text(self.product_support_size)} exceeds cap "
-                f"{self.caps.product_support}; raise the cap or use Monte-Carlo mode"
-            )
 
     @property
     def m(self) -> int:
@@ -259,8 +261,8 @@ class AuctionSetting:
         return math.prod(len(d.values) for d in self.items)
 
     def valuations(self) -> tuple[tuple[Valuation, ...], np.ndarray]:
-        """Enumerate the product support with joint probabilities."""
-        values, probs = product_grid(self.items)
+        """Enumerate the product support with joint probabilities, within caps.product_support."""
+        values, probs = product_grid(self.items, self.caps.product_support)
         return tuple(map(tuple, values.tolist())), probs
 
 
@@ -279,19 +281,10 @@ class MaxVectorDistribution:
     def joint_size(self) -> int:
         return math.prod(len(d.values) for d in self.per_item)
 
-    def check_joint_cap(self, caps: Caps) -> None:
-        if self.joint_size() > caps.product_support:
-            raise EnumerationCapExceeded(
-                f"joint max-vector support {size_text(self.joint_size())} exceeds cap {caps.product_support}"
-            )
-
     def joint(self, caps: Caps = DEFAULT_CAPS) -> Iterator[tuple[MaxVector, float]]:
-        """Enumerate joint max-vectors with probabilities (product form)."""
-        self.check_joint_cap(caps)
-        for combo in itertools.product(*(zip(d.values, d.probs) for d in self.per_item)):
-            vec = tuple(c[0] for c in combo)
-            prob = math.prod(c[1] for c in combo)
-            yield vec, prob
+        """Enumerate joint max-vectors with probabilities (product form), within caps.product_support."""
+        values, probs = product_grid(self.per_item, caps.product_support)
+        return zip(map(tuple, values.tolist()), probs.tolist())
 
 
 def max_vector_distribution(setting: AuctionSetting, k: int) -> MaxVectorDistribution:

@@ -37,7 +37,7 @@ class _Grid(NamedTuple):
 
 def _grid(setting: AuctionSetting) -> _Grid:
     sizes = [len(item.values) for item in setting.items]
-    vals, vprobs = product_grid(setting.items)
+    vals, vprobs = product_grid(setting.items, setting.caps.product_support)
     idx = np.indices(sizes).reshape(len(sizes), -1).T
     stride = np.array([math.prod(sizes[j + 1 :]) for j in range(len(sizes))])
     gap = _gather(idx, [np.append(np.diff(item.values_arr), 1.0) for item in setting.items])

@@ -164,11 +164,9 @@ def benchmark_values(vals: np.ndarray, p_region: np.ndarray, items: Sequence[Ite
 def build_iu_tables(inst: Instance) -> IUTables:
     """Exact region probabilities P_j(v) and benchmark values Phi_j(v) for every v."""
     setting, maxvec = inst.setting, inst.ghost_max
-    nv = setting.product_support_size
-    if nv * maxvec.joint_size() > setting.caps.joint_terms:
+    if (terms := setting.product_support_size * maxvec.joint_size()) > setting.caps.joint_terms:
         raise EnumerationCapExceeded(
-            f"valuations x max-vectors = {size_text(nv * maxvec.joint_size())} exceeds cap "
-            f"{setting.caps.joint_terms}; use monte_carlo_iu"
+            f"valuations x max-vectors = {size_text(terms)} exceeds cap {setting.caps.joint_terms}; use monte_carlo_iu"
         )
     valuations, vprobs = setting.valuations()
     vals = np.array(valuations)
@@ -215,8 +213,8 @@ def monte_carlo_iu(
 
     Each sample draws n valuations; Phi_j is evaluated exactly through the
     per-item max CDFs, so the only randomness is in the valuations.  Output is
-    deterministic for a given seed.  One sample holds n x m values; more than
-    caps.joint_terms raises EnumerationCapExceeded.
+    deterministic for a given seed.  One sample costs n x m x m x (most atoms of any M_j)
+    region-kernel cells; more than caps.joint_terms raises EnumerationCapExceeded.
 
     Draws come from the finite product support and mostly repeat, so each
     chunk keys its valuations by one mixed-radix code of their atom indices
@@ -231,15 +229,13 @@ def monte_carlo_iu(
         raise ValueError("samples must be >= 1")
     if n < 1 or n_prime < 1:
         raise TooFewBidders("need n, n_prime >= 1")
-    cells = n * setting.m
-    if cells > setting.caps.joint_terms:
-        raise EnumerationCapExceeded(
-            f"bidders x items = {cells} exceeds cap {setting.caps.joint_terms} per sample"
-        )
-    # draws per chunk: the random stream and the memory of one chunk
-    chunk = min(chunk, setting.caps.joint_terms // cells)
-    sizes = [len(item.values) for item in setting.items]
     maxvec = max_vector_distribution(setting, n_prime - 1)
+    cells = n * setting.m * setting.m * max(len(law.values) for law in maxvec.per_item)
+    if cells > setting.caps.joint_terms:
+        raise EnumerationCapExceeded(f"{size_text(cells)} region-kernel cells per sample exceed cap {setting.caps.joint_terms}")
+    # draws per chunk: the random stream and the memory of one chunk
+    chunk = min(chunk, setting.caps.joint_terms // (n * setting.m))
+    sizes = [len(item.values) for item in setting.items]
     rng = make_rng(seed, MC_STREAM)
     total = 0.0
     total_sq = 0.0

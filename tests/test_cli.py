@@ -120,6 +120,10 @@ class TestConfigParsing:
             ({"tolerance": -1}, "^tolerance must"),
             # squared, 1e300 overflows binary64
             ({"items": [{"values": ["1", 1e300], "probs": ["0.5", "0.5"]}]}, r"^items\[0\].values: "),
+            # counts binary64 cannot hold, which the order statistics raise CDFs to; null n_prime is derived
+            ({"n": 10**400, "n_prime": None}, "^n: "),
+            ({"epsilon": "1e-320", "n_prime": None}, "^n_prime: "),
+            ({"n_prime": 10**400}, "^n_prime: "),
         ],
     )
     def test_bad_field_is_a_config_error(self, override, match):
@@ -144,7 +148,7 @@ JUNK = (
     | st.builds(dict)
 )
 JUNK_ATOM = JUNK | st.sampled_from([1e300, 1e-300, "1e999"])
-JUNK_COUNT = JUNK | st.sampled_from([10**8, 1e300, str(10**40)])
+JUNK_COUNT = JUNK | st.sampled_from([10**8, 1e300, str(10**40), str(10**400)])
 _ITEM = st.lists(st.sampled_from(["0", "1", "2", "3.5", 7]), min_size=1, max_size=2, unique=True).flatmap(
     lambda values: st.lists(st.integers(1, 3), min_size=len(values), max_size=len(values)).map(
         lambda w: {"values": values, "probs": [x / sum(w) for x in w]}
@@ -327,13 +331,32 @@ class TestAnalyze:
         assert "monte_carlo" in err
 
     def test_cap_message_past_the_int_to_str_limit(self, tmp_path, capsys):
-        # 2^15000 valuations: the count has 4,516 digits, more than Python converts an int to
-        payload = dict(D2_CONFIG, items=D2_CONFIG["items"] * 15_000, mode="monte_carlo", samples=10)
-        code = main(["analyze", "--config", write_config(tmp_path, payload)])
+        # 2^15000 valuations x 2^15000 max vectors: the count has 9,031 digits, more than Python converts an int to
+        path = write_config(tmp_path, dict(D2_CONFIG, items=D2_CONFIG["items"] * 15_000, samples=10))
+        code = main(["analyze", "--config", path])
         lines = capsys.readouterr().err.splitlines()
         assert code == EXIT_CAPS
         assert len(lines) == 2 and lines[1].startswith("hint: ")
-        assert lines[0].startswith("enumeration cap: product support size about 2^15000 exceeds cap 4096")
+        assert lines[0].startswith("enumeration cap: valuations x max-vectors = about 2^30000 exceeds cap ")
+        # Monte-Carlo mode is refused per sample, at the n' = 2 estimate it runs first:
+        # 2 bidders x 15,000 items x 15,000 items x 2 atoms region-kernel cells
+        code = main(["analyze", "--config", path, "--mode", "mc"])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == EXIT_CAPS
+        assert len(lines) == 2 and lines[1].startswith("hint: ")
+        assert lines[0] == "enumeration cap: 900000000 region-kernel cells per sample exceed cap 16777216"
+
+    @pytest.mark.parametrize("items, n, n_prime, samples", [(13, 1, 2, 2000), (64, 8, 8, 200)])
+    def test_monte_carlo_past_the_product_support_cap(self, tmp_path, capsys, items, n, n_prime, samples):
+        # 2^13 and 2^64 valuations, over caps.product_support (4,096): Monte-Carlo mode never
+        # enumerates them, and its region-kernel cells per sample are within caps.joint_terms
+        payload = dict(D2_CONFIG, items=D2_CONFIG["items"] * items, n=n, n_prime=n_prime, mode="monte_carlo",
+                       samples=samples)
+        code = main(["analyze", "--config", write_config(tmp_path, payload), "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK and captured.err == ""
+        scalars = json.loads(captured.out)["scalars"]
+        assert scalars["m"] == items and scalars["iu_n_estimate"] > 0
 
     def test_lp_over_the_tableau_cap_reports_null_revenue(self, tmp_path, capsys):
         item = {"values": [str(v) for v in range(1, 17)], "probs": ["0.0625"] * 16}
@@ -407,6 +430,13 @@ class TestIronCommand:
         assert main(["iron", "--config", write_config(tmp_path, D2_CONFIG)]) == 0
         out = capsys.readouterr().out
         assert "regular" in out and "True" in out
+
+    def test_past_the_product_support_cap(self, tmp_path, capsys):
+        # 13 binary items, 2^13 valuations: ironing is per item and enumerates no product
+        payload = dict(D2_CONFIG, items=D2_CONFIG["items"] * 13)
+        assert main(["iron", "--config", write_config(tmp_path, payload), "--format", "csv"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 1 + 2 * 13 and captured.err == ""
 
     def test_csv_d3(self, tmp_path, capsys):
         payload = dict(D2_CONFIG, items=[{"values": ["4", "5", "10"], "probs": ["0.6", "0.2", "0.2"]}])
@@ -483,7 +513,12 @@ class TestVerifyCommand:
         assert 0 < len(calls) < 100
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 2 and lines[0].startswith("enumeration cap: ")
-        assert lines[1] == "hint: lower --max-items or --max-support"
+        assert lines[1] == "hint: lower --max-items, --max-support or --max-ghosts"
+        # n' up to 10^12 ghosts: the n' x items posted prices pass caps.joint_terms, and the hint names the flag
+        assert main(["verify", "--seed", "1", "--count", "2", "--max-ghosts", str(10**12)]) == EXIT_CAPS
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("enumeration cap: n' x items = ")
+        assert lines[1] == "hint: lower --max-items, --max-support or --max-ghosts"
 
     @pytest.mark.parametrize(
         "flags",
@@ -495,6 +530,10 @@ class TestVerifyCommand:
             ["--max-ghosts", "1"],  # below the default --max-bidders 2
             ["--max-support", "20"],  # the value grid 0..12 has 13 points
             ["--count", "-2"],
+            # numpy draws the generators' integers in int64
+            ["--max-items", str(2**63)],
+            ["--max-bidders", str(2**63), "--max-ghosts", str(2**64)],
+            ["--max-ghosts", str(2**63)],
         ],
     )
     def test_bad_generator_flags_exit_2(self, flags, capsys):
@@ -503,6 +542,13 @@ class TestVerifyCommand:
         assert exc.value.code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    def test_generator_flags_at_the_int64_limit_run(self, capsys):
+        # 2^63 - 1 is the largest bound numpy draws below; the settings it draws pass the caps
+        limit = str(2**63 - 1)
+        assert main(["verify", "--count", "1", "--max-items", limit, "--max-bidders", limit, "--max-ghosts", limit]) == EXIT_CAPS
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("enumeration cap: ") and lines[1].startswith("hint: ")
 
 
 def _count_calls(monkeypatch, module, name):

@@ -22,6 +22,7 @@ from auctionbench import (
     variance,
     variance_ub_check,
 )
+from auctionbench.dist import product_grid
 from auctionbench.errors import (
     EmptySupport,
     EnumerationCapExceeded,
@@ -104,17 +105,30 @@ class TestConstruction:
         with pytest.raises(TooFewBidders):
             AuctionSetting(items=(d2,), n=2, n_prime=1)
         big = make_item_distribution(list(range(1, 18)), [1 / 17] * 17)
+        setting = AuctionSetting(items=(big,) * 3, n=1, n_prime=2)  # the cap bounds enumerations, not settings
         with pytest.raises(EnumerationCapExceeded):
-            AuctionSetting(items=(big,) * 3, n=1, n_prime=2)
+            setting.valuations()
 
     def test_cap_messages_state_a_huge_count_by_its_bit_length(self, d2):
         # 2^15000 has 4,516 digits, more than Python converts an int to
-        with pytest.raises(EnumerationCapExceeded, match=r"^product support size about 2\^15000 exceeds cap 4096;"):
-            AuctionSetting(items=(d2,) * 15_000, n=1, n_prime=2)
-        with pytest.raises(EnumerationCapExceeded, match=r"^joint max-vector support about 2\^15000 exceeds cap 4096$"):
-            MaxVectorDistribution(1, (d2,) * 15_000).check_joint_cap(DEFAULT_CAPS)
-        with pytest.raises(EnumerationCapExceeded, match="^product support size 4913 exceeds cap 4096;"):
-            AuctionSetting(items=(make_item_distribution(range(17), [1 / 17] * 17),) * 3, n=1, n_prime=2)
+        with pytest.raises(EnumerationCapExceeded, match=r"^product support size about 2\^15000 exceeds cap 4096$"):
+            AuctionSetting(items=(d2,) * 15_000, n=1, n_prime=2).valuations()
+        with pytest.raises(EnumerationCapExceeded, match=r"^product support size about 2\^15000 exceeds cap 4096$"):
+            MaxVectorDistribution(1, (d2,) * 15_000).joint(DEFAULT_CAPS)
+        with pytest.raises(EnumerationCapExceeded, match="^product support size 4913 exceeds cap 4096$"):
+            product_grid((make_item_distribution(range(17), [1 / 17] * 17),) * 3, DEFAULT_CAPS.product_support)
+
+    def test_product_grid_refuses_before_building(self, d2, monkeypatch):
+        # the size is checked before np.indices builds anything; at the cap the grid is built
+        def fail(*args, **kwargs):
+            raise AssertionError("np.indices called over the cap")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "indices", fail)
+            with pytest.raises(EnumerationCapExceeded, match="^product support size 8 exceeds cap 7$"):
+                product_grid((d2,) * 3, 7)
+        values, probs = product_grid((d2,) * 3, 8)
+        assert values.shape == (8, 3) and probs.sum() == 1.0
 
     def test_valuations_are_the_product_enumeration(self):
         # the joint probabilities are math.prod's left-to-right products, bit for bit

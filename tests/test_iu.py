@@ -395,12 +395,15 @@ class TestMonteCarlo:
         assert a == b
 
     def test_chunk_shrinks_to_the_cap(self, d2, d3):
-        # 2 bidders x 2 items = 4 cells per sample; a cap of 16 cells allows 4
-        # samples per chunk, the same stream as asking for chunk=4
-        capped = AuctionSetting(items=(d2, d3), n=2, n_prime=3, caps=Caps(joint_terms=16))
+        # 2 bidders x 2 items x 2 items x 3 atoms = 24 region-kernel cells per sample, the
+        # most a cap of 24 allows; it holds 24 // (2 x 2) = 6 samples per chunk, the same
+        # stream as asking for chunk=6
+        capped = AuctionSetting(items=(d2, d3), n=2, n_prime=3, caps=Caps(joint_terms=24))
         free = AuctionSetting(items=(d2, d3), n=2, n_prime=3)
-        assert monte_carlo_iu(capped, 2, 3, 50, seed=4) == monte_carlo_iu(free, 2, 3, 50, seed=4, chunk=4)
-        assert monte_carlo_iu(free, 2, 3, 50, seed=4) != monte_carlo_iu(free, 2, 3, 50, seed=4, chunk=4)
+        assert monte_carlo_iu(capped, 2, 3, 50, seed=4) == monte_carlo_iu(free, 2, 3, 50, seed=4, chunk=6)
+        assert monte_carlo_iu(free, 2, 3, 50, seed=4) != monte_carlo_iu(free, 2, 3, 50, seed=4, chunk=6)
+        with pytest.raises(EnumerationCapExceeded, match="^24 region-kernel cells per sample exceed cap 23$"):
+            monte_carlo_iu(AuctionSetting(items=(d2, d3), n=2, n_prime=3, caps=Caps(joint_terms=23)), 2, 3, 50, seed=4)
 
     def test_bidder_cells_over_cap(self, d2):
         setting = AuctionSetting(items=(d2, d2), n=8, n_prime=8, caps=Caps(joint_terms=15))
