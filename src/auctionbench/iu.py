@@ -49,6 +49,7 @@ KERNEL_CELLS = 1 << 18
 # monte_carlo_iu re-ranks its valuation codes before their radix passes this
 _CODE_LIMIT = 1 << 63
 RANK_TABLE = 1 << 20  # largest radix _rank ranks through a presence table (9 bytes a slot)
+COMPARE_ATOMS = 64  # most atoms _draw_atoms counts by comparison; a binary search above
 
 
 def region_of(v: Valuation, maxvec: MaxVector) -> int | None:
@@ -133,6 +134,8 @@ def region_kernel(
     rows = vals.reshape(-1, vals.shape[-1])
     out = np.empty(rows.shape)
     block = max(1, KERNEL_CELLS // max(len(law.values) for law in max_laws))
+    # survival[i] = Pr(M_j > values[i - 1]) and survival[0] = 1
+    survivals = [np.concatenate(([1.0], 1.0 - law.cdf_arr)) for law in max_laws]
     for lo in range(0, len(rows), block):
         cols = rows[lo : lo + block].T.copy()  # contiguous per item: the rival loop reads whole columns
         for j, law in enumerate(max_laws):
@@ -142,11 +145,9 @@ def region_kernel(
                 term *= u
             for jp, rival in enumerate(max_laws):
                 if jp != j:
-                    # survival[i] = Pr(M_jp > values[i - 1]) and survival[0] = 1; u_jp < u
-                    # is M_jp > v_jp - u (search "right"), u_jp <= u is M_jp >= v_jp - u ("left")
-                    survival = np.concatenate(([1.0], 1.0 - rival.cdf_arr))
+                    # u_jp < u is M_jp > v_jp - u (search "right"), u_jp <= u is M_jp >= v_jp - u ("left")
                     side = "left" if jp > j and not strict_ties else "right"
-                    term *= survival[rival.values_arr.searchsorted(cols[jp] - u, side=side)]
+                    term *= survivals[jp][rival.values_arr.searchsorted(cols[jp] - u, side=side)]
             out[lo : lo + block, j] = term.cumsum(axis=0)[-1]
     return out.reshape(vals.shape)
 
@@ -201,6 +202,34 @@ def _rank(code: np.ndarray, radix: int) -> tuple[int, np.ndarray, np.ndarray]:
     return len(first), inverse, first
 
 
+def _choice_edges(probs: np.ndarray) -> np.ndarray:
+    """The CDF edges `Generator.choice` searches for atom probabilities `probs`.
+
+    As choice builds them: the cumsum divided by its last entry, that entry then
+    dropped.  `ScalarDistribution.cdf_arr` sets its last entry to 1.0 instead.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf[:-1]
+
+
+def _draw_atoms(rng: np.random.Generator, edges: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill `out` with the atom indices `rng.choice(len(edges) + 1, len(out), p=probs)` draws.
+
+    Inverse-CDF on the same uniforms choice reads: an index is the number of
+    `edges` (:func:`_choice_edges`) at or below its uniform, counted one
+    comparison per edge up to COMPARE_ATOMS atoms and by binary search above.
+    """
+    u = rng.random(len(out))
+    if len(edges) >= COMPARE_ATOMS:
+        out[...] = edges.searchsorted(u, side="right")
+    else:
+        out[...] = 0
+        for edge in edges:
+            out += u >= edge
+    return out
+
+
 class MCEstimate(NamedTuple):
     estimate: float
     std_error: float | None
@@ -215,6 +244,10 @@ def monte_carlo_iu(
     per-item max CDFs, so the only randomness is in the valuations.  Output is
     deterministic for a given seed.  One sample costs n x m x m x (most atoms of any M_j)
     region-kernel cells; more than caps.joint_terms raises EnumerationCapExceeded.
+
+    Each item's atom indices come from :func:`_draw_atoms`: inverse-CDF on the
+    uniforms `rng.choice` reads, counted by comparison up to COMPARE_ATOMS
+    atoms, so they are choice's indices without its binary search.
 
     Draws come from the finite product support and mostly repeat, so each
     chunk keys its valuations by one mixed-radix code of their atom indices
@@ -236,6 +269,7 @@ def monte_carlo_iu(
     # draws per chunk: the random stream and the memory of one chunk
     chunk = min(chunk, setting.caps.joint_terms // (n * setting.m))
     sizes = [len(item.values) for item in setting.items]
+    edges = [_choice_edges(item.probs_arr) for item in setting.items]
     rng = make_rng(seed, MC_STREAM)
     total = 0.0
     total_sq = 0.0
@@ -247,8 +281,8 @@ def monte_carlo_iu(
         idx = np.empty((setting.m, batch * n), dtype=np.min_scalar_type(max(sizes) - 1))
         code = np.zeros(batch * n, dtype=np.int64)
         radix = 1
-        for j, item in enumerate(setting.items):
-            idx[j] = rng.choice(sizes[j], size=batch * n, p=item.probs_arr)
+        for j in range(setting.m):
+            _draw_atoms(rng, edges[j], idx[j])
             if radix * sizes[j] > _CODE_LIMIT:
                 radix, code, _ = _rank(code, radix)
             code *= sizes[j]

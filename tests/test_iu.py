@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,16 @@ from auctionbench import (
 from auctionbench.cli import load_config
 from auctionbench.errors import EnumerationCapExceeded
 from auctionbench.generators import random_setting
-from auctionbench.iu import KERNEL_CELLS, MC_STREAM, RANK_TABLE, benchmark_values, region_kernel
+from auctionbench.iu import (
+    COMPARE_ATOMS,
+    KERNEL_CELLS,
+    MC_STREAM,
+    RANK_TABLE,
+    _choice_edges,
+    _draw_atoms,
+    benchmark_values,
+    region_kernel,
+)
 from auctionbench.myerson import iron
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -119,6 +129,23 @@ def assert_mc_matches_per_draw(setting, n, n_prime, samples, seed, chunk):
 
 # the default draw chunk, one that splits the samples, and a tiny one
 MC_CHUNKS = [1 << 16, 7000, 7]
+
+
+@st.composite
+def choice_probs(draw):
+    # both sides of the COMPARE_ATOMS rule; a mass of 2^-53 or 2^-60 of the total moves
+    # the CDF by at most one ulp, so it puts two edges within one ulp or on one float
+    atoms = draw(st.sampled_from([1, 2, 3, COMPARE_ATOMS - 1, COMPARE_ATOMS, COMPARE_ATOMS + 1]) | st.integers(4, 100))
+    masses = st.floats(0.05, 1.0) | st.sampled_from([2.0**-53, 2.0**-60])
+    weights = np.array(draw(st.lists(masses, min_size=atoms, max_size=atoms)))
+    return weights / weights.sum()
+
+
+def same_state(a, b):
+    """Equal bit-generator states: nested dicts of ints, strings and uint64 arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
 
 
 @st.composite
@@ -458,6 +485,39 @@ class TestMonteCarlo:
             sorts.clear()
             assert_mc_matches_per_draw(wide, 2, 3, 3000 if chunk > 7 else 100, 9, chunk)
             assert sorts
+
+    @settings(max_examples=80, deadline=None)
+    @given(probs=choice_probs(), key=st.integers(0, 2**64 - 1), size=st.integers(1, 3000))
+    def test_draw_atoms_is_generator_choice(self, probs, key, size):
+        # the same Philox key gives choice's indices and leaves the same state,
+        # so both draws read the same uniforms; this pins the draw to the numpy it runs on
+        want_rng, got_rng = make_rng(key), make_rng(key)
+        want = want_rng.choice(len(probs), size=size, p=probs)
+        out = np.empty(size, dtype=np.min_scalar_type(len(probs) - 1))
+        assert np.array_equal(_draw_atoms(got_rng, _choice_edges(probs), out), want)
+        assert same_state(got_rng.bit_generator.state, want_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("chunk", MC_CHUNKS)
+    def test_wide_and_single_atom_items_match_per_draw_reference(self, chunk, point_mass, d3):
+        # a 70-atom item draws by binary search, the point mass from no edges at all
+        weights = make_rng(40).random(70) + 0.05
+        wide = make_item_distribution(list(range(1, 71)), (weights / weights.sum()).tolist())
+        assert len(wide.values) > COMPARE_ATOMS and len(point_mass.values) == 1
+        setting = AuctionSetting(items=(wide, point_mass, d3), n=2, n_prime=3)
+        assert_mc_matches_per_draw(setting, 2, 3, 3000 if chunk > 7 else 100, 6, chunk)
+
+    def test_chunk_transient_memory(self):
+        # one full chunk: 65,536 samples x 8 bidders x 4 binary items.  Each item's
+        # 4 MiB of uniforms is dropped after its draw; the peak is 14.0 MiB, and
+        # uniforms held through the rank, kernel and gather phases take it to 18.0 MiB
+        setting = load_config(CONFIGS / "near_uniform_many_items.json").setting
+        tracemalloc.start()
+        try:
+            monte_carlo_iu(setting, 8, 8, 1 << 16, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14.5 * (1 << 20)
 
     def test_phi_once_per_distinct_valuation(self, monkeypatch):
         # 4 binary items: at most 16 distinct valuations per chunk, against
