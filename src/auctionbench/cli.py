@@ -350,9 +350,9 @@ def cmd_iron(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    lo, hi = _count(args.n_prime_min, "--n-prime-min"), _count(args.n_prime_max, "--n-prime-max")
     cfg = load_config(args.config)
     setting = cfg.setting
-    lo, hi = args.n_prime_min, args.n_prime_max
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(

@@ -87,7 +87,8 @@ class Instance:
 
     `ghost_max`, the law of the max vector of n' - 1 ghost draws, `srev_nprime`, SRev(n'),
     and `ronen_nprime`, the Ronen floor at n', are built on construction; the IU tables and
-    the utility statistics on first use.
+    the utility statistics on first use.  Valuations x max vectors past caps.joint_terms are
+    refused on construction, before either table is built.
     """
 
     setting: AuctionSetting
@@ -100,6 +101,11 @@ class Instance:
         if self.n_prime < 1:
             raise TooFewBidders("need n_prime >= 1")
         object.__setattr__(self, "ghost_max", max_vector_distribution(self.setting, self.n_prime - 1))
+        caps = self.setting.caps
+        if (terms := self.setting.product_support_size * self.ghost_max.joint_size()) > caps.joint_terms:
+            raise EnumerationCapExceeded(
+                f"valuations x max-vectors = {size_text(terms)} exceeds cap {caps.joint_terms}; use monte_carlo_iu"
+            )
         object.__setattr__(self, "srev_nprime", srev(self.setting, self.n_prime))
         object.__setattr__(self, "ronen_nprime", ronen_bound_from_law(self.setting, self.ghost_max, self.n_prime))
 
@@ -165,10 +171,6 @@ def benchmark_values(vals: np.ndarray, p_region: np.ndarray, items: Sequence[Ite
 def build_iu_tables(inst: Instance) -> IUTables:
     """Exact region probabilities P_j(v) and benchmark values Phi_j(v) for every v."""
     setting, maxvec = inst.setting, inst.ghost_max
-    if (terms := setting.product_support_size * maxvec.joint_size()) > setting.caps.joint_terms:
-        raise EnumerationCapExceeded(
-            f"valuations x max-vectors = {size_text(terms)} exceeds cap {setting.caps.joint_terms}; use monte_carlo_iu"
-        )
     valuations, vprobs = setting.valuations()
     vals = np.array(valuations)
     p_region = region_kernel(vals, maxvec.per_item)

@@ -1,9 +1,9 @@
 """Virtual values, ironing, regularity, and per-item optimal revenue.
 
-The ironing routine is the plateau-averaging sweep from the top of the
-support: repeatedly average the virtual value over candidate intervals
-[y, x], assign the best average as a constant plateau, and recurse below it.
-A floor-restricted variant of the same sweep backs the dual certificates.
+Ironing is the probability-weighted isotonic regression of the virtual values,
+computed by one pool-adjacent-violators pass (Ayer, Brunk, Ewing, Reid &
+Silverman 1955) in O(L) over L support points.  A floor-restricted variant of
+the same pass backs the dual certificates.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ def virtual_values(item: ItemDistribution) -> list[float]:
 class IronedTable:
     """Per-support-point virtual and ironed virtual values for one item.
 
-    `phi_tilde` is exactly the sweep output; `phi_plus` is max(phi_tilde, 0)
-    per atom and `plus_law` the law of phi_tilde^+ under the item's
-    distribution.
+    `phi_tilde` is exactly the pool-adjacent-violators output, each plateau's mean
+    summed from its top atom down; `phi_plus` is max(phi_tilde, 0) per atom and
+    `plus_law` the law of phi_tilde^+ under the item's distribution.
     """
 
     phi: tuple[float, ...]
@@ -54,36 +54,32 @@ class IronedTable:
 
 
 def _iron_sweep(values: tuple[float, ...], probs: tuple[float, ...], phi: list[float], lo: int) -> list[float]:
-    """Plateau sweep over index range [lo, len(values)); returns that slice.
+    """Ironed phi over index range [lo, len(values)); returns that slice.
 
-    Each round scans candidates y in [lo, x], computes the probability
-    weighted mean of phi over [y, x], takes the argmax (ties toward larger y),
-    flattens [y*, x] at that mean, and continues strictly below y*.  The
-    restricted variant is the same sweep with lo > 0.
+    Pool-adjacent-violators: scan upwards with a stack of (start, mass, weighted)
+    blocks, merging the new atom into the block below while that block's mean is
+    strictly greater, so equal means stay apart.  Each atom is pushed once and
+    popped at most once.  Each plateau's value is then summed from its top atom
+    down, the order of the plateau sweep the tests keep as the reference, so the
+    two agree bit for bit wherever they pick the same plateaus.
     """
-    top = len(values) - 1
+    blocks: list[tuple[int, float, float]] = []
+    for y in range(lo, len(values)):
+        start, mass, weighted = y, probs[y], probs[y] * phi[y]
+        while blocks and blocks[-1][2] / blocks[-1][1] > weighted / mass:
+            start, below_mass, below_weighted = blocks.pop()
+            mass, weighted = mass + below_mass, weighted + below_weighted
+        blocks.append((start, mass, weighted))
     out = [0.0] * (len(values) - lo)
-    x_idx = top
-    while True:
-        best_a = None
-        best_y = None
-        mass = 0.0
-        weighted = 0.0
-        # scan y from x down to lo; ties broken toward larger y means a
-        # strictly-greater test while scanning downward keeps the larger y
-        for y_idx in range(x_idx, lo - 1, -1):
-            mass += probs[y_idx]
-            weighted += probs[y_idx] * phi[y_idx]
-            a = weighted / mass
-            if best_a is None or a > best_a:
-                best_a = a
-                best_y = y_idx
-        assert best_y is not None and best_a is not None
-        for idx in range(best_y, x_idx + 1):
-            out[idx - lo] = best_a
-        if best_y == lo:
-            return out
-        x_idx = best_y - 1
+    end = len(values)
+    for start, _, _ in reversed(blocks):
+        mass = weighted = 0.0
+        for y in range(end - 1, start - 1, -1):
+            mass += probs[y]
+            weighted += probs[y] * phi[y]
+        out[start - lo : end - lo] = [weighted / mass] * (end - start)
+        end = start
+    return out
 
 
 def iron(item: ItemDistribution) -> IronedTable:
@@ -99,8 +95,7 @@ def iron(item: ItemDistribution) -> IronedTable:
 def iron_restricted(item: ItemDistribution, floor: float) -> dict[float, float]:
     """Ironing restricted to support points >= floor.
 
-    The sweep's argmax only considers y >= floor and the recursion stops once
-    the plateau reaches the floor, so the output covers exactly [floor, max].
+    The pass starts at the floor, so the output covers exactly [floor, max].
     """
     try:
         lo = item.values.index(floor)

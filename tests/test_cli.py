@@ -4,6 +4,8 @@ import csv
 import importlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -295,6 +297,21 @@ def test_exact_analyze_memory_at_the_in_cap_extreme():
     assert peak <= 32 << 20
 
 
+def test_wide_item_refused_in_linear_time(tmp_path):
+    # one item of 65,536 equal-mass atoms: ironing it is one linear pass, so
+    # exact analyze reaches the joint-terms refusal in well under a second
+    atoms = 1 << 16
+    payload = {"items": [{"values": list(range(1, atoms + 1)), "probs": [1 / atoms] * atoms}], "n": 1, "mode": "exact"}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "auctionbench.cli", "analyze", "--config", write_config(tmp_path, payload)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == EXIT_CAPS
+    assert proc.stderr.startswith("enumeration cap: ")
+
+
 class TestAnalyze:
     def test_exit_zero_and_values(self, tmp_path, capsys):
         code = main(["analyze", "--config", write_config(tmp_path, D2_CONFIG)])
@@ -480,6 +497,32 @@ class TestSweep:
         )
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 1 and out[0].startswith("n_prime")
+
+    def test_refused_before_the_utility_statistics(self, tmp_path, monkeypatch, capsys):
+        # two items of 128 equal-mass atoms at n' = 2: 2^14 valuations x 2^14 max
+        # vectors pass caps.joint_terms, so the Instance refuses before either table
+        item = {"values": list(range(1, 129)), "probs": ["0.0078125"] * 128}
+        payload = {"items": [item, item], "n": 1, "n_prime": 2, "caps": {"product_support": 1 << 15}}
+        calls = _count_calls(monkeypatch, "decomposition", "build_utility_stats")
+        argv = ["sweep", "--config", write_config(tmp_path, payload), "--n-prime-min", "2", "--n-prime-max", "2"]
+        assert main(argv) == EXIT_CAPS
+        assert calls == []
+        assert capsys.readouterr().err.startswith("enumeration cap: valuations x max-vectors = ")
+
+    @pytest.mark.parametrize(
+        "lo, hi, size",
+        [(10**400, 10**400, "2^1328"), (2**1024, 2**1024, "2^1024"), (2**1024, 2, "2^1024")],
+        ids=["10^400", "2^1024", "2^1024-to-2"],
+    )
+    def test_bidder_flags_past_binary64_exit_2_in_one_line(self, tmp_path, capsys, lo, hi, size):
+        # the config's count rule: the order statistics raise CDFs to n'
+        argv = ["sweep", "--config", write_config(tmp_path, D2_CONFIG), "--n-prime-min", str(lo), "--n-prime-max", str(hi)]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"config error: --n-prime-min: about {size} exceeds the largest binary64, {sys.float_info.max!r}"
+        ]
 
 
 class TestVerifyCommand:

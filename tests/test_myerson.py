@@ -1,11 +1,15 @@
-"""Virtual values, the ironing sweep and its restricted variant, and per-item revenue."""
+"""Virtual values, ironing and its restricted variant, and per-item revenue."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionbench import (
     AuctionSetting,
     iron,
     iron_restricted,
+    make_item_distribution,
     make_rng,
     optimal_revenue,
     srev,
@@ -14,6 +18,66 @@ from auctionbench import (
 )
 from auctionbench.errors import FloorNotInSupport
 from auctionbench.generators import random_item
+
+
+def _iron_sweep(values: tuple[float, ...], probs: tuple[float, ...], phi: list[float], lo: int) -> list[float]:
+    """Plateau sweep over index range [lo, len(values)); returns that slice.
+
+    Each round scans candidates y in [lo, x], computes the probability
+    weighted mean of phi over [y, x], takes the argmax (ties toward larger y),
+    flattens [y*, x] at that mean, and continues strictly below y*.  The
+    restricted variant is the same sweep with lo > 0.
+    """
+    top = len(values) - 1
+    out = [0.0] * (len(values) - lo)
+    x_idx = top
+    while True:
+        best_a = None
+        best_y = None
+        mass = 0.0
+        weighted = 0.0
+        # scan y from x down to lo; ties broken toward larger y means a
+        # strictly-greater test while scanning downward keeps the larger y
+        for y_idx in range(x_idx, lo - 1, -1):
+            mass += probs[y_idx]
+            weighted += probs[y_idx] * phi[y_idx]
+            a = weighted / mass
+            if best_a is None or a > best_a:
+                best_a = a
+                best_y = y_idx
+        assert best_y is not None and best_a is not None
+        for idx in range(best_y, x_idx + 1):
+            out[idx - lo] = best_a
+        if best_y == lo:
+            return out
+        x_idx = best_y - 1
+
+
+def floor_tables(item):
+    """(floor index, ironed values from iron_restricted, the plateau sweep's) at every floor."""
+    for lo, floor in enumerate(item.values):
+        ironed = list(iron_restricted(item, floor).values())
+        yield lo, ironed, _iron_sweep(item.values, item.probs, item.ironed.phi, lo)
+
+
+@st.composite
+def tie_heavy_items(draw):
+    """Integer values with masses from {1, 2, 3}, or equal-mass arithmetic and geometric grids."""
+    kind = draw(st.sampled_from(["integer", "arithmetic", "geometric"]))
+    if kind == "integer":
+        values = sorted(draw(st.lists(st.integers(0, 40), min_size=1, max_size=24, unique=True)))
+        weights = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=len(values), max_size=len(values)))
+    else:
+        size = draw(st.integers(1, 24))
+        if kind == "arithmetic":
+            start, step = draw(st.integers(0, 10)), draw(st.sampled_from([1, 2, 3, 0.5, 0.25]))
+            values = [start + k * step for k in range(size)]
+        else:
+            start, ratio = draw(st.integers(1, 10)), draw(st.sampled_from([1.25, 1.5, 2.0, 3.0]))
+            values = [start * ratio**k for k in range(size)]
+        weights = [1] * size
+    total = sum(weights)
+    return make_item_distribution(values, [w / total for w in weights])
 
 
 def posted_price_optimum(item):
@@ -80,6 +144,34 @@ class TestIron:
             total_phi = sum(p * f for p, f in zip(table.phi, item.probs))
             total_tilde = sum(p * f for p, f in zip(table.phi_tilde, item.probs))
             assert total_phi == pytest.approx(total_tilde, abs=1e-12)
+
+
+class TestPlateauSweepReference:
+    """Pool-adjacent-violators against the quadratic plateau sweep it replaced."""
+
+    def test_equal_at_every_floor_on_seeded_items(self):
+        rng = make_rng(20)
+        for _ in range(2000):
+            item = random_item(rng, max_support=13)
+            for lo, ironed, reference in floor_tables(item):
+                assert ironed == reference, (item.values, item.probs, lo)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_items())
+    def test_within_4_ulps_on_tie_heavy_items(self, item):
+        # Runs of exactly equal means may split into different plateaus, whose sums
+        # round differently.  The rounding is relative to the summands, so the ulps
+        # are those of the largest |phi| in the table: under cancellation a plateau
+        # near -20 summed from phi near -132 differs by 3 ulps of 20.
+        probs = np.asarray(item.probs)
+        for lo, ironed, reference in floor_tables(item):
+            ironed, reference = np.asarray(ironed), np.asarray(reference)
+            phi, values, p = np.asarray(item.ironed.phi[lo:]), np.asarray(item.values[lo:]), probs[lo:]
+            assert np.all(np.abs(ironed - reference) <= 4 * np.spacing(np.abs(phi).max())), (item.values, lo)
+            scale = 1e-12 * max(1.0, float(np.abs(values).max()))
+            assert np.all(np.diff(ironed) >= -scale)
+            assert np.all(ironed <= values + scale)
+            assert float(p @ ironed) == pytest.approx(float(p @ phi), rel=1e-12, abs=scale)
 
 
 class TestIronRestricted:
