@@ -26,7 +26,6 @@ from .decomposition import (
 from .dist import (
     AuctionSetting,
     Caps,
-    CHECK_TOL,
     DEFAULT_CAPS,
     make_item_distribution,
     make_rng,
@@ -45,7 +44,7 @@ from .errors import (
 from .generators import MAX_VALUE, random_setting
 from .iu import Instance, monte_carlo_iu, step2_inequality_check, tie_break_independence_check
 from .myerson import all_regular, srev, srev_item
-from .report import AnalysisReport, CheckRecord
+from .report import CHECK_TOL, AnalysisReport, CheckRecord
 from .simple_auctions import (
     bulow_klemperer_check,
     sequential_posted_price_bound,
@@ -203,8 +202,7 @@ def _shared_checks(inst: Instance, rng: np.random.Generator, tol: float) -> list
     setting, n, np_, srev_np = inst.setting, inst.setting.n, inst.n_prime, inst.srev_nprime
     checks = []
     if np_ >= 2:
-        s2 = step2_inequality_check(inst, n, tol)
-        checks.append(CheckRecord.leq("step2", "IU(n,n') <= (n/n')*IU(n',n') + VCG(n')", s2.lhs, s2.rhs, tol))
+        checks.append(step2_inequality_check(inst, n, tol))
     checks.append(CheckRecord.leq("ronen_le_srev", "RonenBound(n') <= SRev(n')", inst.ronen_nprime, srev_np, tol))
     for j, item in enumerate(setting.items):
         lhs = max(vcg_with_reserve_bound(setting, j, x, np_) for x in (0.0,) + item.values)
@@ -219,8 +217,7 @@ def _shared_checks(inst: Instance, rng: np.random.Generator, tol: float) -> list
         )
     spp = sequential_posted_price_bound(setting, _posted_prices(setting, rng), np_)
     checks.append(CheckRecord.leq("spp_le_srev", "SeqPostedPrice(n') <= SRev(n')", spp, srev_np, tol))
-    bk = bulow_klemperer_check(setting, n, tol)
-    checks.append(CheckRecord("bulow_klemperer", "SRev(n) <= VCG(n+1) (regular items)", bk.srev_n, bk.vcg_n1, bk.holds))
+    checks.append(bulow_klemperer_check(setting, n, tol))
     return checks
 
 
@@ -250,7 +247,7 @@ def run_analysis(cfg: InstanceConfig) -> AnalysisReport:
             lhs = est_n.estimate
             rhs = (n / np_) * est_np.estimate + vcg_revenue(setting, np_)
             fuzz = 4.0 * ((est_n.std_error or 0.0) + (est_np.std_error or 0.0))
-            rep.add(
+            rep.checks.append(
                 CheckRecord.leq(
                     "step2_mc",
                     "IU(n,n') <= (n/n')*IU(n',n') + VCG(n') (MC, 4 sigma fuzz)",
@@ -284,7 +281,7 @@ def run_analysis(cfg: InstanceConfig) -> AnalysisReport:
     rep.checks.extend(verdict.checks)
     if verdict.holds is not None:
         holds = verdict.holds
-        rep.add(CheckRecord("theorem_dichotomy", "branch1 or branch2 holds", 0.0, 1.0 if holds else 0.0, holds))
+        rep.checks.append(CheckRecord("theorem_dichotomy", "branch1 or branch2 holds", 0.0, float(holds), holds))
     return rep
 
 

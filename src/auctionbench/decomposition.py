@@ -19,20 +19,17 @@ import numpy as np
 
 from .dist import (
     AuctionSetting,
-    CHECK_TOL,
     MASS_TOL,
     MaxVector,
     ScalarDistribution,
-    Valuation,
     iid_max_expectation,
-    max_vector_distribution,
     product_grid,
 )
 from .errors import InstanceTooLarge, NotRegular, TooFewBidders
 from .iu import Instance, region_kernel
 from .lp import optimal_revenue
 from .myerson import all_regular
-from .report import CheckRecord
+from .report import CHECK_TOL, CheckRecord
 from .simple_auctions import vcg_revenue
 
 HIGH_PAIR_FACTOR = 6.0  # capped-utility mean at least this multiple of the posted-revenue kernel
@@ -135,23 +132,6 @@ def build_utility_stats(inst: Instance) -> UtilityStats:
     return UtilityStats(m_vecs, probs, r_totals, e_u_hat, var_u_hat, fee_pd, fee_accept, nice_prob, pair_mass)
 
 
-class EventProbabilities(NamedTuple):
-    p_und: tuple[float, ...]  # per item: Pr(v_j < M_j)
-    p_nf: tuple[float, ...]  # per item: Pr(v_j >= M_j and some other item matches the utility)
-
-
-def event_probabilities(v: Valuation, setting: AuctionSetting, n_prime: int) -> EventProbabilities:
-    """Probabilities over M of the undercut and non-favorite events at v.
-
-    p_nf_j = Pr(M_j <= v_j) - Pr(M_j <= v_j and every other utility strictly below v_j - M_j).
-    """
-    laws = max_vector_distribution(setting, n_prime - 1).per_item
-    rival_free = region_kernel(np.array([v]), laws, strict_ties=True)[0].tolist()
-    p_und = tuple(1.0 - law.cdf(vj) for law, vj in zip(laws, v))
-    p_nf = tuple(max(law.cdf(vj) - free, 0.0) for law, vj, free in zip(laws, v, rival_free))
-    return EventProbabilities(p_und, p_nf)
-
-
 def surplus_event_probability(
     setting: AuctionSetting, maxvec_laws: tuple[ScalarDistribution, ...], j: int, vj: float, m_vec: MaxVector
 ) -> float:
@@ -192,9 +172,6 @@ class DecompositionReport:
     pi_bvcg_floor: float = 0.0
     regular_branch: bool = False
     checks: list[CheckRecord] = field(default_factory=list)
-
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.checks if c.holds is not None)
 
 
 def _at_or_below(law: ScalarDistribution, table: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -26,12 +26,10 @@ from .errors import (
     TooFewBidders,
     size_text,
 )
+from .report import CHECK_TOL, CheckRecord
 
 if TYPE_CHECKING:
     from .myerson import IronedTable
-
-# Combined absolute-plus-relative tolerance used by every inequality check.
-CHECK_TOL = 1e-9
 
 # Tolerance for construction-time invariants (mass sums, CDF endpoints).
 MASS_TOL = 1e-12
@@ -42,11 +40,6 @@ RENORM_TOL = 1e-6
 
 Valuation = tuple[float, ...]
 MaxVector = tuple[float, ...]
-
-
-def holds_leq(lhs: float, rhs: float, tol: float = CHECK_TOL) -> bool:
-    """lhs <= rhs up to absolute-plus-relative tolerance `tol`."""
-    return bool(rhs - lhs >= -tol * max(1.0, abs(lhs), abs(rhs)))
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -281,11 +274,6 @@ class MaxVectorDistribution:
     def joint_size(self) -> int:
         return math.prod(len(d.values) for d in self.per_item)
 
-    def joint(self, caps: Caps = DEFAULT_CAPS) -> Iterator[tuple[MaxVector, float]]:
-        """Enumerate joint max-vectors with probabilities (product form), within caps.product_support."""
-        values, probs = product_grid(self.per_item, caps.product_support)
-        return zip(map(tuple, values.tolist()), probs.tolist())
-
 
 def max_vector_distribution(setting: AuctionSetting, k: int) -> MaxVectorDistribution:
     """Exact law of max over k ghost draws; k = 0 is the all-zeros point mass."""
@@ -325,18 +313,7 @@ def iid_second_max_expectation(law: ScalarDistribution, n: int) -> float:
     return float(np.dot(law.values_arr, pmf))
 
 
-def variance(law: ScalarDistribution) -> float:
-    """Var(X) = E[(X - E[X])^2], exact."""
-    return law.variance()
-
-
-class VarianceUBCheck(NamedTuple):
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def variance_ub_check(law: ScalarDistribution, tol: float = CHECK_TOL) -> VarianceUBCheck:
+def variance_ub_check(law: ScalarDistribution, tol: float = CHECK_TOL) -> CheckRecord:
     """Second-moment bound for non-negative laws.
 
     lhs = E[X^2]; rhs = 2 (max_x x Pr(X >= x)) max(X).  Since Var <= E[X^2],
@@ -346,20 +323,14 @@ def variance_ub_check(law: ScalarDistribution, tol: float = CHECK_TOL) -> Varian
         raise NegativeValue("variance upper bound requires non-negative atoms")
     lhs = law.second_moment()
     rhs = 2.0 * float(law.posted_revenue(-math.inf)) * law.values[-1]
-    return VarianceUBCheck(lhs, rhs, holds_leq(lhs, rhs, tol))
+    return CheckRecord.leq("variance_ub", "E[X^2] <= 2 max_x(x Pr(X >= x)) max(X)", lhs, rhs, tol)
 
 
-class ChebyshevCheck(NamedTuple):
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def chebyshev_check(law: ScalarDistribution, a: float, tol: float = CHECK_TOL) -> ChebyshevCheck:
+def chebyshev_check(law: ScalarDistribution, a: float, tol: float = CHECK_TOL) -> CheckRecord:
     """Exact tail mass Pr(|X - E[X]| >= a) against Var/a^2."""
     if a <= 0:
         raise ValueError("a must be positive")
     mean = law.expectation()
     lhs = float(np.sum(law.probs_arr[np.abs(law.values_arr - mean) >= a]))
     rhs = law.variance() / (a * a)
-    return ChebyshevCheck(lhs, rhs, holds_leq(lhs, rhs, tol))
+    return CheckRecord.leq("chebyshev", "Pr(|X - E[X]| >= a) <= Var(X)/a^2", lhs, rhs, tol)

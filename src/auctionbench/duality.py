@@ -12,10 +12,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import AuctionSetting, MaxVector, holds_leq, product_grid
+from .dist import AuctionSetting, MaxVector, product_grid
 from .errors import EnumerationCapExceeded, size_text
 from .lp import Mechanism, optimal_revenue
 from .myerson import iron_restricted
+from .report import holds_leq
 
 
 class DualFlow(NamedTuple):
@@ -57,7 +58,7 @@ def _step(g: _Grid, a: np.ndarray, step: int) -> np.ndarray:
 
 
 def _regions(g: _Grid, m_vec: MaxVector) -> np.ndarray:
-    """(nv, m) mask of v in region j: the first j maximizing u_j = v_j - M_j (iu.region_of's rule), if u_j >= 0."""
+    """(nv, m) mask of v in region j: the smallest j maximizing u_j = v_j - M_j, if u_j >= 0 (else no region)."""
     u = g.vals - np.asarray(m_vec)
     return np.eye(u.shape[1], dtype=bool)[u.argmax(axis=1)] & (u.max(axis=1) >= 0.0)[:, None]
 

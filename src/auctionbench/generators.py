@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dist import AuctionSetting, Caps, DEFAULT_CAPS, ItemDistribution, ScalarDistribution, make_item_distribution
+from .dist import AuctionSetting, Caps, DEFAULT_CAPS, ItemDistribution, make_item_distribution
 from .errors import EnumerationCapExceeded, size_text
 
 MAX_VALUE = 12  # items are drawn on the value grid 0..MAX_VALUE
@@ -28,15 +28,6 @@ def random_regular_item(
             return item
     # monotone-phi fallback: a point mass is always regular
     return make_item_distribution([float(rng.integers(1, max_value + 1))], [1.0])
-
-
-def random_law(rng: np.random.Generator, max_support: int = 5, max_value: float = 10.0) -> ScalarDistribution:
-    """Random non-negative scalar law (not necessarily an item grid)."""
-    size = int(rng.integers(1, max_support + 1))
-    values = np.sort(rng.random(size)) * max_value
-    values = np.unique(np.round(values, 6))
-    weights = rng.random(len(values)) + 0.05
-    return ScalarDistribution.from_atoms(zip(values.tolist(), (weights / weights.sum()).tolist()))
 
 
 def random_setting(

@@ -25,19 +25,17 @@ import numpy as np
 
 from .dist import (
     AuctionSetting,
-    CHECK_TOL,
     ItemDistribution,
-    MaxVector,
     MaxVectorDistribution,
     ScalarDistribution,
     Valuation,
-    holds_leq,
     iid_max_expectation,
     make_rng,
     max_vector_distribution,
 )
 from .errors import EnumerationCapExceeded, TooFewBidders, size_text
 from .myerson import srev
+from .report import CHECK_TOL, CheckRecord
 from .simple_auctions import ronen_bound_from_law, vcg_revenue
 
 if TYPE_CHECKING:
@@ -50,18 +48,6 @@ KERNEL_CELLS = 1 << 18
 _CODE_LIMIT = 1 << 63
 RANK_TABLE = 1 << 20  # largest radix _rank ranks through a presence table (9 bytes a slot)
 COMPARE_ATOMS = 64  # most atoms _draw_atoms counts by comparison; a binary search above
-
-
-def region_of(v: Valuation, maxvec: MaxVector) -> int | None:
-    """Index of the region containing v given ghost max vector `maxvec`.
-
-    Returns the smallest j maximizing v_j - maxvec_j when that item also
-    clears its own max (v_j >= maxvec_j); otherwise None (residual region).
-    """
-    utilities = [vj - mj for vj, mj in zip(v, maxvec)]
-    best = max(utilities)
-    j_star = utilities.index(best)
-    return j_star if v[j_star] >= maxvec[j_star] else None
 
 
 @dataclass(frozen=True)
@@ -310,13 +296,7 @@ def monte_carlo_iu(
     return MCEstimate(mean, math.sqrt(var / samples))
 
 
-class Step2Check(NamedTuple):
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def step2_inequality_check(inst: Instance, n: int, tol: float = CHECK_TOL) -> Step2Check:
+def step2_inequality_check(inst: Instance, n: int, tol: float = CHECK_TOL) -> CheckRecord:
     """Unconditional growth inequality for the benchmark.
 
     iu(n, n') <= (n/n') iu(n', n') + vcg(n').  Holds for every setting with
@@ -329,7 +309,7 @@ def step2_inequality_check(inst: Instance, n: int, tol: float = CHECK_TOL) -> St
         raise TooFewBidders("need n_prime >= 2 for the second-price term")
     lhs = inst.iu_tables.iu(n)
     rhs = (n / n_prime) * inst.iu_tables.iu(n_prime) + vcg_revenue(inst.setting, n_prime)
-    return Step2Check(lhs, rhs, holds_leq(lhs, rhs, tol))
+    return CheckRecord.leq("step2", "IU(n,n') <= (n/n')*IU(n',n') + VCG(n')", lhs, rhs, tol)
 
 
 def tie_break_independence_check(law: ScalarDistribution, k: int, cap: int = 1 << 24) -> float:

@@ -1,4 +1,4 @@
-"""Check records and the JSON-serializable analysis report."""
+"""The verdict rule, check records and the JSON-serializable analysis report."""
 
 from __future__ import annotations
 
@@ -9,7 +9,13 @@ import numpy as np
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from .dist import CHECK_TOL, holds_leq
+# Combined absolute-plus-relative tolerance used by every inequality check.
+CHECK_TOL = 1e-9
+
+
+def holds_leq(lhs: float, rhs: float, tol: float = CHECK_TOL) -> bool:
+    """lhs <= rhs up to absolute-plus-relative tolerance `tol`."""
+    return bool(rhs - lhs >= -tol * max(1.0, abs(lhs), abs(rhs)))
 
 
 @dataclass(frozen=True)
@@ -46,9 +52,6 @@ class AnalysisReport:
 
     scalars: dict[str, float | int | None] = field(default_factory=dict)
     checks: list[CheckRecord] = field(default_factory=list)
-
-    def add(self, record: CheckRecord) -> None:
-        self.checks.append(record)
 
     def all_hold(self) -> bool:
         return all(c.holds for c in self.checks if c.holds is not None)

@@ -2,21 +2,20 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dist import (
     AuctionSetting,
-    CHECK_TOL,
     ItemDistribution,
     MaxVectorDistribution,
-    holds_leq,
     iid_second_max_expectation,
     max_vector_distribution,
 )
 from .errors import BadItemIndex, ShapeMismatch, TooFewBidders
 from .myerson import all_regular, srev
+from .report import CHECK_TOL, CheckRecord, holds_leq
 
 
 def vcg_revenue(setting: AuctionSetting, n: int) -> float:
@@ -93,20 +92,12 @@ def sequential_posted_price_bound(
     return total
 
 
-class BKCheck(NamedTuple):
-    srev_n: float
-    vcg_n1: float
-    holds: bool | None  # None means not applicable (some item irregular)
-
-
-def bulow_klemperer_check(setting: AuctionSetting, n: int, tol: float = CHECK_TOL) -> BKCheck:
+def bulow_klemperer_check(setting: AuctionSetting, n: int, tol: float = CHECK_TOL) -> CheckRecord:
     """Selling-separately optimum with n bidders vs second price with n+1.
 
     Only applicable when every item is regular; otherwise reported as
-    not-applicable rather than failed.
+    not-applicable (holds None) rather than failed.
     """
-    srev_n = srev(setting, n)
-    vcg_n1 = vcg_revenue(setting, n + 1)
-    if not all_regular(setting):
-        return BKCheck(srev_n, vcg_n1, None)
-    return BKCheck(srev_n, vcg_n1, holds_leq(srev_n, vcg_n1, tol))
+    srev_n, vcg_n1 = srev(setting, n), vcg_revenue(setting, n + 1)
+    holds = holds_leq(srev_n, vcg_n1, tol) if all_regular(setting) else None
+    return CheckRecord("bulow_klemperer", "SRev(n) <= VCG(n+1) (regular items)", srev_n, vcg_n1, holds)

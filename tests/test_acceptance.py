@@ -35,8 +35,10 @@ from auctionbench import (
     vcg_with_reserve_bound,
     verify_dual_certificate,
 )
-from auctionbench.dist import holds_leq, max_vector_distribution
-from auctionbench.generators import random_item, random_law, random_setting
+from auctionbench.dist import max_vector_distribution
+from auctionbench.generators import random_item, random_setting
+from auctionbench.report import holds_leq
+from helpers import joint, random_law
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -256,7 +258,7 @@ def test_criterion_11_dual_certificate():
         setting = random_setting(rng, max_items=2, max_support=2, max_bidders=1, max_ghosts=4)
         _, mech = optimal_revenue(setting, 1)
         maxvec = max_vector_distribution(setting, setting.n_prime - 1)
-        for m_vec, _prob in maxvec.joint():
+        for m_vec, _prob in joint(maxvec):
             cert = verify_dual_certificate(setting, 1, m_vec, mechanism=mech)
             worst_res = max(worst_res, cert.flow_residual_max)
             worst_phi = max(worst_phi, cert.phi_match_max)

@@ -27,7 +27,7 @@ from auctionbench.cli import (
     parse_config,
     run_analysis,
 )
-from auctionbench.dist import holds_leq
+from auctionbench.report import holds_leq
 from auctionbench.errors import ConfigParseError
 from test_lp import reference_mechanism_lp
 

@@ -6,6 +6,7 @@ import math
 import operator
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from auctionbench import (
     build_utility_stats,
     bvcg_constructed_revenue,
     decomposition_terms,
-    event_probabilities,
     lemma_chain_check,
     main_theorem_verdict,
     make_item_distribution,
@@ -30,10 +30,13 @@ from auctionbench import (
 from auctionbench import decomposition
 from auctionbench.cli import load_config
 from auctionbench.decomposition import surplus_event_probability
-from auctionbench.dist import ScalarDistribution, iid_max_expectation
+from auctionbench.dist import ScalarDistribution, Valuation, iid_max_expectation
 from auctionbench.errors import NotRegular
 from auctionbench.generators import random_setting
+from auctionbench.iu import region_kernel
+from auctionbench.report import AnalysisReport
 from auctionbench.simple_auctions import ronen_r_star
+from helpers import joint
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -56,7 +59,7 @@ def reference_utility_stats(setting, n_prime):
     """The per-M fold that build_utility_stats batches: (m_vec, prob, r_total, law_u, law_u_hat)."""
     maxvec = max_vector_distribution(setting, n_prime - 1)
     out = []
-    for m_vec, prob in maxvec.joint(setting.caps):
+    for m_vec, prob in joint(maxvec, setting.caps):
         r_total = functools.reduce(
             operator.add, [ronen_r_star(item, mj)[0] for item, mj in zip(setting.items, m_vec)]
         )
@@ -224,7 +227,7 @@ class TestUtilityStats:
         for _ in range(30):
             setting = random_setting(rng, max_ghosts=5)
             maxvec = max_vector_distribution(setting, setting.n_prime - 1)
-            for m_vec, _prob in maxvec.joint():
+            for m_vec, _prob in joint(maxvec):
                 r_total = sum(
                     ronen_r_star(item, mj)[0] for item, mj in zip(setting.items, m_vec)
                 )
@@ -248,7 +251,7 @@ class TestUtilityStats:
         for _ in range(30):
             setting = random_setting(rng, max_ghosts=4)
             maxvec = max_vector_distribution(setting, setting.n_prime - 1)
-            for m_vec, _prob in maxvec.joint():
+            for m_vec, _prob in joint(maxvec):
                 r_total = sum(
                     ronen_r_star(item, mj)[0] for item, mj in zip(setting.items, m_vec)
                 )
@@ -336,6 +339,23 @@ class TestBatchedUtilityLaws:
         assert_stats_bit_identical(setting, 1)
 
 
+class EventProbabilities(NamedTuple):
+    p_und: tuple[float, ...]  # per item: Pr(v_j < M_j)
+    p_nf: tuple[float, ...]  # per item: Pr(v_j >= M_j and some other item matches the utility)
+
+
+def event_probabilities(v: Valuation, setting: AuctionSetting, n_prime: int) -> EventProbabilities:
+    """Probabilities over M of the undercut and non-favorite events at v.
+
+    p_nf_j = Pr(M_j <= v_j) - Pr(M_j <= v_j and every other utility strictly below v_j - M_j).
+    """
+    laws = max_vector_distribution(setting, n_prime - 1).per_item
+    rival_free = region_kernel(np.array([v]), laws, strict_ties=True)[0].tolist()
+    p_und = tuple(1.0 - law.cdf(vj) for law, vj in zip(laws, v))
+    p_nf = tuple(max(law.cdf(vj) - free, 0.0) for law, vj, free in zip(laws, v, rival_free))
+    return EventProbabilities(p_und, p_nf)
+
+
 class TestEventProbabilities:
     def test_single_item_has_no_rival(self, setting_d2):
         ev = event_probabilities((1.0,), setting_d2, 2)
@@ -367,7 +387,7 @@ class TestEventProbabilities:
                 for j in range(setting.m):
                     oracle = sum(
                         prob
-                        for m_vec, prob in maxvec.joint()
+                        for m_vec, prob in joint(maxvec)
                         if v[j] >= m_vec[j]
                         and any(v[k] - m_vec[k] >= v[j] - m_vec[j] for k in range(setting.m) if k != j)
                     )
@@ -524,7 +544,7 @@ class TestChain:
         setting = AuctionSetting(items=(point_mass,), n=1, n_prime=2)
         chain = lemma_chain_check(Instance(setting, 2), 1)
         assert chain.core == 0.0
-        assert chain.all_hold()
+        assert AnalysisReport(checks=chain.checks).all_hold()
 
     def test_links_a_to_f_on_seeded_settings(self):
         rng = make_rng(55)

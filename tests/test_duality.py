@@ -26,12 +26,13 @@ from auctionbench import (
     max_vector_distribution,
     optimal_revenue,
 )
-from auctionbench.dist import MaxVector, Valuation, holds_leq
+from auctionbench.dist import MaxVector, Valuation
 from auctionbench.errors import EnumerationCapExceeded
 from auctionbench.generators import random_item, random_setting
-from auctionbench.iu import region_of
 from auctionbench.lp import Mechanism
 from auctionbench.myerson import iron_restricted
+from auctionbench.report import holds_leq
+from helpers import joint, region_of
 
 dual_flow = duality.dual_flow
 
@@ -74,7 +75,7 @@ def assert_matches_reference(setting, m_vec):
 
 
 def assert_verdicts_match_reference(setting, mech):
-    for m_vec, _prob in max_vector_distribution(setting, setting.n_prime - 1).joint():
+    for m_vec, _prob in joint(max_vector_distribution(setting, setting.n_prime - 1)):
         assert_matches_reference(setting, m_vec)
         cert = duality.verify_dual_certificate(setting, mech.n, m_vec, mechanism=mech)
         assert cert.bound_holds == verify_dual_certificate(setting, mech.n, m_vec, mechanism=mech).bound_holds
@@ -103,7 +104,7 @@ class TestLambdaPrime:
         for _ in range(25):
             setting = random_setting(rng, max_items=2, max_support=3, max_ghosts=3)
             maxvec = max_vector_distribution(setting, setting.n_prime - 1)
-            for m_vec, _prob in maxvec.joint():
+            for m_vec, _prob in joint(maxvec):
                 flow = dual_flow(setting, m_vec)
                 assert flow_min(flow) >= -1e-12
                 assert np.abs(duality.flow_residuals(setting, flow)).max() <= 1e-9
@@ -145,7 +146,7 @@ class TestLambdaStar:
         for _ in range(25):
             setting = random_setting(rng, max_items=2, max_support=4, max_ghosts=3)
             maxvec = max_vector_distribution(setting, setting.n_prime - 1)
-            for m_vec, _prob in maxvec.joint():
+            for m_vec, _prob in joint(maxvec):
                 assert dual_flow(setting, m_vec).pair.min() >= -1e-12
 
 
@@ -180,7 +181,7 @@ class TestCertificate:
             )
             _, mech = optimal_revenue(setting, 1)
             maxvec = max_vector_distribution(setting, setting.n_prime - 1)
-            for m_vec, _prob in maxvec.joint():
+            for m_vec, _prob in joint(maxvec):
                 cert = duality.verify_dual_certificate(setting, 1, m_vec, mechanism=mech)
                 assert cert.flow_residual_max <= 1e-9
                 assert cert.phi_match_max <= 1e-9
@@ -192,7 +193,7 @@ class TestCertificate:
             items = tuple(random_item(rng, max_support=2) for _ in range(3))
             setting = AuctionSetting(items=items, n=1, n_prime=int(rng.integers(2, 5)))
             _, mech = optimal_revenue(setting, 1)
-            for m_vec, _prob in max_vector_distribution(setting, setting.n_prime - 1).joint():
+            for m_vec, _prob in joint(max_vector_distribution(setting, setting.n_prime - 1)):
                 cert = duality.verify_dual_certificate(setting, 1, m_vec, mechanism=mech)
                 assert cert.flow_residual_max <= 1e-9
                 assert cert.phi_match_max <= 1e-9
@@ -207,7 +208,7 @@ class TestCertificate:
             maxvec = max_vector_distribution(setting, setting.n_prime - 1)
             for n in (1, 2, 3):
                 _, mech = optimal_revenue(setting, n)
-                for m_vec, _prob in maxvec.joint():
+                for m_vec, _prob in joint(maxvec):
                     bound = sum(
                         mech.vprobs[vidx]
                         * mech.interim_alloc[i, vidx, j]
@@ -254,7 +255,7 @@ class TestRegionFormPhi:
             setting = random_setting(rng, max_items=2, max_support=3, max_ghosts=3)
             maxvec = max_vector_distribution(setting, setting.n_prime - 1)
             vals, _ = setting.valuations()
-            for m_vec, _prob in maxvec.joint():
+            for m_vec, _prob in joint(maxvec):
                 phi = duality.region_form_phi(setting, m_vec)
                 for i, v in enumerate(vals):
                     region = region_of(v, m_vec)
@@ -278,7 +279,7 @@ class TestAgainstTheDictReference:
         rng = make_rng(seed)
         for _ in range(count):
             setting = random_setting(rng, **kwargs)
-            for m_vec, _prob in max_vector_distribution(setting, setting.n_prime - 1).joint():
+            for m_vec, _prob in joint(max_vector_distribution(setting, setting.n_prime - 1)):
                 assert_matches_reference(setting, m_vec)
 
     # 111 replays acceptance criterion 11's draws
@@ -310,7 +311,7 @@ class TestAgainstTheDictReference:
         if setting.product_support_size <= 8:
             assert_verdicts_match_reference(setting, optimal_revenue(setting, 1)[1])
         else:
-            for m_vec, _prob in max_vector_distribution(setting, setting.n_prime - 1).joint():
+            for m_vec, _prob in joint(max_vector_distribution(setting, setting.n_prime - 1)):
                 assert_matches_reference(setting, m_vec)
 
 

@@ -21,7 +21,6 @@ from auctionbench import (
     make_rng,
     max_vector_distribution,
     monte_carlo_iu,
-    region_of,
     step2_inequality_check,
     tie_break_independence_check,
 )
@@ -39,6 +38,7 @@ from auctionbench.iu import (
     region_kernel,
 )
 from auctionbench.myerson import iron
+from helpers import joint, random_law, region_of
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -46,7 +46,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def joint_region_probability(setting, v, j, n_prime):
     """Oracle: literal sum over the joint max-vector support."""
     maxvec = max_vector_distribution(setting, n_prime - 1)
-    return sum(prob for m_vec, prob in maxvec.joint() if region_of(v, m_vec) == j)
+    return sum(prob for m_vec, prob in joint(maxvec) if region_of(v, m_vec) == j)
 
 
 def scalar_region_probability(v, j, max_laws):
@@ -180,7 +180,7 @@ class TestRegionOf:
             setting = random_setting(rng, max_items=3, max_support=3, max_ghosts=3)
             maxvec = max_vector_distribution(setting, setting.n_prime - 1)
             vals, _ = setting.valuations()
-            for m_vec, _prob in maxvec.joint():
+            for m_vec, _prob in joint(maxvec):
                 for v in vals:
                     j = region_of(v, m_vec)
                     if j is None:
@@ -567,8 +567,6 @@ class TestTieBreak:
         assert tie_break_independence_check(law, 2, cap=9) <= 1e-12
 
     def test_seeded_laws(self):
-        from auctionbench.generators import random_law
-
         rng = make_rng(36)
         for _ in range(20):
             law = random_law(rng, max_support=4)

@@ -226,18 +226,18 @@ class TestSequentialPostedPrice:
 class TestBulowKlemperer:
     def test_d2_equality(self, setting_d2):
         check = bulow_klemperer_check(setting_d2, 2)
-        assert (check.srev_n, check.vcg_n1) == pytest.approx((1.5, 1.5))
+        assert (check.lhs, check.rhs) == pytest.approx((1.5, 1.5))
         assert check.holds
 
     def test_d2_n1(self, setting_d2):
         check = bulow_klemperer_check(setting_d2, 1)
-        assert (check.srev_n, check.vcg_n1) == pytest.approx((1.0, 1.25))
+        assert (check.lhs, check.rhs) == pytest.approx((1.0, 1.25))
         assert check.holds
 
     def test_point_mass_degenerate_equality(self, point_mass):
         setting = AuctionSetting(items=(point_mass,), n=1, n_prime=2)
         check = bulow_klemperer_check(setting, 1)
-        assert check.srev_n == pytest.approx(check.vcg_n1)
+        assert check.lhs == pytest.approx(check.rhs)
         assert check.holds
 
     def test_irregular_is_not_applicable(self, d3):
