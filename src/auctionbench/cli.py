@@ -44,7 +44,7 @@ from .errors import (
 from .generators import MAX_VALUE, random_setting
 from .iu import Instance, monte_carlo_iu, step2_inequality_check, tie_break_independence_check
 from .myerson import all_regular, srev, srev_item
-from .report import CHECK_TOL, AnalysisReport, CheckRecord
+from .report import CHECK_TOL, AnalysisReport, CheckRecord, all_hold, verdict
 from .simple_auctions import (
     bulow_klemperer_check,
     sequential_posted_price_bound,
@@ -264,8 +264,7 @@ def run_analysis(cfg: InstanceConfig) -> AnalysisReport:
     rep.checks.extend(_shared_checks(inst, make_rng(cfg.seed, 3), tol))
     rep.scalars["srev_n"] = next(c.lhs for c in rep.checks if c.name == "bulow_klemperer")
     rep.scalars["srev_n_prime"] = inst.srev_nprime
-    verdict = main_theorem_verdict(inst, n, setting.epsilon, tol=tol)
-    chain = verdict.chain
+    chain = main_theorem_verdict(inst, n, setting.epsilon, tol=tol)
     rep.scalars["single"] = chain.single
     rep.scalars["under"] = chain.under
     rep.scalars["over"] = chain.over
@@ -274,14 +273,10 @@ def run_analysis(cfg: InstanceConfig) -> AnalysisReport:
     rep.scalars["fee_mass"] = chain.fee_mass
     rep.scalars["bvcg_floor"] = chain.participation_lb
     rep.scalars["pi_bvcg_floor"] = chain.pi_bvcg_floor if chain.regular_branch else None
+    rep.scalars["rev_n"] = chain.rev_n
+    rep.scalars["branch1_holds"] = chain.branch1_holds
+    rep.scalars["branch2_holds"] = chain.branch2_holds
     rep.checks.extend(chain.checks)
-    rep.scalars["rev_n"] = verdict.rev_n
-    rep.scalars["branch1_holds"] = verdict.branch1_holds
-    rep.scalars["branch2_holds"] = verdict.branch2_holds
-    rep.checks.extend(verdict.checks)
-    if verdict.holds is not None:
-        holds = verdict.holds
-        rep.checks.append(CheckRecord("theorem_dichotomy", "branch1 or branch2 holds", 0.0, float(holds), holds))
     return rep
 
 
@@ -292,8 +287,7 @@ def _format_table(rep: AnalysisReport) -> str:
     lines.append("== checks ==")
     lines.append(f"  {'name':28s} {'lhs':>14s} {'rhs':>14s} {'slack':>12s}  verdict")
     for c in rep.checks:
-        verdict = "n/a" if c.holds is None else ("ok" if c.holds else "FAIL")
-        lines.append(f"  {c.name:28s} {c.lhs:14.8g} {c.rhs:14.8g} {c.slack:12.4g}  {verdict}")
+        lines.append(f"  {c.name:28s} {c.lhs:14.8g} {c.rhs:14.8g} {c.slack:12.4g}  {verdict(c.holds)}")
     return "\n".join(lines)
 
 
@@ -320,7 +314,7 @@ def cmd_analyze(args) -> int:
     output = rep.to_json() if args.format == "json" else _format_table(rep)
     _write_out(args.out, rep.to_json())
     print(output)
-    return EXIT_OK if rep.all_hold() else EXIT_CHECK_FAILED
+    return EXIT_OK if all_hold(rep.checks) else EXIT_CHECK_FAILED
 
 
 def cmd_iron(args) -> int:
@@ -438,8 +432,7 @@ def cmd_verify(args) -> int:
     print(f"  {'check':28s} {'runs':>6s} {'worst slack':>14s}  verdict")
     for name, records in sorted(summary.items()):
         worst = min(check.slack for check in records)
-        verdict = "ok" if all(check.holds for check in records) else "FAIL"
-        print(f"  {name:28s} {len(records):6d} {worst:14.6g}  {verdict}")
+        print(f"  {name:28s} {len(records):6d} {worst:14.6g}  {verdict(all_hold(records))}")
     print(f"settings: {args.count}, failures: {failures}")
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 

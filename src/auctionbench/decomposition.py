@@ -151,27 +151,28 @@ def surplus_event_probability(
 
 @dataclass
 class DecompositionReport:
-    """Split terms (core = n' E_M[E[U_hat | M]], tail = n' E_M[r sum_j Pr(v_j > T_j)]) and the chains' verdicts."""
+    """Split terms, the chains' records and, from ``main_theorem_verdict``, the dichotomy verdict."""
 
-    n: int
-    n_prime: int
-    srev_nprime: float
     single: float
     under: float
     over: float
     tail: float
     core: float
     surplus_bound: float
-    iu_n: float
-    iu_nprime: float
-    ronen_mass: float  # n' * E_M[r_ron_total]
     fee_mass: float = 0.0
     participation_lb: float = 0.0
-    pi_revenue_lb: float = 0.0
-    s_all: float = 0.0
     pi_bvcg_floor: float = 0.0
     regular_branch: bool = False
+    rev_n: float | None = None  # None when the LP is out of cap range
+    branch1_holds: bool | None = None  # (1 - eps) Rev(n) <= VCG(n')
+    branch2_holds: bool | None = None  # Rev(n) <= max(entry-fee floor, SRev(n'))
     checks: list[CheckRecord] = field(default_factory=list)
+
+    @property
+    def holds(self) -> bool | None:
+        if self.branch1_holds is None:
+            return None
+        return bool(self.branch1_holds or self.branch2_holds)
 
 
 def _at_or_below(law: ScalarDistribution, table: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -184,14 +185,12 @@ def _max_mean(images: np.ndarray, probs: np.ndarray, n: int, renorm_tol: float) 
     return iid_max_expectation(ScalarDistribution.from_atoms(zip(images.tolist(), probs.tolist()), renorm_tol), n)
 
 
-def decomposition_terms(inst: Instance, n_dd: int) -> DecompositionReport:
+def decomposition_terms(inst: Instance) -> DecompositionReport:
     """Exact decomposition terms at bidder count n', each read from a table the instance holds.
 
     Core is n' E_M[E[U_hat | M]] (atom x keeps x - M_j iff M_j <= x <= T_j); Tail is n' E_M[r sum_j Pr(v_j > T_j)].
     """
     setting, n_prime = inst.setting, inst.n_prime
-    if not (1 <= n_dd <= n_prime):
-        raise TooFewBidders("need 1 <= n_dd <= n_prime")
     tables, stats, maxvec = inst.iu_tables, inst.stats, inst.ghost_max
     vals = np.array(tables.valuations)
 
@@ -221,18 +220,7 @@ def decomposition_terms(inst: Instance, n_dd: int) -> DecompositionReport:
     surplus_bound = n_prime * (excess - float(tables.vprobs @ rival_free))
 
     return DecompositionReport(
-        n=n_dd,
-        n_prime=n_prime,
-        srev_nprime=inst.srev_nprime,
-        single=single,
-        under=under,
-        over=over,
-        tail=tail,
-        core=core,
-        surplus_bound=surplus_bound,
-        iu_n=tables.iu(n_dd),
-        iu_nprime=tables.iu(n_prime),
-        ronen_mass=inst.ronen_nprime,
+        single=single, under=under, over=over, tail=tail, core=core, surplus_bound=surplus_bound
     )
 
 
@@ -282,16 +270,19 @@ def lemma_chain_check(
     `regular_branch=None` runs the latter exactly when all items are regular.
     """
     setting, n_prime = inst.setting, inst.n_prime
+    if not (1 <= n <= n_prime):
+        raise TooFewBidders("need 1 <= n <= n_prime")
     is_regular = all_regular(setting)
     if regular_branch is True and not is_regular:
         raise NotRegular("the prior-independent chain requires all items regular")
     run_regular = is_regular if regular_branch is None else regular_branch
 
-    rep = decomposition_terms(inst, n)
+    rep = decomposition_terms(inst)
     fee_mass, participation_lb = bvcg_constructed_revenue(inst)
     rep.fee_mass = fee_mass
     rep.participation_lb = participation_lb
-    srev_np = rep.srev_nprime
+    srev_np, ronen_mass = inst.srev_nprime, inst.ronen_nprime
+    iu_n, iu_np = inst.iu_tables.iu(n), inst.iu_tables.iu(n_prime)
 
     def add_leq(name: str, statement: str, lhs: float, rhs: float) -> None:
         rep.checks.append(CheckRecord.leq(name, statement, lhs, rhs, tol))
@@ -299,10 +290,10 @@ def lemma_chain_check(
     add_leq(
         "ubsplit",
         "IU(n',n') <= Single + Under + Over + Tail + Core",
-        rep.iu_nprime,
+        iu_np,
         rep.single + rep.under + rep.over + rep.tail + rep.core,
     )
-    for label, value in (("n", rep.iu_n), ("n_prime", rep.iu_nprime)):
+    for label, value in (("n", iu_n), ("n_prime", iu_np)):
         add_leq(
             f"chain_a_iu_{label}",
             "IU(n'',n') <= 4*SRev(n') + Core",
@@ -317,11 +308,11 @@ def lemma_chain_check(
         "chain_c_core",
         "Core <= FeeMass + 2*n'*E_M[r_ron_total]",
         rep.core,
-        fee_mass + 2.0 * rep.ronen_mass,
+        fee_mass + 2.0 * ronen_mass,
     )
-    add_leq("chain_d_ronen", "n'*E_M[r_ron_total] <= SRev(n')", rep.ronen_mass, srev_np)
+    add_leq("chain_d_ronen", "n'*E_M[r_ron_total] <= SRev(n')", ronen_mass, srev_np)
     add_leq("chain_e_fee", "FeeMass <= 2*ParticipationLB", fee_mass, 2.0 * participation_lb)
-    for label, value in (("n", rep.iu_n), ("n_prime", rep.iu_nprime)):
+    for label, value in (("n", iu_n), ("n_prime", iu_np)):
         add_leq(
             f"chain_f_iu_{label}",
             "IU(n'',n') <= 2*ParticipationLB + 6*SRev(n')",
@@ -332,19 +323,17 @@ def lemma_chain_check(
     if run_regular:
         rep.regular_branch = True
         pi_revenue_lb, s_all = pi_bvcg_constructed_revenue(inst)
-        rep.pi_revenue_lb = pi_revenue_lb
-        rep.s_all = s_all
         vcg_next = vcg_revenue(setting, n_prime + 1)
         rep.pi_bvcg_floor = max(pi_revenue_lb, vcg_next)
         add_leq(
             "chain_g_core_split",
             "Core <= (81/49)*S_all + 6*n'*E_M[r_ron_total]",
             rep.core,
-            HIGH_SQUARE_FACTOR * s_all + HIGH_PAIR_FACTOR * rep.ronen_mass,
+            HIGH_SQUARE_FACTOR * s_all + HIGH_PAIR_FACTOR * ronen_mass,
         )
         add_leq("chain_g_s_all", "S_all <= 4*PIRevenueLB", s_all, 4.0 * pi_revenue_lb)
         add_leq("chain_g_bk", "SRev(n') <= VCG(n'+1)", srev_np, vcg_next)
-        for label, value in (("n", rep.iu_n), ("n_prime", rep.iu_nprime)):
+        for label, value in (("n", iu_n), ("n_prime", iu_np)):
             add_leq(
                 f"chain_g_iu_{label}",
                 "IU(n'',n') <= 17*PIBVCGFloor(n'+1)",
@@ -363,25 +352,8 @@ def lemma_chain_check(
     return rep
 
 
-@dataclass
-class TheoremVerdict:
-    """Which branch of the main dichotomy holds for the instance."""
-
-    rev_n: float | None  # None when the LP is out of cap range
-    branch1_holds: bool | None  # (1 - eps) Rev(n) <= VCG(n')
-    branch2_holds: bool | None  # Rev(n) <= max(entry-fee floor, SRev(n'))
-    chain: DecompositionReport
-    checks: list[CheckRecord] = field(default_factory=list)
-
-    @property
-    def holds(self) -> bool | None:
-        if self.branch1_holds is None:
-            return None
-        return bool(self.branch1_holds or self.branch2_holds)
-
-
-def main_theorem_verdict(inst: Instance, n: int, epsilon: float, tol: float = CHECK_TOL) -> TheoremVerdict:
-    """Evaluate the enhanced-competition dichotomy on one instance.
+def main_theorem_verdict(inst: Instance, n: int, epsilon: float, tol: float = CHECK_TOL) -> DecompositionReport:
+    """Evaluate the enhanced-competition dichotomy on one instance: the chain's report with its verdict.
 
     Branch 1: (1 - eps) Rev(n) <= VCG(n').  Branch 2: Rev(n) is at most the
     larger of the constructed entry-fee floor and SRev(n'), verified through
@@ -391,26 +363,25 @@ def main_theorem_verdict(inst: Instance, n: int, epsilon: float, tol: float = CH
     setting, n_prime = inst.setting, inst.n_prime
     if n_prime < max(n, 2):
         raise TooFewBidders("need n_prime >= max(n, 2)")
-    chain = lemma_chain_check(inst, n, tol=tol)
+    rep = lemma_chain_check(inst, n, tol=tol)
     try:
-        rev_n, _ = optimal_revenue(setting, n)
+        rep.rev_n, _ = optimal_revenue(setting, n)
     except InstanceTooLarge:
-        rev_n = None
-    verdict = TheoremVerdict(rev_n=rev_n, branch1_holds=None, branch2_holds=None, chain=chain)
-    if rev_n is not None:
-        vcg_np = vcg_revenue(setting, n_prime)
-        branch1 = CheckRecord.leq(
-            "branch1", "(1-eps)*Rev(n) <= VCG(n')", (1.0 - epsilon) * rev_n, vcg_np, tol
-        )
-        branch2 = CheckRecord.leq(
-            "branch2",
-            "Rev(n) <= max(BVCGFloor(n'), SRev(n'))",
-            rev_n,
-            max(chain.participation_lb, vcg_np, chain.srev_nprime),
-            tol,
-        )
-        step1 = CheckRecord.leq("step1", "Rev(n) <= IU(n,n')", rev_n, chain.iu_n, 1e-6)
-        verdict.branch1_holds = branch1.holds
-        verdict.branch2_holds = branch2.holds
-        verdict.checks.extend([step1, branch1, branch2])
-    return verdict
+        return rep
+    vcg_np = vcg_revenue(setting, n_prime)
+    branch1 = CheckRecord.leq(
+        "branch1", "(1-eps)*Rev(n) <= VCG(n')", (1.0 - epsilon) * rep.rev_n, vcg_np, tol
+    )
+    branch2 = CheckRecord.leq(
+        "branch2",
+        "Rev(n) <= max(BVCGFloor(n'), SRev(n'))",
+        rep.rev_n,
+        max(rep.participation_lb, vcg_np, inst.srev_nprime),
+        tol,
+    )
+    step1 = CheckRecord.leq("step1", "Rev(n) <= IU(n,n')", rep.rev_n, inst.iu_tables.iu(n), 1e-6)
+    rep.branch1_holds = branch1.holds
+    rep.branch2_holds = branch2.holds
+    dichotomy = CheckRecord("theorem_dichotomy", "branch1 or branch2 holds", 0.0, float(rep.holds), rep.holds)
+    rep.checks.extend([step1, branch1, branch2, dichotomy])
+    return rep

@@ -268,7 +268,6 @@ class MaxVectorDistribution:
     mass at the all-zeros vector.
     """
 
-    k: int
     per_item: tuple[ScalarDistribution, ...]
 
     def joint_size(self) -> int:
@@ -280,7 +279,7 @@ def max_vector_distribution(setting: AuctionSetting, k: int) -> MaxVectorDistrib
     if k < 0:
         raise TooFewBidders("k must be non-negative")
     if k == 0:
-        return MaxVectorDistribution(0, tuple(ScalarDistribution.point_mass(0.0) for _ in setting.items))
+        return MaxVectorDistribution(tuple(ScalarDistribution.point_mass(0.0) for _ in setting.items))
     per_item = []
     for dist in setting.items:
         cdf_k = dist.cdf_arr**k
@@ -288,7 +287,7 @@ def max_vector_distribution(setting: AuctionSetting, k: int) -> MaxVectorDistrib
         per_item.append(
             ScalarDistribution.from_atoms(zip(dist.values, pmf.tolist()), renorm_tol=MASS_TOL * 10)
         )
-    return MaxVectorDistribution(k, tuple(per_item))
+    return MaxVectorDistribution(tuple(per_item))
 
 
 def iid_max_expectation(law: ScalarDistribution, n: int) -> float:

@@ -7,7 +7,7 @@ import json
 import numpy as np
 
 from dataclasses import asdict, dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 # Combined absolute-plus-relative tolerance used by every inequality check.
 CHECK_TOL = 1e-9
@@ -46,6 +46,16 @@ class CheckRecord:
         return d
 
 
+def all_hold(checks: Iterable[CheckRecord]) -> bool:
+    """Every applicable check holds; a check whose `holds` is None is not applicable."""
+    return all(c.holds for c in checks if c.holds is not None)
+
+
+def verdict(holds: bool | None) -> str:
+    """The word a report prints for a check's `holds`."""
+    return "n/a" if holds is None else ("ok" if holds else "FAIL")
+
+
 @dataclass
 class AnalysisReport:
     """Everything the analyze command computed, plus per-check verdicts."""
@@ -53,14 +63,11 @@ class AnalysisReport:
     scalars: dict[str, float | int | None] = field(default_factory=dict)
     checks: list[CheckRecord] = field(default_factory=list)
 
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.checks if c.holds is not None)
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "scalars": dict(sorted(self.scalars.items())),
             "checks": [c.as_dict() for c in self.checks],
-            "all_hold": self.all_hold(),
+            "all_hold": all_hold(self.checks),
         }
 
     def to_json(self) -> str:

@@ -219,7 +219,8 @@ def test_unwritable_out_exits_2_in_one_line(tmp_path, capsys, argv):
 
 
 class TestGoldenReports:
-    """The JSON report and exit code of every sample config, and of verify, sweep and iron runs, byte for byte."""
+    """The JSON report and exit code of every sample config, two table reports, and verify, sweep and iron runs,
+    byte for byte."""
 
     @pytest.mark.parametrize(
         "name", ["two_point", "two_items", "irregular_three_point", "near_uniform_many_items", "fee_positive"]
@@ -253,6 +254,22 @@ class TestGoldenReports:
         # bytes, not read_text: the csv module ends sweep rows with \r\n
         assert capsys.readouterr().out == (GOLDEN / name).read_bytes().decode()
         assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[Path(name).stem]
+
+    # stdout only: stderr's FAIL lines print full-precision reprs, which the README
+    # promises to be bit-identical on the same platform alone
+    @pytest.mark.parametrize("seed", range(10))
+    def test_verify_stdout(self, seed, capsys):
+        code = main(["verify", "--seed", str(seed), "--count", "100"])
+        name = f"verify_seed{seed}_count100"
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
+        assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+
+    # two_items has FAIL rows, irregular_three_point an n/a row
+    @pytest.mark.parametrize("name", ["two_items", "irregular_three_point"])
+    def test_table_report(self, name, capsys):
+        code = main(["analyze", "--config", str(CONFIGS / f"{name}.json"), "--format", "table"])
+        assert capsys.readouterr().out == (GOLDEN / f"table_{name}.txt").read_text()
+        assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[f"table_{name}"]
 
 
 class TestHugeBidderCounts:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from auctionbench import (
     AuctionSetting,
+    DecompositionReport,
     Instance,
     build_iu_tables,
     build_utility_stats,
@@ -31,10 +32,10 @@ from auctionbench import decomposition
 from auctionbench.cli import load_config
 from auctionbench.decomposition import surplus_event_probability
 from auctionbench.dist import ScalarDistribution, Valuation, iid_max_expectation
-from auctionbench.errors import NotRegular
+from auctionbench.errors import InstanceTooLarge, NotRegular, TooFewBidders
 from auctionbench.generators import random_setting
 from auctionbench.iu import region_kernel
-from auctionbench.report import AnalysisReport
+from auctionbench.report import all_hold
 from auctionbench.simple_auctions import ronen_r_star
 from helpers import joint
 
@@ -144,9 +145,10 @@ def reference_terms(inst):
 
 def assert_terms_match_reference(setting):
     inst = Instance(setting, setting.n_prime)
-    rep = decomposition_terms(inst, setting.n)
+    rep = decomposition_terms(inst)
     for name, want in reference_terms(inst).items():
-        assert getattr(rep, name) == pytest.approx(want, rel=1e-12, abs=0.0), name
+        got = inst.ronen_nprime if name == "ronen_mass" else getattr(rep, name)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), name
 
 
 @st.composite
@@ -410,17 +412,18 @@ class TestEventProbabilities:
 
 class TestTerms:
     def test_d2_core(self, setting_d2):
-        rep = decomposition_terms(Instance(setting_d2, 2), 1)
+        rep = decomposition_terms(Instance(setting_d2, 2))
         assert rep.core == pytest.approx(0.5)
 
     def test_d2_terms_below_srev(self, setting_d2):
-        rep = decomposition_terms(Instance(setting_d2, 2), 1)
+        inst = Instance(setting_d2, 2)
+        rep = decomposition_terms(inst)
         for term in (rep.single, rep.under, rep.over, rep.tail):
-            assert term <= rep.srev_nprime + 1e-9
+            assert term <= inst.srev_nprime + 1e-9
 
     def test_point_mass_terms(self, point_mass):
         setting = AuctionSetting(items=(point_mass,), n=1, n_prime=2)
-        rep = decomposition_terms(Instance(setting, 2), 1)
+        rep = decomposition_terms(Instance(setting, 2))
         assert rep.single == pytest.approx(1.0)
         assert rep.over == pytest.approx(1.0)
         assert rep.under == 0.0
@@ -433,7 +436,7 @@ class TestTerms:
         for _ in range(30):
             setting = random_setting(rng, max_ghosts=5)
             inst = Instance(setting, setting.n_prime)
-            rep = decomposition_terms(inst, setting.n)
+            rep = decomposition_terms(inst)
             assert rep.tail == pytest.approx(reference_terms(inst)["tail"], abs=1e-12)
 
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
@@ -451,15 +454,16 @@ class TestTerms:
         rng = make_rng(51)
         for _ in range(30):
             setting = random_setting(rng, max_ghosts=4)
-            rep = decomposition_terms(Instance(setting, setting.n_prime), setting.n)
+            rep = decomposition_terms(Instance(setting, setting.n_prime))
             assert rep.surplus_bound <= rep.tail + rep.core + 1e-9
 
     def test_ubsplit(self):
         rng = make_rng(52)
         for _ in range(30):
             setting = random_setting(rng, max_ghosts=5)
-            rep = decomposition_terms(Instance(setting, setting.n_prime), setting.n)
-            assert rep.iu_nprime <= rep.single + rep.under + rep.over + rep.tail + rep.core + 1e-9
+            inst = Instance(setting, setting.n_prime)
+            rep = decomposition_terms(inst)
+            assert inst.iu_tables.iu(inst.n_prime) <= rep.single + rep.under + rep.over + rep.tail + rep.core + 1e-9
 
     def test_surplus_matches_per_max_vector_sum(self):
         # reference: the per-(M, j, x) sum over surplus_event_probability.  The
@@ -479,7 +483,7 @@ class TestTerms:
                             w = n_prime * prob * p * (x - m_vec[j])
                             ref += w * surplus_event_probability(setting, laws, j, x, m_vec)
                             scale += w
-            got = decomposition_terms(inst, setting.n).surplus_bound
+            got = decomposition_terms(inst).surplus_bound
             assert abs(got - ref) <= 1e-12 * max(scale, 1.0)
 
 
@@ -544,7 +548,7 @@ class TestChain:
         setting = AuctionSetting(items=(point_mass,), n=1, n_prime=2)
         chain = lemma_chain_check(Instance(setting, 2), 1)
         assert chain.core == 0.0
-        assert AnalysisReport(checks=chain.checks).all_hold()
+        assert all_hold(chain.checks)
 
     def test_links_a_to_f_on_seeded_settings(self):
         rng = make_rng(55)
@@ -553,6 +557,11 @@ class TestChain:
             chain = lemma_chain_check(Instance(setting, setting.n_prime), setting.n, regular_branch=False)
             for check in chain.checks:
                 assert check.holds, f"{check.name}: {check.lhs} > {check.rhs}"
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_bidder_count_out_of_range(self, setting_d2, n):
+        with pytest.raises(TooFewBidders):
+            lemma_chain_check(Instance(setting_d2, 2), n)
 
     def test_regular_branch_requires_regular(self, d3):
         setting = AuctionSetting(items=(d3,), n=1, n_prime=2)
@@ -605,3 +614,22 @@ class TestTheoremVerdict:
         setting = AuctionSetting(items=(d3,), n=1, n_prime=3)
         verdict = main_theorem_verdict(Instance(setting, 3), 1, 0.5)
         assert verdict.holds
+
+    def test_chain_report_ends_with_the_verdict_records(self, d3):
+        setting = AuctionSetting(items=(d3,), n=1, n_prime=3)
+        chain = lemma_chain_check(Instance(setting, 3), 1)
+        verdict = main_theorem_verdict(Instance(setting, 3), 1, 0.5)
+        assert isinstance(verdict, DecompositionReport)
+        assert verdict.checks[: len(chain.checks)] == chain.checks
+        added = [c.name for c in verdict.checks[len(chain.checks):]]
+        assert added == ["step1", "branch1", "branch2", "theorem_dichotomy"]
+        assert verdict.checks[-1].holds is verdict.holds is True
+
+    def test_lp_out_of_cap_leaves_the_verdict_unknown(self, setting_d2, monkeypatch):
+        def refuse(setting, n):
+            raise InstanceTooLarge("refused")
+
+        monkeypatch.setattr(decomposition, "optimal_revenue", refuse)
+        verdict = main_theorem_verdict(Instance(setting_d2, 2), 1, 1.0)
+        assert (verdict.rev_n, verdict.branch1_holds, verdict.branch2_holds, verdict.holds) == (None,) * 4
+        assert verdict.checks == lemma_chain_check(Instance(setting_d2, 2), 1).checks

@@ -114,7 +114,7 @@ class TestConstruction:
         with pytest.raises(EnumerationCapExceeded, match=r"^product support size about 2\^15000 exceeds cap 4096$"):
             AuctionSetting(items=(d2,) * 15_000, n=1, n_prime=2).valuations()
         with pytest.raises(EnumerationCapExceeded, match=r"^product support size about 2\^15000 exceeds cap 4096$"):
-            joint(MaxVectorDistribution(1, (d2,) * 15_000), DEFAULT_CAPS)
+            joint(MaxVectorDistribution((d2,) * 15_000), DEFAULT_CAPS)
         with pytest.raises(EnumerationCapExceeded, match="^product support size 4913 exceeds cap 4096$"):
             product_grid((make_item_distribution(range(17), [1 / 17] * 17),) * 3, DEFAULT_CAPS.product_support)
 

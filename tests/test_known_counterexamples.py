@@ -1,11 +1,11 @@
 """Pinned instances where the classical inequalities fail in the discrete model.
 
 These are regressions on toolkit *behavior*: the checks must detect and
-report the violations.  See /root/notes (reviewer materials) and README for
-the analysis; in short, with atoms the second-price winner pays the second
-highest bid rather than the smallest winning support value, so the classical
-add-one-bidder revenue comparison does not transfer to discrete supports,
-and neither does the chain link built on it.
+report the violations.  See the README's criterion-10 paragraph, under
+"Install and test", for the analysis; in short, with atoms the second-price
+winner pays the second highest bid rather than the smallest winning support
+value, so the classical add-one-bidder revenue comparison does not transfer
+to discrete supports, and neither does the chain link built on it.
 """
 
 import pytest
@@ -21,7 +21,7 @@ from auctionbench import (
     srev,
     vcg_revenue,
 )
-from auctionbench.report import AnalysisReport
+from auctionbench.report import all_hold
 
 
 class TestSecondPriceComparisonFails:
@@ -91,4 +91,4 @@ class TestRegularChainLinkFails:
         item = make_item_distribution([0, 12], [0.97, 0.03])
         setting = AuctionSetting(items=(item,), n=1, n_prime=2)
         chain = lemma_chain_check(Instance(setting, 2), 1, regular_branch=False)
-        assert AnalysisReport(checks=chain.checks).all_hold()
+        assert all_hold(chain.checks)
