@@ -192,13 +192,12 @@ def decomposition_terms(inst: Instance) -> DecompositionReport:
     """
     setting, n_prime = inst.setting, inst.n_prime
     tables, stats, maxvec = inst.iu_tables, inst.stats, inst.ghost_max
-    vals = np.array(tables.valuations)
 
     # per item, the max over n' of Single phi_tilde^+ P_j(v), Under v_j Pr(M_j > v_j), Over E[M_j; M_j <= v_j];
     # excess sums E_{M,v}[(v_j - M_j)^+] = E_v[v_j Pr(M_j <= v_j) - E[M_j; M_j <= v_j]] for Surplus
     single = under = over = excess = 0.0
     for j, (item, law_j) in enumerate(zip(setting.items, maxvec.per_item)):
-        weighted = item.ironed.phi_plus[item.values_arr.searchsorted(vals[:, j])] * tables.p_region[:, j]
+        weighted = item.ironed.phi_plus[tables.codes[:, j]] * tables.p_region[:, j]
         single += _max_mean(weighted, tables.vprobs, n_prime, 1e-9)
         below = _at_or_below(law_j, law_j.cdf_arr, item.values_arr)
         under += _max_mean(item.values_arr * (1.0 - below), item.probs_arr, n_prime, MASS_TOL * 10)
@@ -216,7 +215,7 @@ def decomposition_terms(inst: Instance) -> DecompositionReport:
 
     # Surplus: n' E_{M,v}[sum_j (v_j - M_j)^+ 1(some rival utility >= v_j - M_j)],
     # the excess minus the part where every rival utility stays strictly below.
-    rival_free = region_kernel(vals, maxvec.per_item, strict_ties=True, weighted=True).sum(axis=1)
+    rival_free = region_kernel(tables.codes, setting.items, maxvec, strict_ties=True, weighted=True).sum(axis=1)
     surplus_bound = n_prime * (excess - float(tables.vprobs @ rival_free))
 
     return DecompositionReport(

@@ -13,7 +13,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -185,9 +185,14 @@ def product_grid(laws: Sequence[ScalarDistribution], cap: int) -> tuple[np.ndarr
     sizes = [len(law.values) for law in laws]
     if (size := math.prod(sizes)) > cap:
         raise EnumerationCapExceeded(f"product support size {size_text(size)} exceeds cap {cap}")
-    index = [ix.ravel() for ix in np.indices(sizes)]
+    index = product_codes(sizes).T
     values = np.stack([law.values_arr[ix] for law, ix in zip(laws, index)], axis=1)
     return values, functools.reduce(operator.mul, [law.probs_arr[ix] for law, ix in zip(laws, index)])
+
+
+def product_codes(sizes: Sequence[int]) -> np.ndarray:
+    """The atom indices of each cell of the product of laws with `sizes` atoms, (K, m) in ``product_grid`` order."""
+    return np.indices(sizes).reshape(len(sizes), -1).T
 
 
 class ItemDistribution(ScalarDistribution):
@@ -272,6 +277,41 @@ class MaxVectorDistribution:
 
     def joint_size(self) -> int:
         return math.prod(len(d.values) for d in self.per_item)
+
+    @cached_property
+    def padded(self) -> PaddedLaws:
+        """The per-item laws as rows of (m, most atoms) arrays, built once per law."""
+        laws = self.per_item
+        sizes = [len(law.values) for law in laws]
+        width = max(sizes)
+        if min(sizes) == width:
+            values = np.array([law.values_arr for law in laws])
+            return PaddedLaws(values, np.array([law.probs_arr for law in laws]), None)
+        values, probs = np.empty((len(laws), width)), np.zeros((len(laws), width))
+        for law, size, v, p in zip(laws, sizes, values, probs):
+            v[:size], v[size:], p[:size] = law.values_arr, law.values[-1], law.probs_arr
+        return PaddedLaws(values, probs, np.array(sizes) - 1)
+
+    @cached_property
+    def survivals(self) -> tuple[np.ndarray, ...]:
+        """Per item, Pr(M_j > values[i - 1]) at i and 1 at i = 0: read at a `searchsorted` count of atoms."""
+        return tuple(np.concatenate(([1.0], 1.0 - law.cdf_arr)) for law in self.per_item)
+
+
+class PaddedLaws(NamedTuple):
+    """Per-item laws as rows of (m, most atoms) arrays, each row padded at mass 0 with its last value."""
+
+    values: np.ndarray
+    probs: np.ndarray
+    last: np.ndarray | None  # each row's last real atom; None where no row is padded
+
+
+def pad_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """`rows` stacked into a (len(rows), longest) float64 array, each padded with its last entry."""
+    out = np.empty((len(rows), max(len(row) for row in rows)))
+    for row, dest in zip(rows, out):
+        dest[: len(row)], dest[len(row) :] = row, row[-1]
+    return out
 
 
 def max_vector_distribution(setting: AuctionSetting, k: int) -> MaxVectorDistribution:

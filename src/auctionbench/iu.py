@@ -8,9 +8,13 @@ vector of n' - 1 i.i.d. ghost draws, whose per-item components are
 independent with CDF F_j^(n'-1); that independence is what makes the exact
 computation cheap.  One vectorised function, :func:`region_kernel`, computes
 the resulting products for the exact tables, the Monte-Carlo estimator and
-the decomposition's rival-event sums.  An :class:`Instance` holds the ghost
+the decomposition's rival-event sums.  It reads each valuation as atom codes,
+one index per item into that item's support, takes one step per rival item
+over all items at once, and reads a rival's factor from a table over
+(item, code, rival code, atom) once a block is large enough to pay for the
+table, searching each cell below that.  An :class:`Instance` holds the ghost
 max-vector law, the IU tables and the utility statistics of one
-(setting, n'), each built once.
+(setting, n'), each built once; the IU tables evaluate IU(n) once per n.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from .dist import (
     iid_max_expectation,
     make_rng,
     max_vector_distribution,
+    pad_rows,
+    product_codes,
 )
 from .errors import EnumerationCapExceeded, TooFewBidders, size_text
 from .myerson import srev
@@ -48,6 +54,12 @@ KERNEL_CELLS = 1 << 18
 _CODE_LIMIT = 1 << 63
 RANK_TABLE = 1 << 20  # largest radix _rank ranks through a presence table (9 bytes a slot)
 COMPARE_ATOMS = 64  # most atoms _draw_atoms counts by comparison; a binary search above
+# region_kernel reads rival factors from per-rival tables, not a search per cell, once a block holds
+# this many rows per table cell: a table costs a dozen numpy calls per rival to build and read
+TABLE_READS = 16
+# region_kernel adds the atoms of a block slice by slice once a slice holds this many cells: an
+# accumulate along the atom axis pays about 15 ns a row, a slice step a few us
+SUM_SLICE = 512
 
 
 @dataclass(frozen=True)
@@ -55,16 +67,20 @@ class IUTables:
     """Exact region probabilities and benchmark virtual values on the product support."""
 
     valuations: tuple[Valuation, ...]
+    codes: np.ndarray  # shape (len(valuations), m): each valuation's atom indices
     vprobs: np.ndarray  # probability of each valuation
     p_region: np.ndarray  # shape (len(valuations), m)
     phi: np.ndarray  # shape (len(valuations), m)
     law_phi: tuple[ScalarDistribution, ...]
+    _iu: dict[int, float] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def iu(self, n: int) -> float:
-        """IU(n, n'): sum over items of E[max over n bidders of Phi_j(v_i)]."""
+        """IU(n, n'): sum over items of E[max over n bidders of Phi_j(v_i)], evaluated once per n."""
         if n < 1:
             raise TooFewBidders("need n >= 1")
-        return sum(iid_max_expectation(law, n) for law in self.law_phi)
+        if n not in self._iu:
+            self._iu[n] = sum(iid_max_expectation(law, n) for law in self.law_phi)
+        return self._iu[n]
 
 
 @dataclass(frozen=True)
@@ -107,65 +123,135 @@ class Instance:
 
 
 def region_kernel(
-    vals: np.ndarray,
-    max_laws: tuple[ScalarDistribution, ...],
+    codes: np.ndarray,
+    items: Sequence[ScalarDistribution],
+    maxvec: MaxVectorDistribution,
     strict_ties: bool = False,
     weighted: bool = False,
 ) -> np.ndarray:
     """Per item j: sum over atoms mu <= v_j of M_j of p_mu w prod_{j' != j} Pr(u_j' below u_j).
 
-    `vals` is a (..., m) array of valuations, u_j = v_j - mu and u_j' = v_j' - M_j'
-    with the coordinates of M independent.  "Below" is strict for j' < j and
-    weak for j' > j (the smallest-index tie-break), which makes the result the
-    region probability P_j(v); with `strict_ties` it is strict for every j'.
-    The weight w is 1, or u_j when `weighted`.  Atoms sit on a leading axis and
-    are added in atom order.  Rows go in blocks of KERNEL_CELLS // (most atoms of any M_j),
-    so no (atoms x rows) temporary passes KERNEL_CELLS cells; a row's bits do not depend on its block.
+    `codes` is a (..., m) array of atom indices: a row is the valuation v with
+    v_j = items[j].values_arr[code_j].  u_j = v_j - mu and u_j' = v_j' - M_j',
+    with M ~ `maxvec`, whose coordinates are independent.  "Below" is strict for
+    j' < j and weak for j' > j (the smallest-index tie-break), which makes the
+    result the region probability P_j(v); with `strict_ties` it is strict for
+    every j'.  The weight w is 1, or u_j when `weighted`.
+
+    A block is an (items, rows, atoms) array of at most KERNEL_CELLS cells, the
+    atoms padded to the most of any M_j at mass 0: all m items and
+    KERNEL_CELLS // (m x atoms) rows, or, where m x atoms alone passes the cap,
+    fewer items and one row.  The block takes one step per rival j', which
+    multiplies every item's term by its factor, so each term multiplies its
+    rivals in j' order; then each item adds its own atoms, in atom order.  A
+    rival factor depends only on (j, code_j, code_j', mu), so once the block
+    holds TABLE_READS rows per (code_j, code_j') pair (S^2 for S the largest
+    support), it is read with one `take` from a table built by the same two
+    subtractions and one `searchsorted` per side, and the weighted masses from
+    one over (j, code_j, mu); the tables are built once per call where all of
+    them fit KERNEL_CELLS, else once per block.  Smaller blocks search every
+    cell.  Either way a row's bits do not depend on its block or on the path.
     """
-    vals = np.asarray(vals, dtype=np.float64)
-    rows = vals.reshape(-1, vals.shape[-1])
+    codes = np.asarray(codes)
+    m = codes.shape[-1]
+    rows = codes.reshape(-1, m)
     out = np.empty(rows.shape)
-    block = max(1, KERNEL_CELLS // max(len(law.values) for law in max_laws))
-    # survival[i] = Pr(M_j > values[i - 1]) and survival[0] = 1
-    survivals = [np.concatenate(([1.0], 1.0 - law.cdf_arr)) for law in max_laws]
+    mu, p_mu, last = maxvec.padded
+    survivals = maxvec.survivals if m > 1 else ()
+    atoms = mu.shape[1]
+    mu, p_mu = mu[:, None, :], p_mu[:, None, :]  # (items, 1, atoms): blocks are (items, rows, atoms)
+    size = max(len(item.values) for item in items) if m > 1 else 1  # S
+    group = max(1, min(m, KERNEL_CELLS // atoms))  # items per block
+    block = max(1, KERNEL_CELLS // (group * atoms))  # rows per block
+    weak_side = "right" if strict_ties else "left"
+    support = None  # the items' values, padded to S, once some block reads tables
+    tables: dict[tuple[int, int], np.ndarray] = {}  # (first item of the group, rival) -> factor table
+    keep = m * group * atoms * size * size <= KERNEL_CELLS  # every table of the call fits the cap
+
+    def weights(u: np.ndarray, p: np.ndarray) -> np.ndarray:
+        w = (u >= 0.0) * p  # p_mu at the atoms at or below v_j, +0.0 above
+        if weighted:
+            w *= u
+        return w
+
     for lo in range(0, len(rows), block):
-        cols = rows[lo : lo + block].T.copy()  # contiguous per item: the rival loop reads whole columns
-        for j, law in enumerate(max_laws):
-            u = cols[j] - law.values_arr[:, None]
-            term = np.where(u >= 0.0, law.probs_arr[:, None], 0.0)
-            if weighted:
-                term *= u
-            for jp, rival in enumerate(max_laws):
-                if jp != j:
-                    # u_jp < u is M_jp > v_jp - u (search "right"), u_jp <= u is M_jp >= v_jp - u ("left")
-                    side = "left" if jp > j and not strict_ties else "right"
-                    term *= survivals[jp][rival.values_arr.searchsorted(cols[jp] - u, side=side)]
-            out[lo : lo + block, j] = term.cumsum(axis=0)[-1]
-    return out.reshape(vals.shape)
+        cols = rows[lo : lo + block].T.astype(np.intp)  # contiguous per item: the rival loop reads whole rows
+        tabled = m > 1 and TABLE_READS * size * size <= cols.shape[1]
+        if tabled and support is None:
+            support = pad_rows([item.values_arr for item in items])
+        if not tabled:
+            vals = np.array([item.values_arr[col] for item, col in zip(items, cols)])
+        for j0 in range(0, m, group):
+            own, span = slice(j0, j0 + group), min(group, m - j0)
+            if tabled:
+                # u and the weighted masses at each (j, code_j, mu), read per row at the row of (j, code_j);
+                # each row's index in a rival's (items x S x S, atoms) table is that row times S plus the
+                # rival's code.  The index and factor buffers serve every rival, as fresh block-sized
+                # arrays cost page faults
+                u_codes = support[own, :, None] - mu[own]
+                first = np.arange(span)[:, None] * size + cols[own]
+                term = weights(u_codes, p_mu[own]).reshape(-1, atoms).take(first, axis=0, mode="wrap")
+                base, index, factor = first * size, np.empty_like(first), np.empty_like(term)
+            else:
+                u = vals[own, :, None] - mu[own]
+                term = weights(u, p_mu[own])
+            for jp in range(m if m > 1 else 0):
+                # u_jp < u is M_jp > v_jp - u (search "right"), u_jp <= u is M_jp >= v_jp - u ("left"):
+                # items before jp read the weak side, items after it the strict side, and jp itself no factor
+                cut = min(max(jp - j0, 0), span)
+                slabs = ((slice(0, cut), weak_side), (slice(min(max(jp + 1 - j0, 0), span), span), "right"))
+                rival = maxvec.per_item[jp].values_arr
+                if tabled:
+                    table = tables.get((j0, jp))
+                    if table is None:
+                        table = np.ones((span, size, size, atoms))
+                        for slab, side in slabs:
+                            if slab.start < slab.stop:
+                                threshold = support[jp, :, None] - u_codes[slab, :, None]
+                                table[slab] = survivals[jp][rival.searchsorted(threshold, side=side)]
+                        if keep:
+                            tables[j0, jp] = table
+                    np.add(base, cols[jp], out=index)
+                    # every index is in range, so wrap moves none
+                    term *= table.reshape(-1, atoms).take(index, axis=0, out=factor, mode="wrap")
+                else:
+                    for slab, side in slabs:
+                        if slab.start < slab.stop:
+                            term[slab] *= survivals[jp][rival.searchsorted(vals[jp, :, None] - u[slab], side=side)]
+            # each item adds its own atoms in atom order: a slice of the block at a time once a slice holds
+            # SUM_SLICE cells, else by an accumulate along the atom axis, one short inner loop per row
+            if span * cols.shape[1] >= SUM_SLICE:
+                total = term[:, :, 0].copy()
+                for a in range(1, atoms):
+                    np.add(total, term[:, :, a], out=total, where=True if last is None else last[own, None] >= a)
+            else:
+                total = np.add.accumulate(term, axis=2)
+                total = total[:, :, -1] if last is None else total[np.arange(span), :, last[own]]
+            out[lo : lo + block, own] = total.T
+    return out.reshape(codes.shape)
 
 
-def benchmark_values(vals: np.ndarray, p_region: np.ndarray, items: Sequence[ItemDistribution]) -> np.ndarray:
-    """Phi_j(v) = v_j (1 - P_j(v)) + max(phi_tilde_j(v_j), 0) P_j(v), elementwise over (..., m)."""
-    phi = np.empty(vals.shape)
+def benchmark_values(codes: np.ndarray, p_region: np.ndarray, items: Sequence[ItemDistribution]) -> np.ndarray:
+    """Phi_j(v) = v_j (1 - P_j(v)) + max(phi_tilde_j(v_j), 0) P_j(v), elementwise over (..., m) atom codes."""
+    phi = np.empty(p_region.shape)
     for j, item in enumerate(items):
-        vj, pj = vals[..., j], p_region[..., j]
-        phi_plus = item.ironed.phi_plus[item.values_arr.searchsorted(vj)]
-        phi[..., j] = vj * (1.0 - pj) + phi_plus * pj
+        code, pj = codes[..., j], p_region[..., j]
+        phi[..., j] = item.values_arr[code] * (1.0 - pj) + item.ironed.phi_plus[code] * pj
     return phi
 
 
 def build_iu_tables(inst: Instance) -> IUTables:
     """Exact region probabilities P_j(v) and benchmark values Phi_j(v) for every v."""
-    setting, maxvec = inst.setting, inst.ghost_max
+    setting = inst.setting
     valuations, vprobs = setting.valuations()
-    vals = np.array(valuations)
-    p_region = region_kernel(vals, maxvec.per_item)
-    phi = benchmark_values(vals, p_region, setting.items)
+    codes = product_codes([len(item.values) for item in setting.items])
+    p_region = region_kernel(codes, setting.items, inst.ghost_max)
+    phi = benchmark_values(codes, p_region, setting.items)
     law_phi = tuple(
         ScalarDistribution.from_atoms(zip(phi[:, j].tolist(), vprobs.tolist()), renorm_tol=1e-9)
         for j in range(setting.m)
     )
-    return IUTables(valuations, vprobs, p_region, phi, law_phi)
+    return IUTables(valuations, codes, vprobs, p_region, phi, law_phi)
 
 
 def iu(setting: AuctionSetting, n: int, n_prime: int) -> float:
@@ -278,8 +364,8 @@ def monte_carlo_iu(
             radix *= sizes[j]
         _, inverse, first = _rank(code, radix)
         inverse = np.ascontiguousarray(inverse.reshape(batch, n).T)
-        vals = np.stack([item.values_arr[idx[j, first]] for j, item in enumerate(setting.items)], axis=-1)
-        phi = benchmark_values(vals, region_kernel(vals, maxvec.per_item), setting.items)
+        codes = idx[:, first].T
+        phi = benchmark_values(codes, region_kernel(codes, setting.items, maxvec), setting.items)
         stat = np.zeros(batch)
         for col in phi.T:
             best = col[inverse[0]]

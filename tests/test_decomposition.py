@@ -351,8 +351,10 @@ def event_probabilities(v: Valuation, setting: AuctionSetting, n_prime: int) -> 
 
     p_nf_j = Pr(M_j <= v_j) - Pr(M_j <= v_j and every other utility strictly below v_j - M_j).
     """
-    laws = max_vector_distribution(setting, n_prime - 1).per_item
-    rival_free = region_kernel(np.array([v]), laws, strict_ties=True)[0].tolist()
+    maxvec = max_vector_distribution(setting, n_prime - 1)
+    laws = maxvec.per_item
+    code = [[item.values.index(vj) for item, vj in zip(setting.items, v)]]
+    rival_free = region_kernel(np.array(code), setting.items, maxvec, strict_ties=True)[0].tolist()
     p_und = tuple(1.0 - law.cdf(vj) for law, vj in zip(laws, v))
     p_nf = tuple(max(law.cdf(vj) - free, 0.0) for law, vj, free in zip(laws, v, rival_free))
     return EventProbabilities(p_und, p_nf)

@@ -3,7 +3,9 @@
 import importlib
 import itertools
 import math
+import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ from auctionbench import (
     step2_inequality_check,
     tie_break_independence_check,
 )
-from auctionbench.cli import load_config
+from auctionbench.cli import load_config, run_analysis
 from auctionbench.errors import EnumerationCapExceeded
 from auctionbench.generators import random_setting
 from auctionbench.iu import (
@@ -32,13 +34,15 @@ from auctionbench.iu import (
     KERNEL_CELLS,
     MC_STREAM,
     RANK_TABLE,
+    TABLE_READS,
     _choice_edges,
     _draw_atoms,
     benchmark_values,
     region_kernel,
 )
+from auctionbench.dist import product_codes
 from auctionbench.myerson import iron
-from helpers import joint, random_law, region_of
+from helpers import joint, random_law, reference_region_kernel, region_of
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -91,7 +95,7 @@ def assert_tables_match_scalar_reference(setting, n_prime):
 
 
 def per_draw_monte_carlo_iu(setting, n, n_prime, samples, seed, chunk=1 << 16):
-    """Reference: the Monte-Carlo loop that evaluated Phi on every drawn bidder, kept verbatim."""
+    """Reference: the Monte-Carlo loop that evaluated Phi on every drawn bidder, on the reference kernel."""
     cells = n * setting.m
     chunk = min(chunk, setting.caps.joint_terms // cells)
     rows = max(1, KERNEL_CELLS // cells)
@@ -103,13 +107,16 @@ def per_draw_monte_carlo_iu(setting, n, n_prime, samples, seed, chunk=1 << 16):
     while done < samples:
         batch = min(chunk, samples - done)
         vals = np.empty((batch, n, setting.m))
+        codes = np.empty((batch, n, setting.m), dtype=np.intp)
         for j, item in enumerate(setting.items):
             idx = rng.choice(len(item.values), size=(batch, n), p=item.probs_arr)
             vals[:, :, j] = item.values_arr[idx]
+            codes[:, :, j] = idx
         stat = np.zeros(batch)
         for lo in range(0, batch, rows):
             part = vals[lo : lo + rows]
-            phi = benchmark_values(part, region_kernel(part, maxvec.per_item), setting.items)
+            p_region = reference_region_kernel(part, maxvec.per_item)
+            phi = benchmark_values(codes[lo : lo + rows], p_region, setting.items)
             for j in range(setting.m):
                 stat[lo : lo + rows] += phi[:, :, j].max(axis=1)
         total += float(stat.sum())
@@ -228,7 +235,7 @@ class TestBuildTables:
             n_prime = setting.n_prime
             maxvec = max_vector_distribution(setting, n_prime - 1)
             vals, _ = setting.valuations()
-            fast = region_kernel(np.array(vals), maxvec.per_item)
+            fast = region_kernel(product_codes([len(item.values) for item in setting.items]), setting.items, maxvec)
             for vi, v in enumerate(vals):
                 for j in range(setting.m):
                     assert fast[vi, j] == pytest.approx(
@@ -281,11 +288,11 @@ class TestRegionKernel:
         rng = make_rng(37)
         for _ in range(20):
             setting = random_setting(rng, max_items=3, max_support=3, max_ghosts=5)
-            laws = max_vector_distribution(setting, setting.n_prime - 1).per_item
-            vals = np.stack(
-                [rng.choice(item.values_arr, size=(4, 3)) for item in setting.items], axis=-1
-            )
-            got = region_kernel(vals, laws)
+            maxvec = max_vector_distribution(setting, setting.n_prime - 1)
+            laws = maxvec.per_item
+            codes = np.stack([rng.choice(len(item.values), size=(4, 3)) for item in setting.items], axis=-1)
+            vals = np.stack([item.values_arr[codes[..., j]] for j, item in enumerate(setting.items)], axis=-1)
+            got = region_kernel(codes, setting.items, maxvec)
             for idx in np.ndindex(4, 3):
                 v = tuple(vals[idx].tolist())
                 assert got[idx].tolist() == [scalar_region_probability(v, j, laws) for j in range(setting.m)]
@@ -293,30 +300,31 @@ class TestRegionKernel:
     def test_strict_ties_and_weights(self, setting_two_items):
         # one item per M coordinate, M ~ d2 each: at v = (2, 2) item 0 keeps
         # the rival strictly below only when M_1 > M_0
-        laws = max_vector_distribution(setting_two_items, 1).per_item
-        v = np.array([[2.0, 2.0]])
-        assert region_kernel(v, laws, strict_ties=True).tolist() == [[0.25, 0.25]]
-        assert region_kernel(v, laws).tolist() == [[0.75, 0.25]]
+        maxvec = max_vector_distribution(setting_two_items, 1)
+        items = setting_two_items.items
+        v = np.array([[1, 1]])  # the atom codes of (2, 2)
+        assert region_kernel(v, items, maxvec, strict_ties=True).tolist() == [[0.25, 0.25]]
+        assert region_kernel(v, items, maxvec).tolist() == [[0.75, 0.25]]
         # weighted by u = v_j - mu: only mu = 1 (u = 1) survives the strict rule
-        assert region_kernel(v, laws, strict_ties=True, weighted=True).tolist() == [[0.25, 0.25]]
+        assert region_kernel(v, items, maxvec, strict_ties=True, weighted=True).tolist() == [[0.25, 0.25]]
 
 
 class TestKernelBlocks:
-    """region_kernel walks its rows in blocks of KERNEL_CELLS // (most atoms of any M_j)."""
+    """region_kernel walks its rows in blocks of KERNEL_CELLS // (m x most atoms of any M_j)."""
 
     # the two flag pairs the package calls the kernel with
     FLAGS = [{}, {"strict_ties": True, "weighted": True}]
 
-    def assert_blocks_change_no_bit(self, monkeypatch, vals, laws):
+    def assert_blocks_change_no_bit(self, monkeypatch, codes, items, maxvec):
         """Blocks of one row and of five rows (the last one ragged unless rows divide by 5) against one block."""
         module = importlib.import_module("auctionbench.iu")
-        atoms = max(len(law.values) for law in laws)
-        assert vals.size // vals.shape[-1] * atoms <= KERNEL_CELLS  # one block at the real cap
+        cells = len(items) * max(len(law.values) for law in maxvec.per_item)
+        assert codes.size // codes.shape[-1] * cells <= KERNEL_CELLS  # one block at the real cap
         for flags in self.FLAGS:
-            whole = region_kernel(vals, laws, **flags)
+            whole = region_kernel(codes, items, maxvec, **flags)
             for rows in (1, 5):
-                monkeypatch.setattr(module, "KERNEL_CELLS", rows * atoms + atoms - 1)
-                blocked = region_kernel(vals, laws, **flags)
+                monkeypatch.setattr(module, "KERNEL_CELLS", rows * cells + cells - 1)
+                blocked = region_kernel(codes, items, maxvec, **flags)
                 monkeypatch.setattr(module, "KERNEL_CELLS", KERNEL_CELLS)
                 assert blocked.shape == whole.shape and (blocked == whole).all()
 
@@ -325,10 +333,10 @@ class TestKernelBlocks:
         ragged = 0
         for _ in range(25):
             setting = random_setting(rng, max_items=3, max_support=3, max_ghosts=5)
-            laws = max_vector_distribution(setting, setting.n_prime - 1).per_item
-            vals = np.array(setting.valuations()[0])
-            ragged += len(vals) % 5 != 0
-            self.assert_blocks_change_no_bit(monkeypatch, vals, laws)
+            maxvec = max_vector_distribution(setting, setting.n_prime - 1)
+            codes = product_codes([len(item.values) for item in setting.items])
+            ragged += len(codes) % 5 != 0
+            self.assert_blocks_change_no_bit(monkeypatch, codes, setting.items, maxvec)
         assert ragged
 
     def test_sample_shaped_input(self, monkeypatch):
@@ -337,20 +345,133 @@ class TestKernelBlocks:
         rng = make_rng(37)
         for _ in range(20):
             setting = random_setting(rng, max_items=3, max_support=3, max_ghosts=5)
-            laws = max_vector_distribution(setting, setting.n_prime - 1).per_item
-            vals = np.stack([rng.choice(item.values_arr, size=(4, 3)) for item in setting.items], axis=-1)
-            self.assert_blocks_change_no_bit(monkeypatch, vals, laws)
+            maxvec = max_vector_distribution(setting, setting.n_prime - 1)
+            codes = np.stack([rng.choice(len(item.values), size=(4, 3)) for item in setting.items], axis=-1)
+            self.assert_blocks_change_no_bit(monkeypatch, codes, setting.items, maxvec)
 
     def test_cap_below_the_atom_count_gives_one_row_blocks(self, monkeypatch):
         # KERNEL_CELLS below the atom count still walks one row at a time
-        laws = max_vector_distribution(load_config(CONFIGS / "two_items.json").setting, 3).per_item
-        vals = np.array([[1.0, 2.0], [2.0, 1.0], [2.0, 2.0]])
-        whole = region_kernel(vals, laws)
+        setting = load_config(CONFIGS / "two_items.json").setting
+        maxvec = max_vector_distribution(setting, 3)
+        codes = np.array([[0, 1], [1, 0], [1, 1]])  # the valuations (1, 3), (2, 1) and (2, 3)
+        whole = region_kernel(codes, setting.items, maxvec)
         monkeypatch.setattr(importlib.import_module("auctionbench.iu"), "KERNEL_CELLS", 1)
-        assert (region_kernel(vals, laws) == whole).all()
+        assert (region_kernel(codes, setting.items, maxvec) == whole).all()
+
+
+class TestKernelReference:
+    """region_kernel on atom codes against the float-valuation kernel it replaced (`reference_region_kernel`).
+
+    Outputs are compared with == and sign bit by sign bit, so a -0.0 that turned +0.0 fails.
+    """
+
+    # the package's two flag pairs, and the strict-unweighted one of test_decomposition's event_probabilities
+    FLAGS = [{}, {"strict_ties": True, "weighted": True}, {"strict_ties": True}]
+
+    @staticmethod
+    def assert_matches_reference(codes, items, maxvec):
+        vals = np.stack([item.values_arr[codes[..., j]] for j, item in enumerate(items)], axis=-1)
+        for flags in TestKernelReference.FLAGS:
+            got = region_kernel(codes, items, maxvec, **flags)
+            want = reference_region_kernel(vals, maxvec.per_item, **flags)
+            assert got.shape == want.shape
+            assert (got == want).all() and (np.signbit(got) == np.signbit(want)).all()
+
+    @staticmethod
+    def sample_codes(rng, items, shape):
+        return np.stack([rng.integers(0, len(item.values), size=shape) for item in items], axis=-1)
+
+    @staticmethod
+    def grid_codes(items):
+        return product_codes([len(item.values) for item in items])
+
+    def test_seeded_draws(self):
+        rng = make_rng(41)
+        for _ in range(60):
+            setting = random_setting(rng, max_items=4, max_support=4, max_ghosts=6)
+            maxvec = max_vector_distribution(setting, setting.n_prime - 1)
+            self.assert_matches_reference(self.grid_codes(setting.items), setting.items, maxvec)
+            self.assert_matches_reference(self.sample_codes(rng, setting.items, (5, 7)), setting.items, maxvec)
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(tied_settings(), st.integers(0, 2**32 - 1))
+    def test_drawn_tied_settings(self, setting, seed):
+        maxvec = max_vector_distribution(setting, setting.n_prime - 1)
+        self.assert_matches_reference(self.grid_codes(setting.items), setting.items, maxvec)
+        self.assert_matches_reference(self.sample_codes(make_rng(seed), setting.items, (300,)), setting.items, maxvec)
+
+    def test_both_lookup_paths(self, monkeypatch):
+        # 300 rows hold TABLE_READS rows per cell of a table over supports of up to 4 atoms, so the
+        # factors come from tables; one-row blocks (KERNEL_CELLS = 1, also one item per block) search
+        module = importlib.import_module("auctionbench.iu")
+        assert TABLE_READS * 4 * 4 <= 300
+        rng = make_rng(42)
+        for _ in range(30):
+            setting = random_setting(rng, max_items=4, max_support=4, max_ghosts=6)
+            maxvec = max_vector_distribution(setting, setting.n_prime - 1)
+            codes = self.sample_codes(rng, setting.items, (300,))
+            self.assert_matches_reference(codes, setting.items, maxvec)
+            monkeypatch.setattr(module, "KERNEL_CELLS", 1)
+            self.assert_matches_reference(codes, setting.items, maxvec)
+            monkeypatch.setattr(module, "KERNEL_CELLS", KERNEL_CELLS)
+
+    @pytest.mark.parametrize("cells", [TABLE_READS * 20 * 2 * 4, 20 * 20 * 2 * 4])
+    def test_tables_across_blocks(self, monkeypatch, cells):
+        # 20 binary items, 1,000 rows in blocks of cells // (20 x 2) >= TABLE_READS x 2^2 rows, so every block
+        # reads factor tables.  The 20 tables of a call hold 20 x 20 x 2 x 4 cells: over the first cap, so
+        # each block builds its own; within the second, so the first block's serve the rest
+        module = importlib.import_module("auctionbench.iu")
+        rng = make_rng(43)
+        items = tuple(make_item_distribution([1 + j % 3, 2 + j % 5], [0.3 + j / 50, 0.7 - j / 50]) for j in range(20))
+        setting = AuctionSetting(items=items, n=1, n_prime=3, caps=Caps(product_support=1 << 20))
+        maxvec = max_vector_distribution(setting, 2)
+        monkeypatch.setattr(module, "KERNEL_CELLS", cells)
+        self.assert_matches_reference(self.sample_codes(rng, items, (1000,)), items, maxvec)
+
+    def test_weighted_negative_zero_keeps_its_sign(self):
+        # item 0 (values 1, 2) lies below both atoms of its max law (3, 4), so every weighted term is
+        # 0 x (negative u) = -0.0 and so is the sum; item 1's law has three atoms, so item 0's row is padded
+        low = make_item_distribution([1, 2], [0.5, 0.5])
+        laws = (make_item_distribution([3, 4], [0.5, 0.5]), make_item_distribution([3, 4, 5], [0.2, 0.3, 0.5]))
+        maxvec = max_vector_distribution(AuctionSetting(items=laws, n=1, n_prime=2), 1)
+        codes = product_codes([2, 2])
+        got = region_kernel(codes, (low, low), maxvec, strict_ties=True, weighted=True)
+        assert np.signbit(got[:, 0]).all() and (got[:, 0] == 0.0).all()
+        self.assert_matches_reference(codes, (low, low), maxvec)
+
+    def test_one_row_of_1024_binary_items_within_a_second(self):
+        # 1,024 rival steps of one (1024, 2, 1) block; the (item, rival) pair loop took about 3 s here
+        r = np.random.default_rng(1)
+        items = []
+        for j in range(1024):
+            w = r.random(2) + 0.05
+            items.append(make_item_distribution([1, 2 + j % 3], (w / w.sum()).tolist()))
+        setting = AuctionSetting(items=tuple(items), n=1, n_prime=2, caps=Caps(product_support=1 << 20))
+        maxvec = max_vector_distribution(setting, 1)
+        codes = r.integers(0, 2, size=(1, 1024))
+        maxvec.padded  # the law's constants are built once per law, not timed here
+        start = time.perf_counter()
+        region_kernel(codes, setting.items, maxvec)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestIU:
+    def test_once_per_bidder_count(self, monkeypatch):
+        # exact analyze reads IU(n) and IU(n') in several checks; each is evaluated once, one
+        # E[max] fold per item, on configs/two_items.json (n = 1, n' = 3)
+        module = importlib.import_module("auctionbench.iu")
+        folds = Counter()
+        fold = module.iid_max_expectation
+
+        def counted(law, n):
+            folds[n] += 1
+            return fold(law, n)
+
+        monkeypatch.setattr(module, "iid_max_expectation", counted)
+        cfg = load_config(CONFIGS / "two_items.json")
+        run_analysis(cfg)
+        assert {n: count / cfg.setting.m for n, count in folds.items()} == {1: 1, 3: 1}
+
     def test_examples(self, setting_d2, point_mass):
         assert iu(setting_d2, 1, 2) == pytest.approx(1.25)
         assert iu(setting_d2, 2, 2) == pytest.approx(1.625)
@@ -526,10 +647,10 @@ class TestMonteCarlo:
         assert setting.m == 4 and setting.product_support_size == 16
         rows = []
 
-        def counted(vals, *args, **kwargs):
-            rows.append(vals.size // vals.shape[-1])
-            assert vals.size <= KERNEL_CELLS
-            return region_kernel(vals, *args, **kwargs)
+        def counted(codes, *args, **kwargs):
+            rows.append(codes.size // codes.shape[-1])
+            assert codes.size <= KERNEL_CELLS
+            return region_kernel(codes, *args, **kwargs)
 
         def no_sort(*args, **kwargs):
             raise AssertionError("16 valuations rank through the presence table, not np.unique")
