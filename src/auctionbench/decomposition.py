@@ -26,7 +26,7 @@ from .dist import (
     product_grid,
 )
 from .errors import InstanceTooLarge, NotRegular, TooFewBidders
-from .iu import Instance, region_kernel
+from .iu import Instance
 from .lp import optimal_revenue
 from .myerson import all_regular
 from .report import CHECK_TOL, CheckRecord
@@ -137,8 +137,9 @@ def surplus_event_probability(
 ) -> float:
     """Pr over v_{-j} that some other item's utility weakly beats v_j - M_j.
 
-    The per-M reference for ``decomposition_terms``' surplus bound, which sums
-    the same events over v first (see there).
+    The rival event of the Surplus term of Cai, Devanur and Weinberg, which the
+    chain bounds through Tail + Core (its ``ubsplit`` record) rather than
+    computing it.
     """
     u = vj - m_vec[j]
     stay = 1.0
@@ -158,7 +159,6 @@ class DecompositionReport:
     over: float
     tail: float
     core: float
-    surplus_bound: float
     fee_mass: float = 0.0
     participation_lb: float = 0.0
     pi_bvcg_floor: float = 0.0
@@ -193,9 +193,8 @@ def decomposition_terms(inst: Instance) -> DecompositionReport:
     setting, n_prime = inst.setting, inst.n_prime
     tables, stats, maxvec = inst.iu_tables, inst.stats, inst.ghost_max
 
-    # per item, the max over n' of Single phi_tilde^+ P_j(v), Under v_j Pr(M_j > v_j), Over E[M_j; M_j <= v_j];
-    # excess sums E_{M,v}[(v_j - M_j)^+] = E_v[v_j Pr(M_j <= v_j) - E[M_j; M_j <= v_j]] for Surplus
-    single = under = over = excess = 0.0
+    # per item, the max over n' of Single phi_tilde^+ P_j(v), Under v_j Pr(M_j > v_j), Over E[M_j; M_j <= v_j]
+    single = under = over = 0.0
     for j, (item, law_j) in enumerate(zip(setting.items, maxvec.per_item)):
         weighted = item.ironed.phi_plus[tables.codes[:, j]] * tables.p_region[:, j]
         single += _max_mean(weighted, tables.vprobs, n_prime, 1e-9)
@@ -203,7 +202,6 @@ def decomposition_terms(inst: Instance) -> DecompositionReport:
         under += _max_mean(item.values_arr * (1.0 - below), item.probs_arr, n_prime, MASS_TOL * 10)
         kept = _at_or_below(law_j, np.cumsum(law_j.values_arr * law_j.probs_arr), item.values_arr)
         over += _max_mean(kept, item.probs_arr, n_prime, MASS_TOL * 10)
-        excess += float(item.probs_arr @ (item.values_arr * below - kept))
 
     prob, r = stats.prob, stats.r_ron_total
     # No clip at r*_j(M_j) is needed: the first atom y above T_j = M_j + r (r = r_ron_total)
@@ -212,15 +210,7 @@ def decomposition_terms(inst: Instance) -> DecompositionReport:
     above = sum(1.0 - _at_or_below(item, item.cdf_arr, thresholds[:, j]) for j, item in enumerate(setting.items))
     tail = n_prime * float(prob @ (r * above))
     core = n_prime * float(prob @ stats.e_u_hat)
-
-    # Surplus: n' E_{M,v}[sum_j (v_j - M_j)^+ 1(some rival utility >= v_j - M_j)],
-    # the excess minus the part where every rival utility stays strictly below.
-    rival_free = region_kernel(tables.codes, setting.items, maxvec, strict_ties=True, weighted=True).sum(axis=1)
-    surplus_bound = n_prime * (excess - float(tables.vprobs @ rival_free))
-
-    return DecompositionReport(
-        single=single, under=under, over=over, tail=tail, core=core, surplus_bound=surplus_bound
-    )
+    return DecompositionReport(single=single, under=under, over=over, tail=tail, core=core)
 
 
 class BVCGFloor(NamedTuple):

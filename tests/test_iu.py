@@ -298,35 +298,27 @@ class TestRegionKernel:
                 assert got[idx].tolist() == [scalar_region_probability(v, j, laws) for j in range(setting.m)]
 
     def test_strict_ties_and_weights(self, setting_two_items):
-        # one item per M coordinate, M ~ d2 each: at v = (2, 2) item 0 keeps
-        # the rival strictly below only when M_1 > M_0
+        # one item per M coordinate, M ~ d2 each: at v = (2, 2) item 0 wins the
+        # tie with item 1, which keeps its region only when M_1 < M_0
         maxvec = max_vector_distribution(setting_two_items, 1)
-        items = setting_two_items.items
         v = np.array([[1, 1]])  # the atom codes of (2, 2)
-        assert region_kernel(v, items, maxvec, strict_ties=True).tolist() == [[0.25, 0.25]]
-        assert region_kernel(v, items, maxvec).tolist() == [[0.75, 0.25]]
-        # weighted by u = v_j - mu: only mu = 1 (u = 1) survives the strict rule
-        assert region_kernel(v, items, maxvec, strict_ties=True, weighted=True).tolist() == [[0.25, 0.25]]
+        assert region_kernel(v, setting_two_items.items, maxvec).tolist() == [[0.75, 0.25]]
 
 
 class TestKernelBlocks:
     """region_kernel walks its rows in blocks of KERNEL_CELLS // (m x most atoms of any M_j)."""
-
-    # the two flag pairs the package calls the kernel with
-    FLAGS = [{}, {"strict_ties": True, "weighted": True}]
 
     def assert_blocks_change_no_bit(self, monkeypatch, codes, items, maxvec):
         """Blocks of one row and of five rows (the last one ragged unless rows divide by 5) against one block."""
         module = importlib.import_module("auctionbench.iu")
         cells = len(items) * max(len(law.values) for law in maxvec.per_item)
         assert codes.size // codes.shape[-1] * cells <= KERNEL_CELLS  # one block at the real cap
-        for flags in self.FLAGS:
-            whole = region_kernel(codes, items, maxvec, **flags)
-            for rows in (1, 5):
-                monkeypatch.setattr(module, "KERNEL_CELLS", rows * cells + cells - 1)
-                blocked = region_kernel(codes, items, maxvec, **flags)
-                monkeypatch.setattr(module, "KERNEL_CELLS", KERNEL_CELLS)
-                assert blocked.shape == whole.shape and (blocked == whole).all()
+        whole = region_kernel(codes, items, maxvec)
+        for rows in (1, 5):
+            monkeypatch.setattr(module, "KERNEL_CELLS", rows * cells + cells - 1)
+            blocked = region_kernel(codes, items, maxvec)
+            monkeypatch.setattr(module, "KERNEL_CELLS", KERNEL_CELLS)
+            assert blocked.shape == whole.shape and (blocked == whole).all()
 
     def test_drawn_settings(self, monkeypatch):
         rng = make_rng(38)
@@ -365,17 +357,13 @@ class TestKernelReference:
     Outputs are compared with == and sign bit by sign bit, so a -0.0 that turned +0.0 fails.
     """
 
-    # the package's two flag pairs, and the strict-unweighted one of test_decomposition's event_probabilities
-    FLAGS = [{}, {"strict_ties": True, "weighted": True}, {"strict_ties": True}]
-
     @staticmethod
     def assert_matches_reference(codes, items, maxvec):
         vals = np.stack([item.values_arr[codes[..., j]] for j, item in enumerate(items)], axis=-1)
-        for flags in TestKernelReference.FLAGS:
-            got = region_kernel(codes, items, maxvec, **flags)
-            want = reference_region_kernel(vals, maxvec.per_item, **flags)
-            assert got.shape == want.shape
-            assert (got == want).all() and (np.signbit(got) == np.signbit(want)).all()
+        got = region_kernel(codes, items, maxvec)
+        want = reference_region_kernel(vals, maxvec.per_item)
+        assert got.shape == want.shape
+        assert (got == want).all() and (np.signbit(got) == np.signbit(want)).all()
 
     @staticmethod
     def sample_codes(rng, items, shape):
@@ -427,17 +415,6 @@ class TestKernelReference:
         maxvec = max_vector_distribution(setting, 2)
         monkeypatch.setattr(module, "KERNEL_CELLS", cells)
         self.assert_matches_reference(self.sample_codes(rng, items, (1000,)), items, maxvec)
-
-    def test_weighted_negative_zero_keeps_its_sign(self):
-        # item 0 (values 1, 2) lies below both atoms of its max law (3, 4), so every weighted term is
-        # 0 x (negative u) = -0.0 and so is the sum; item 1's law has three atoms, so item 0's row is padded
-        low = make_item_distribution([1, 2], [0.5, 0.5])
-        laws = (make_item_distribution([3, 4], [0.5, 0.5]), make_item_distribution([3, 4, 5], [0.2, 0.3, 0.5]))
-        maxvec = max_vector_distribution(AuctionSetting(items=laws, n=1, n_prime=2), 1)
-        codes = product_codes([2, 2])
-        got = region_kernel(codes, (low, low), maxvec, strict_ties=True, weighted=True)
-        assert np.signbit(got[:, 0]).all() and (got[:, 0] == 0.0).all()
-        self.assert_matches_reference(codes, (low, low), maxvec)
 
     def test_one_row_of_1024_binary_items_within_a_second(self):
         # 1,024 rival steps of one (1024, 2, 1) block; the (item, rival) pair loop took about 3 s here
