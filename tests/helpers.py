@@ -47,13 +47,15 @@ def reference_region_kernel(
     vals: np.ndarray,
     max_laws: tuple[ScalarDistribution, ...],
     strict_ties: bool = False,
+    weighted: bool = False,
 ) -> np.ndarray:
-    """Per item j: sum over atoms mu <= v_j of M_j of p_mu prod_{j' != j} Pr(u_j' below u_j).
+    """Per item j: sum over atoms mu <= v_j of M_j of p_mu w prod_{j' != j} Pr(u_j' below u_j).
 
     `vals` is a (..., m) array of valuations, u_j = v_j - mu and u_j' = v_j' - M_j'
     with the coordinates of M independent.  "Below" is strict for j' < j and
     weak for j' > j (the smallest-index tie-break), which makes the result the
     region probability P_j(v); with `strict_ties` it is strict for every j'.
+    The weight w is 1, or u_j when `weighted` (the tests' Surplus reference).
     Atoms sit on a leading axis and are added in atom order.  Rows go in blocks
     of KERNEL_CELLS // (most atoms of any M_j), so no (atoms x rows) temporary
     passes KERNEL_CELLS cells; a row's bits do not depend on its block.
@@ -69,6 +71,8 @@ def reference_region_kernel(
         for j, law in enumerate(max_laws):
             u = cols[j] - law.values_arr[:, None]
             term = np.where(u >= 0.0, law.probs_arr[:, None], 0.0)
+            if weighted:
+                term *= u
             for jp, rival in enumerate(max_laws):
                 if jp != j:
                     # u_jp < u is M_jp > v_jp - u (search "right"), u_jp <= u is M_jp >= v_jp - u ("left")

@@ -409,6 +409,39 @@ class TestEventProbabilities:
                             assert srp <= r_total / (x - m_vec[j]) + 1e-9
 
 
+def surplus_by_valuation(inst: Instance) -> float:
+    """Surplus, n' E_{M,v}[sum_j (v_j - M_j)^+ 1(some rival utility >= v_j - M_j)], summed over v first.
+
+    The excess E_{M,v}[(v_j - M_j)^+] minus the part where every rival utility
+    stays strictly below, read off the weighted strict-ties reference kernel.
+    The chain bounds this term through Tail + Core instead of computing it.
+    """
+    setting, tables = inst.setting, inst.iu_tables
+    laws = inst.ghost_max.per_item
+    excess = sum(
+        float(item.probs_arr @ (np.maximum(item.values_arr[:, None] - law.values_arr, 0.0) @ law.probs_arr))
+        for item, law in zip(setting.items, laws)
+    )
+    vals = np.column_stack([item.values_arr[tables.codes[:, j]] for j, item in enumerate(setting.items)])
+    rival_free = reference_region_kernel(vals, laws, strict_ties=True, weighted=True).sum(axis=1)
+    return inst.n_prime * (excess - float(tables.vprobs @ rival_free))
+
+
+def surplus_by_max_vector(inst: Instance) -> tuple[float, float]:
+    """Surplus summed per (M, j, x) over surplus_event_probability, and its undifferenced mass."""
+    setting, n_prime = inst.setting, inst.n_prime
+    laws = max_vector_distribution(setting, n_prime - 1).per_item
+    surplus = scale = 0.0
+    for m_vec, prob in zip(map(tuple, inst.stats.m_vecs.tolist()), inst.stats.prob.tolist()):
+        for j, item in enumerate(setting.items):
+            for x, p in zip(item.values, item.probs):
+                if x >= m_vec[j]:
+                    w = n_prime * prob * p * (x - m_vec[j])
+                    surplus += w * surplus_event_probability(setting, laws, j, x, m_vec)
+                    scale += w
+    return surplus, scale
+
+
 class TestTerms:
     def test_d2_core(self, setting_d2):
         rep = decomposition_terms(Instance(setting_d2, 2))
@@ -457,24 +490,26 @@ class TestTerms:
             rep = decomposition_terms(inst)
             assert inst.iu_tables.iu(inst.n_prime) <= rep.single + rep.under + rep.over + rep.tail + rep.core + 1e-9
 
-    def test_surplus_within_tail_and_core(self):
-        # Surplus, n' E_{M,v}[sum_j (v_j - M_j)^+ 1(some rival utility >= v_j - M_j)], summed per (M, j, x)
-        # over surplus_event_probability, is at most Tail + Core: the split folds it into those two terms
+    def test_surplus_between_core_and_split(self):
+        rng = make_rng(51)
+        for _ in range(30):
+            setting = random_setting(rng, max_ghosts=4)
+            inst = Instance(setting, setting.n_prime)
+            rep = decomposition_terms(inst)
+            assert surplus_by_valuation(inst) <= rep.tail + rep.core + 1e-9
+
+    def test_surplus_matches_per_max_vector_sum(self):
+        # reference: the per-(M, j, x) sum over surplus_event_probability.  The
+        # valuation form is a difference of masses, so the tolerance is relative to
+        # the undifferenced mass n' E[sum_j (v_j - M_j)^+]
         rng = make_rng(53)
         for _ in range(40):
             setting = random_setting(rng, max_items=3, max_support=3, max_ghosts=5)
-            n_prime = setting.n_prime
-            laws = max_vector_distribution(setting, n_prime - 1).per_item
-            inst = Instance(setting, n_prime)
-            surplus = 0.0
-            for m_vec, prob in zip(map(tuple, inst.stats.m_vecs.tolist()), inst.stats.prob.tolist()):
-                for j, item in enumerate(setting.items):
-                    for x, p in zip(item.values, item.probs):
-                        if x >= m_vec[j]:
-                            w = n_prime * prob * p * (x - m_vec[j])
-                            surplus += w * surplus_event_probability(setting, laws, j, x, m_vec)
+            inst = Instance(setting, setting.n_prime)
+            ref, scale = surplus_by_max_vector(inst)
+            assert abs(surplus_by_valuation(inst) - ref) <= 1e-12 * max(scale, 1.0)
             rep = decomposition_terms(inst)
-            assert surplus <= rep.tail + rep.core + 1e-9
+            assert ref <= rep.tail + rep.core + 1e-9
 
 
 class TestFloors:
