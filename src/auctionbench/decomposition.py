@@ -25,7 +25,7 @@ from .dist import (
     iid_max_expectation,
     product_grid,
 )
-from .errors import InstanceTooLarge, NotRegular, TooFewBidders
+from .errors import InstanceTooLarge, TooFewBidders
 from .iu import Instance
 from .lp import optimal_revenue
 from .myerson import all_regular
@@ -249,22 +249,16 @@ def pi_bvcg_constructed_revenue(inst: Instance) -> PIBVCGFloor:
     return PIBVCGFloor(inst.n_prime * revenue, inst.n_prime * s_all)
 
 
-def lemma_chain_check(
-    inst: Instance, n: int, regular_branch: bool | None = None, tol: float = CHECK_TOL
-) -> DecompositionReport:
+def lemma_chain_check(inst: Instance, n: int, tol: float = CHECK_TOL) -> DecompositionReport:
     """Verify every exactly computable link of the two inequality chains.
 
     The prior-dependent chain ends at iu <= 2 (entry-fee floor) + 6 SRev(n');
-    the regular branch ends at iu <= 17 (prior-independent floor at n' + 1).
-    `regular_branch=None` runs the latter exactly when all items are regular.
+    the regular branch ends at iu <= 17 (prior-independent floor at n' + 1)
+    and runs exactly when all items are regular.
     """
     setting, n_prime = inst.setting, inst.n_prime
     if not (1 <= n <= n_prime):
         raise TooFewBidders("need 1 <= n <= n_prime")
-    is_regular = all_regular(setting)
-    if regular_branch is True and not is_regular:
-        raise NotRegular("the prior-independent chain requires all items regular")
-    run_regular = is_regular if regular_branch is None else regular_branch
 
     rep = decomposition_terms(inst)
     fee_mass, participation_lb = bvcg_constructed_revenue(inst)
@@ -309,7 +303,7 @@ def lemma_chain_check(
             2.0 * participation_lb + 6.0 * srev_np,
         )
 
-    if run_regular:
+    if all_regular(setting):
         rep.regular_branch = True
         pi_revenue_lb, s_all = pi_bvcg_constructed_revenue(inst)
         vcg_next = vcg_revenue(setting, n_prime + 1)

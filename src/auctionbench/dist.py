@@ -209,20 +209,18 @@ class ItemDistribution(ScalarDistribution):
         object.__setattr__(self, "ironed", iron(self))
 
 
-def make_item_distribution(
-    values: Sequence[float], probs: Sequence[float], renorm_tol: float = RENORM_TOL
-) -> ItemDistribution:
+def make_item_distribution(values: Sequence[float], probs: Sequence[float]) -> ItemDistribution:
     """Build an item distribution with :meth:`ScalarDistribution.from_atoms`.
 
     Values and probabilities are paired position by position, every
     probability must be positive, and the mass is renormalized when its sum
-    is within `renorm_tol` of 1; larger deviations raise ProbabilityMassError.
+    is within RENORM_TOL of 1; larger deviations raise ProbabilityMassError.
     """
     if len(values) != len(probs):
         raise ProbabilityMassError("values and probs must have equal length")
     if any(p <= 0 for p in probs):
         raise NonPositiveProbability("probabilities must be positive")
-    return ItemDistribution.from_atoms(zip(values, probs), renorm_tol)
+    return ItemDistribution.from_atoms(zip(values, probs))
 
 
 @dataclass(frozen=True)
@@ -283,14 +281,10 @@ class MaxVectorDistribution:
         """The per-item laws as rows of (m, most atoms) arrays, built once per law."""
         laws = self.per_item
         sizes = [len(law.values) for law in laws]
-        width = max(sizes)
-        if min(sizes) == width:
-            values = np.array([law.values_arr for law in laws])
-            return PaddedLaws(values, np.array([law.probs_arr for law in laws]), None)
-        values, probs = np.empty((len(laws), width)), np.zeros((len(laws), width))
-        for law, size, v, p in zip(laws, sizes, values, probs):
-            v[:size], v[size:], p[:size] = law.values_arr, law.values[-1], law.probs_arr
-        return PaddedLaws(values, probs, np.array(sizes) - 1)
+        probs = np.zeros((len(laws), max(sizes)))
+        for law, size, p in zip(laws, sizes, probs):
+            p[:size] = law.probs_arr
+        return PaddedLaws(pad_rows([law.values_arr for law in laws]), probs, np.array(sizes) - 1)
 
     @cached_property
     def survivals(self) -> tuple[np.ndarray, ...]:
@@ -303,7 +297,7 @@ class PaddedLaws(NamedTuple):
 
     values: np.ndarray
     probs: np.ndarray
-    last: np.ndarray | None  # each row's last real atom; None where no row is padded
+    last: np.ndarray  # each row's last real atom
 
 
 def pad_rows(rows: Sequence[np.ndarray]) -> np.ndarray:

@@ -138,13 +138,12 @@ def verify_dual_certificate(
     n: int,
     m_vec: MaxVector,
     mechanism: Mechanism | None = None,
-    tol: float = 1e-6,
 ) -> DualCertificate:
     """Check the certificate for one max vector against the optimal mechanism, or `mechanism` (n bidders, this setting).
 
     Verifies conservation of the combined flow, agreement of the flow virtual values with the simplified
     region form, and that the region-mixed virtual welfare (with the non-negative part of the ironed
-    virtual value) dominates the mechanism's revenue under its own interim allocations.
+    virtual value) dominates the mechanism's revenue under its own interim allocations, within 1e-6.
     """
     if mechanism is None:
         _, mechanism = optimal_revenue(setting, n)
@@ -159,5 +158,5 @@ def verify_dual_certificate(
     return DualCertificate(
         float(np.abs(flow_residuals(setting, flow)).max()),
         float(np.abs(phi_from_flow(setting, flow) - region_form_phi(setting, m_vec)).max()),
-        holds_leq(mechanism.revenue, n * float(bound), tol),
+        holds_leq(mechanism.revenue, n * float(bound), 1e-6),
     )

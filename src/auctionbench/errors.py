@@ -49,10 +49,6 @@ def size_text(k: int) -> str:
     return str(k) if k.bit_length() <= 64 else f"about 2^{k.bit_length() - 1}"
 
 
-class NotRegular(AuctionBenchError):
-    """An operation that requires regular items was invoked on an irregular setting."""
-
-
 class InstanceTooLarge(AuctionBenchError):
     """The mechanism LP for this instance exceeds the configured size cap."""
 

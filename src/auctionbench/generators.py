@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dist import AuctionSetting, Caps, DEFAULT_CAPS, ItemDistribution, make_item_distribution
+from .dist import AuctionSetting, DEFAULT_CAPS, ItemDistribution, make_item_distribution
 from .errors import EnumerationCapExceeded, size_text
 
 MAX_VALUE = 12  # items are drawn on the value grid 0..MAX_VALUE
@@ -19,10 +19,10 @@ def random_item(rng: np.random.Generator, max_support: int = 4, max_value: int =
 
 
 def random_regular_item(
-    rng: np.random.Generator, max_support: int = 4, max_value: int = MAX_VALUE, max_tries: int = 200
+    rng: np.random.Generator, max_support: int = 4, max_value: int = MAX_VALUE
 ) -> ItemDistribution:
-    """Rejection-sample a regular item (monotone virtual values)."""
-    for _ in range(max_tries):
+    """Rejection-sample a regular item (monotone virtual values), 200 tries before a point mass."""
+    for _ in range(200):
         item = random_item(rng, max_support, max_value)
         if item.ironed.regular:
             return item
@@ -38,19 +38,18 @@ def random_setting(
     max_ghosts: int = 6,
     max_value: int = MAX_VALUE,
     regular_only: bool = False,
-    caps: Caps = DEFAULT_CAPS,
 ) -> AuctionSetting:
     m = int(rng.integers(1, max_items + 1))
     make = random_regular_item if regular_only else random_item
+    cap = DEFAULT_CAPS.product_support
     items, size = [], 1  # refused as soon as the product support of the items drawn passes the cap
-    while len(items) < m and size <= caps.product_support:
+    while len(items) < m and size <= cap:
         items.append(make(rng, max_support, max_value))
         size *= len(items[-1].values)
-    if size > caps.product_support:
+    if size > cap:
         raise EnumerationCapExceeded(
-            f"the first {len(items)} of {m} items span {size_text(size)} valuations, over cap {caps.product_support}"
+            f"the first {len(items)} of {m} items span {size_text(size)} valuations, over cap {cap}"
         )
     n = int(rng.integers(1, max_bidders + 1))
-    n_prime = int(rng.integers(n, max_ghosts + 1))
-    return AuctionSetting(items=tuple(items), n=n, n_prime=max(n_prime, n), caps=caps)
+    return AuctionSetting(items=tuple(items), n=n, n_prime=int(rng.integers(n, max_ghosts + 1)))
 

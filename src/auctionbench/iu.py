@@ -48,6 +48,7 @@ if TYPE_CHECKING:
     from .decomposition import UtilityStats
 
 MC_STREAM = 17  # substream label for the benchmark estimator
+MC_CHUNK = 1 << 16  # most draws monte_carlo_iu samples at once; caps.joint_terms // (n x m) when smaller
 # atoms x valuation rows per region_kernel block; bounds the kernel's temporaries
 KERNEL_CELLS = 1 << 18
 # monte_carlo_iu re-ranks its valuation codes before their radix passes this
@@ -60,6 +61,7 @@ TABLE_READS = 16
 # region_kernel adds the atoms of a block slice by slice once a slice holds this many cells: an
 # accumulate along the atom axis pays about 15 ns a row, a slice step a few us
 SUM_SLICE = 512
+TIE_BREAK_CAP = 1 << 24  # most k-tuples tie_break_independence_check enumerates
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,9 @@ def region_kernel(codes: np.ndarray, items: Sequence[ScalarDistribution], maxvec
     KERNEL_CELLS // (m x atoms) rows, or, where m x atoms alone passes the cap,
     fewer items and one row.  The block takes one step per rival j', which
     multiplies every item's term by its factor, so each term multiplies its
-    rivals in j' order; then each item adds its own atoms, in atom order.  A
+    rivals in j' order; then each item adds its own atoms, in atom order, up
+    to its last real atom (the last column on a law of the widest width).  One
+    item's one rival is itself: no factor on a search, an all-ones table.  A
     rival factor depends only on (j, code_j, code_j', mu), so once the block
     holds TABLE_READS rows per (code_j, code_j') pair (S^2 for S the largest
     support), it is read with one `take` from a table built by the same two
@@ -149,10 +153,10 @@ def region_kernel(codes: np.ndarray, items: Sequence[ScalarDistribution], maxvec
     rows = codes.reshape(-1, m)
     out = np.empty(rows.shape)
     mu, p_mu, last = maxvec.padded
-    survivals = maxvec.survivals if m > 1 else ()
+    survivals = maxvec.survivals
     atoms = mu.shape[1]
     mu, p_mu = mu[:, None, :], p_mu[:, None, :]  # (items, 1, atoms): blocks are (items, rows, atoms)
-    size = max(len(item.values) for item in items) if m > 1 else 1  # S
+    size = max(len(item.values) for item in items)  # S
     group = max(1, min(m, KERNEL_CELLS // atoms))  # items per block
     block = max(1, KERNEL_CELLS // (group * atoms))  # rows per block
     support = None  # the items' values, padded to S, once some block reads tables
@@ -161,7 +165,7 @@ def region_kernel(codes: np.ndarray, items: Sequence[ScalarDistribution], maxvec
 
     for lo in range(0, len(rows), block):
         cols = rows[lo : lo + block].T.astype(np.intp)  # contiguous per item: the rival loop reads whole rows
-        tabled = m > 1 and TABLE_READS * size * size <= cols.shape[1]
+        tabled = TABLE_READS * size * size <= cols.shape[1]
         if tabled and support is None:
             support = pad_rows([item.values_arr for item in items])
         if not tabled:
@@ -181,7 +185,7 @@ def region_kernel(codes: np.ndarray, items: Sequence[ScalarDistribution], maxvec
             else:
                 u = vals[own, :, None] - mu[own]
                 term = (u >= 0.0) * p_mu[own]
-            for jp in range(m if m > 1 else 0):
+            for jp in range(m):
                 # u_jp < u is M_jp > v_jp - u (search "right"), u_jp <= u is M_jp >= v_jp - u ("left"):
                 # items before jp read the weak side, items after it the strict side, and jp itself no factor
                 cut = min(max(jp - j0, 0), span)
@@ -209,10 +213,9 @@ def region_kernel(codes: np.ndarray, items: Sequence[ScalarDistribution], maxvec
             if span * cols.shape[1] >= SUM_SLICE:
                 total = term[:, :, 0].copy()
                 for a in range(1, atoms):
-                    np.add(total, term[:, :, a], out=total, where=True if last is None else last[own, None] >= a)
+                    np.add(total, term[:, :, a], out=total, where=last[own, None] >= a)
             else:
-                total = np.add.accumulate(term, axis=2)
-                total = total[:, :, -1] if last is None else total[np.arange(span), :, last[own]]
+                total = np.add.accumulate(term, axis=2)[np.arange(span), :, last[own]]
             out[lo : lo + block, own] = total.T
     return out.reshape(codes.shape)
 
@@ -295,9 +298,7 @@ class MCEstimate(NamedTuple):
     std_error: float | None
 
 
-def monte_carlo_iu(
-    setting: AuctionSetting, n: int, n_prime: int, samples: int, seed: int, chunk: int = 1 << 16
-) -> MCEstimate:
+def monte_carlo_iu(setting: AuctionSetting, n: int, n_prime: int, samples: int, seed: int) -> MCEstimate:
     """Unbiased sampling estimator of the benchmark.
 
     Each sample draws n valuations; Phi_j is evaluated exactly through the
@@ -309,12 +310,13 @@ def monte_carlo_iu(
     uniforms `rng.choice` reads, counted by comparison up to COMPARE_ATOMS
     atoms, so they are choice's indices without its binary search.
 
-    Draws come from the finite product support and mostly repeat, so each
-    chunk keys its valuations by one mixed-radix code of their atom indices
-    (re-ranked, not refused, where the radix would pass int64), ranks them
-    with :func:`_rank` and evaluates Phi once per distinct valuation in one
-    kernel call; each item's max over bidders then gathers Phi back bidder by
-    bidder into a running maximum.  The kernel is row by row, max is exact and
+    Draws come in chunks of MC_CHUNK, or of caps.joint_terms // (n x m) where
+    that is smaller.  They come from the finite product support and mostly
+    repeat, so each chunk keys its valuations by one mixed-radix code of their
+    atom indices (re-ranked, not refused, where the radix would pass int64),
+    ranks them with :func:`_rank` and evaluates Phi once per distinct
+    valuation in one kernel call; each item's max over bidders then gathers
+    Phi back bidder by bidder into a running maximum.  The kernel is row by row, max is exact and
     the per-sample sums keep their item order, so the estimate is the one a
     per-draw evaluation gives, bit for bit.
     """
@@ -327,7 +329,7 @@ def monte_carlo_iu(
     if cells > setting.caps.joint_terms:
         raise EnumerationCapExceeded(f"{size_text(cells)} region-kernel cells per sample exceed cap {setting.caps.joint_terms}")
     # draws per chunk: the random stream and the memory of one chunk
-    chunk = min(chunk, setting.caps.joint_terms // (n * setting.m))
+    chunk = min(MC_CHUNK, setting.caps.joint_terms // (n * setting.m))
     sizes = [len(item.values) for item in setting.items]
     edges = [_choice_edges(item.probs_arr) for item in setting.items]
     rng = make_rng(seed, MC_STREAM)
@@ -384,17 +386,18 @@ def step2_inequality_check(inst: Instance, n: int, tol: float = CHECK_TOL) -> Ch
     return CheckRecord.leq("step2", "IU(n,n') <= (n/n')*IU(n',n') + VCG(n')", lhs, rhs, tol)
 
 
-def tie_break_independence_check(law: ScalarDistribution, k: int, cap: int = 1 << 24) -> float:
+def tie_break_independence_check(law: ScalarDistribution, k: int) -> float:
     """Max deviation between Pr(max = s | winner = i) and Pr(max = s).
 
-    Enumerates all k-tuples; ties are split uniformly over the argmax set.
-    The deviation should be zero up to roundoff for every law.
+    Enumerates all k-tuples, refusing more than TIE_BREAK_CAP; ties are split
+    uniformly over the argmax set.  The deviation should be zero up to
+    roundoff for every law.
     """
     if k < 1:
         raise TooFewBidders("need k >= 1")
     size = len(law.values)
-    if size**k > cap:
-        raise EnumerationCapExceeded(f"{size}^{k} tuples exceed cap {cap}")
+    if size**k > TIE_BREAK_CAP:
+        raise EnumerationCapExceeded(f"{size}^{k} tuples exceed cap {TIE_BREAK_CAP}")
     joint = np.zeros((size, k))  # Pr(max = value s, winner = i)
     marg = np.zeros(size)
     for combo in itertools.product(range(size), repeat=k):

@@ -4,7 +4,8 @@
 ``duality._regions`` and ``dist.product_grid`` compute as arrays; the tests
 compare against them.  ``reference_region_kernel`` is the region kernel on
 float valuations, one (item, rival) pair per step, that ``iu.region_kernel``
-replaced.  ``random_law`` draws laws for the property tests.
+replaced.  ``random_law`` draws laws for the property tests, and
+``prior_dependent_links`` keeps a chain's records outside the regular branch.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from auctionbench.dist import (
     product_grid,
 )
 from auctionbench.iu import KERNEL_CELLS
+from auctionbench.report import CheckRecord
 
 
 def region_of(v: Valuation, maxvec: MaxVector) -> int | None:
@@ -89,3 +91,8 @@ def random_law(rng: np.random.Generator, max_support: int = 5, max_value: float 
     values = np.unique(np.round(values, 6))
     weights = rng.random(len(values)) + 0.05
     return ScalarDistribution.from_atoms(zip(values.tolist(), (weights / weights.sum()).tolist()))
+
+
+def prior_dependent_links(chain) -> list[CheckRecord]:
+    """The records of `chain` (a DecompositionReport) outside the regular branch's chain_g_* links."""
+    return [check for check in chain.checks if not check.name.startswith("chain_g_")]

@@ -38,7 +38,7 @@ from auctionbench import (
 from auctionbench.dist import max_vector_distribution
 from auctionbench.generators import random_item, random_setting
 from auctionbench.report import holds_leq
-from helpers import joint, random_law
+from helpers import joint, prior_dependent_links, random_law
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -167,8 +167,8 @@ def test_criterion_06_chain_a_to_f():
     t0 = time.monotonic()
     worst = -math.inf
     for setting in _chain_settings(106, 200, regular_only=False):
-        chain = lemma_chain_check(Instance(setting, setting.n_prime), setting.n, regular_branch=False)
-        for check in chain.checks:
+        chain = lemma_chain_check(Instance(setting, setting.n_prime), setting.n)
+        for check in prior_dependent_links(chain):
             worst = max(worst, check.lhs - check.rhs)
             assert check.holds, f"{check.name}: {check.lhs} > {check.rhs}"
     report(6, worst <= 1e-9 and elapsed_ok(t0, 60.0), f"200 instances, worst excess {worst:.2e}")
@@ -179,7 +179,7 @@ def test_criterion_07_regular_branch():
     worst = -math.inf
     for setting in _chain_settings(107, 100, regular_only=True):
         n_prime = setting.n_prime
-        chain = lemma_chain_check(Instance(setting, n_prime), setting.n, regular_branch=True)
+        chain = lemma_chain_check(Instance(setting, n_prime), setting.n)
         by_name = {c.name: c for c in chain.checks}
         for name in ("chain_g_iu_n", "chain_g_iu_n_prime", "chain_g_s_all"):
             check = by_name[name]

@@ -221,8 +221,8 @@ def test_unwritable_out_exits_2_in_one_line(tmp_path, capsys, argv):
 
 
 class TestGoldenReports:
-    """The JSON report and exit code of every sample config, two table reports, and verify, sweep and iron runs,
-    byte for byte."""
+    """The JSON report and exit code of every sample config, exact and Monte-Carlo, two table reports, and
+    verify, sweep and iron runs, byte for byte."""
 
     @pytest.mark.parametrize(
         "name", ["two_point", "two_items", "irregular_three_point", "near_uniform_many_items", "fee_positive"]
@@ -231,6 +231,16 @@ class TestGoldenReports:
         code = main(["analyze", "--config", str(CONFIGS / f"{name}.json"), "--format", "json"])
         assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
         assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+
+    # fee_positive's five 5-atom items take the estimator's kernel through its factor tables
+    @pytest.mark.parametrize(
+        "name", ["two_point", "two_items", "irregular_three_point", "near_uniform_many_items", "fee_positive"]
+    )
+    def test_monte_carlo_report(self, name, capsys):
+        argv = ["analyze", "--config", str(CONFIGS / f"{name}.json"), "--mode", "mc", "--samples", "20000"]
+        code = main(argv + ["--format", "json"])
+        assert capsys.readouterr().out == (GOLDEN / f"mc_{name}.json").read_text()
+        assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[f"mc_{name}"]
 
     @pytest.mark.parametrize(
         "name, argv",

@@ -32,11 +32,11 @@ from auctionbench import decomposition
 from auctionbench.cli import load_config
 from auctionbench.decomposition import surplus_event_probability
 from auctionbench.dist import ScalarDistribution, Valuation, iid_max_expectation
-from auctionbench.errors import InstanceTooLarge, NotRegular, TooFewBidders
+from auctionbench.errors import InstanceTooLarge, TooFewBidders
 from auctionbench.generators import random_setting
 from auctionbench.report import all_hold
 from auctionbench.simple_auctions import ronen_r_star
-from helpers import joint, reference_region_kernel
+from helpers import joint, prior_dependent_links, reference_region_kernel
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -579,19 +579,14 @@ class TestChain:
         rng = make_rng(55)
         for _ in range(40):
             setting = random_setting(rng, max_ghosts=6)
-            chain = lemma_chain_check(Instance(setting, setting.n_prime), setting.n, regular_branch=False)
-            for check in chain.checks:
+            chain = lemma_chain_check(Instance(setting, setting.n_prime), setting.n)
+            for check in prior_dependent_links(chain):
                 assert check.holds, f"{check.name}: {check.lhs} > {check.rhs}"
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_bidder_count_out_of_range(self, setting_d2, n):
         with pytest.raises(TooFewBidders):
             lemma_chain_check(Instance(setting_d2, 2), n)
-
-    def test_regular_branch_requires_regular(self, d3):
-        setting = AuctionSetting(items=(d3,), n=1, n_prime=2)
-        with pytest.raises(NotRegular):
-            lemma_chain_check(Instance(setting, 2), 1, regular_branch=True)
 
     def test_regular_branch_runs_automatically(self, setting_d2):
         chain = lemma_chain_check(Instance(setting_d2, 2), 1)

@@ -40,7 +40,7 @@ from auctionbench.iu import (
     benchmark_values,
     region_kernel,
 )
-from auctionbench.dist import product_codes
+from auctionbench.dist import pad_rows, product_codes
 from auctionbench.myerson import iron
 from helpers import joint, random_law, reference_region_kernel, region_of
 
@@ -129,8 +129,9 @@ def per_draw_monte_carlo_iu(setting, n, n_prime, samples, seed, chunk=1 << 16):
     return (mean, math.sqrt(var / samples))
 
 
-def assert_mc_matches_per_draw(setting, n, n_prime, samples, seed, chunk):
-    got = monte_carlo_iu(setting, n, n_prime, samples, seed, chunk=chunk)
+def assert_mc_matches_per_draw(monkeypatch, setting, n, n_prime, samples, seed, chunk):
+    monkeypatch.setattr(importlib.import_module("auctionbench.iu"), "MC_CHUNK", chunk)
+    got = monte_carlo_iu(setting, n, n_prime, samples, seed)
     assert tuple(got) == per_draw_monte_carlo_iu(setting, n, n_prime, samples, seed, chunk=chunk)
 
 
@@ -416,6 +417,44 @@ class TestKernelReference:
         monkeypatch.setattr(module, "KERNEL_CELLS", cells)
         self.assert_matches_reference(self.sample_codes(rng, items, (1000,)), items, maxvec)
 
+    @pytest.mark.parametrize("n_prime", [1, 2, 4])
+    def test_one_item_reads_tables(self, monkeypatch, d3, n_prime):
+        # one item's one rival step is the item itself: no slab on the search route, an all-ones table on the
+        # table route, which TABLE_READS x S^2 rows of repeated codes take; one-row blocks search
+        module = importlib.import_module("auctionbench.iu")
+        built = []
+
+        def counted_pad_rows(rows):
+            built.append(len(rows))
+            return pad_rows(rows)
+
+        monkeypatch.setattr(module, "pad_rows", counted_pad_rows)
+        maxvec = max_vector_distribution(AuctionSetting(items=(d3,), n=1, n_prime=n_prime), n_prime - 1)
+        codes = np.tile(self.grid_codes((d3,)), (TABLE_READS * 3, 1))
+        assert len(codes) == TABLE_READS * 3 * 3
+        self.assert_matches_reference(codes, (d3,), maxvec)
+        assert built == [1]
+        monkeypatch.setattr(module, "KERNEL_CELLS", 1)
+        self.assert_matches_reference(codes, (d3,), maxvec)
+        assert built == [1]
+
+    @pytest.mark.parametrize("n_prime", [1, 2, 5])
+    def test_laws_of_one_width(self, monkeypatch, d3, n_prime):
+        # three items on tying grids, each M_j with three atoms (one at n' = 1): no row of the padded laws is
+        # padded, so each row's last atom is the last column.  300 rows read tables and add slice by slice;
+        # one-row blocks search and accumulate
+        module = importlib.import_module("auctionbench.iu")
+        items = (d3, make_item_distribution([0, 1, 5], [0.5, 0.25, 0.25]), d3)
+        maxvec = max_vector_distribution(AuctionSetting(items=items, n=1, n_prime=n_prime), n_prime - 1)
+        mu, _, last = maxvec.padded
+        assert (last == mu.shape[1] - 1).all()
+        codes = self.sample_codes(make_rng(44), items, (300,))
+        assert TABLE_READS * 3 * 3 <= 300
+        self.assert_matches_reference(codes, items, maxvec)
+        self.assert_matches_reference(self.grid_codes(items), items, maxvec)
+        monkeypatch.setattr(module, "KERNEL_CELLS", 1)
+        self.assert_matches_reference(codes, items, maxvec)
+
     def test_one_row_of_1024_binary_items_within_a_second(self):
         # 1,024 rival steps of one (1024, 2, 1) block; the (item, rival) pair loop took about 3 s here
         r = np.random.default_rng(1)
@@ -519,14 +558,16 @@ class TestMonteCarlo:
         b = monte_carlo_iu(setting_two_items, 2, 3, 50_000, seed=11)
         assert a == b
 
-    def test_chunk_shrinks_to_the_cap(self, d2, d3):
+    def test_chunk_shrinks_to_the_cap(self, monkeypatch, d2, d3):
         # 2 bidders x 2 items x 2 items x 3 atoms = 24 region-kernel cells per sample, the
         # most a cap of 24 allows; it holds 24 // (2 x 2) = 6 samples per chunk, the same
-        # stream as asking for chunk=6
+        # stream as a MC_CHUNK of 6
         capped = AuctionSetting(items=(d2, d3), n=2, n_prime=3, caps=Caps(joint_terms=24))
         free = AuctionSetting(items=(d2, d3), n=2, n_prime=3)
-        assert monte_carlo_iu(capped, 2, 3, 50, seed=4) == monte_carlo_iu(free, 2, 3, 50, seed=4, chunk=6)
-        assert monte_carlo_iu(free, 2, 3, 50, seed=4) != monte_carlo_iu(free, 2, 3, 50, seed=4, chunk=6)
+        capped_est, free_est = monte_carlo_iu(capped, 2, 3, 50, seed=4), monte_carlo_iu(free, 2, 3, 50, seed=4)
+        monkeypatch.setattr(importlib.import_module("auctionbench.iu"), "MC_CHUNK", 6)
+        assert capped_est == monte_carlo_iu(free, 2, 3, 50, seed=4)
+        assert free_est != monte_carlo_iu(free, 2, 3, 50, seed=4)
         with pytest.raises(EnumerationCapExceeded, match="^24 region-kernel cells per sample exceed cap 23$"):
             monte_carlo_iu(AuctionSetting(items=(d2, d3), n=2, n_prime=3, caps=Caps(joint_terms=23)), 2, 3, 50, seed=4)
 
@@ -542,19 +583,19 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("chunk", MC_CHUNKS)
     @pytest.mark.parametrize("name", ["two_point", "two_items", "irregular_three_point", "near_uniform_many_items"])
-    def test_configs_match_per_draw_reference(self, name, chunk):
+    def test_configs_match_per_draw_reference(self, monkeypatch, name, chunk):
         # estimate and SE equal (==) to Phi evaluated on every drawn bidder
         setting = load_config(CONFIGS / f"{name}.json").setting
         samples = 700 if chunk == 7 else 70_000
         for n in (1, setting.n_prime):
-            assert_mc_matches_per_draw(setting, n, setting.n_prime, samples, 5, chunk)
+            assert_mc_matches_per_draw(monkeypatch, setting, n, setting.n_prime, samples, 5, chunk)
 
     @pytest.mark.parametrize("chunk", MC_CHUNKS)
-    def test_random_settings_match_per_draw_reference(self, chunk):
+    def test_random_settings_match_per_draw_reference(self, monkeypatch, chunk):
         rng = make_rng(38)
         for k in range(40):
             setting = random_setting(rng, max_items=4, max_support=4, max_bidders=4)
-            assert_mc_matches_per_draw(setting, setting.n, setting.n_prime, 1500, k, chunk)
+            assert_mc_matches_per_draw(monkeypatch, setting, setting.n, setting.n_prime, 1500, k, chunk)
 
     def test_product_support_past_int64_matches_per_draw_reference(self, monkeypatch):
         # 70 binary items: the valuation code needs 70 bits.  The first items
@@ -579,9 +620,9 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(np, "unique", counted_unique)
         for chunk in MC_CHUNKS:
-            assert_mc_matches_per_draw(setting, 2, 3, 3000 if chunk > 7 else 100, 8, chunk)
+            assert_mc_matches_per_draw(monkeypatch, setting, 2, 3, 3000 if chunk > 7 else 100, 8, chunk)
             sorts.clear()
-            assert_mc_matches_per_draw(wide, 2, 3, 3000 if chunk > 7 else 100, 9, chunk)
+            assert_mc_matches_per_draw(monkeypatch, wide, 2, 3, 3000 if chunk > 7 else 100, 9, chunk)
             assert sorts
 
     @settings(max_examples=80, deadline=None)
@@ -596,13 +637,13 @@ class TestMonteCarlo:
         assert same_state(got_rng.bit_generator.state, want_rng.bit_generator.state)
 
     @pytest.mark.parametrize("chunk", MC_CHUNKS)
-    def test_wide_and_single_atom_items_match_per_draw_reference(self, chunk, point_mass, d3):
+    def test_wide_and_single_atom_items_match_per_draw_reference(self, monkeypatch, chunk, point_mass, d3):
         # a 70-atom item draws by binary search, the point mass from no edges at all
         weights = make_rng(40).random(70) + 0.05
         wide = make_item_distribution(list(range(1, 71)), (weights / weights.sum()).tolist())
         assert len(wide.values) > COMPARE_ATOMS and len(point_mass.values) == 1
         setting = AuctionSetting(items=(wide, point_mass, d3), n=2, n_prime=3)
-        assert_mc_matches_per_draw(setting, 2, 3, 3000 if chunk > 7 else 100, 6, chunk)
+        assert_mc_matches_per_draw(monkeypatch, setting, 2, 3, 3000 if chunk > 7 else 100, 6, chunk)
 
     def test_chunk_transient_memory(self):
         # one full chunk: 65,536 samples x 8 bidders x 4 binary items.  Each item's
@@ -657,12 +698,14 @@ class TestTieBreak:
 
         law = make_item_distribution([1, 2, 3], [0.2, 0.5, 0.3])
         monkeypatch.setattr(itertools, "product", no_enumeration)
+        monkeypatch.setattr(importlib.import_module("auctionbench.iu"), "TIE_BREAK_CAP", 10)
         with pytest.raises(EnumerationCapExceeded):
-            tie_break_independence_check(law, 4, cap=10)  # 3^4 = 81 tuples
+            tie_break_independence_check(law, 4)  # 3^4 = 81 tuples
 
-    def test_cap_is_inclusive(self):
+    def test_cap_is_inclusive(self, monkeypatch):
         law = make_item_distribution([1, 2, 3], [0.2, 0.5, 0.3])
-        assert tie_break_independence_check(law, 2, cap=9) <= 1e-12
+        monkeypatch.setattr(importlib.import_module("auctionbench.iu"), "TIE_BREAK_CAP", 9)
+        assert tie_break_independence_check(law, 2) <= 1e-12
 
     def test_seeded_laws(self):
         rng = make_rng(36)

@@ -22,6 +22,7 @@ from auctionbench import (
     vcg_revenue,
 )
 from auctionbench.report import all_hold
+from helpers import prior_dependent_links
 
 
 class TestSecondPriceComparisonFails:
@@ -90,5 +91,5 @@ class TestRegularChainLinkFails:
         # links (a)-(f) avoid the second-price comparison and survive
         item = make_item_distribution([0, 12], [0.97, 0.03])
         setting = AuctionSetting(items=(item,), n=1, n_prime=2)
-        chain = lemma_chain_check(Instance(setting, 2), 1, regular_branch=False)
-        assert all_hold(chain.checks)
+        chain = lemma_chain_check(Instance(setting, 2), 1)
+        assert all_hold(prior_dependent_links(chain))
