@@ -7,10 +7,11 @@ feasibility is a known multi-item pitfall) and incentive rows on interim quantit
 The solver is a self-contained one-phase dense simplex so the oracle has no
 dependency beyond numpy and pivots deterministically.  It needs b_ub >= 0:
 the mechanism LP's right-hand side is 1 on allocation rows and 0 on the
-others, so x = 0 is feasible and the slack basis starts it.  Ratio-test ties
-go to the largest pivot element (Harris, 1973), with Bland's rule (1977) only
-as the anti-cycling fallback, and each pivot updates only the block where the
-pivot column and row are nonzero.
+others, so x = 0 is feasible and the slack basis starts it.  The tableau is
+the condensed one (Tucker, 1960): it keeps only the nonbasic columns, and a
+pivot swaps the entering and leaving variables in place.  Entering ties go to
+the smallest variable index, ratio-test ties to the largest pivot element
+(Harris, 1973), with Bland's rule (1977) only as the anti-cycling fallback.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import numpy as np
 from .dist import AuctionSetting, Valuation
 from .errors import InstanceTooLarge, LPNumericalFailure, MaxIterations, TooFewBidders, Unbounded
 
-# LP size caps: ordered profile count, and cells of the dense simplex tableau (rows + 1) x
-# (variables + slacks + 1), which bounds lp_solve's memory and the work of each pivot.
-# Solving the 256-profile benchmark LP (a 2.0 MiB tableau) peaks at 3.1 MiB under tracemalloc.
+# LP size caps: ordered profile count, and (rows + 1) x (variables + rows + 1) cells, an upper
+# bound on lp_solve's (rows + 1) x (variables + 1) tableau, its memory and the work of a pivot.
+# Solving the 256-profile benchmark LP (a 0.9 MiB tableau) peaks at 2.3 MiB under tracemalloc.
 PROFILE_CAP = 256
 TABLEAU_CAP = 1 << 22
 
@@ -46,52 +47,59 @@ class LPSolution:
     duality_gap: float  # |primal - dual objective|
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    """Rank-1 elimination on the block where the pivot column and row are nonzero.
+def _pivot(tableau: np.ndarray, nonbasic: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Swap nonbasic[col] into the basis at `row` on the slack-free tableau.
 
-    Elsewhere the dense update subtracts exactly 0, so the result is the same.
+    The entering column becomes the leaving variable's unit column, and only rows where it
+    was nonzero get the rank-1 update: each cell is the full tableau's, up to a zero's sign.
     """
-    tableau[row] /= tableau[row, col]
     factors = tableau[:, col].copy()
+    tableau[:, col] = 0.0
+    tableau[row, col] = 1.0
+    tableau[row] /= factors[row]
     factors[row] = 0.0
-    rows, cols = np.flatnonzero(factors), np.flatnonzero(tableau[row])
-    tableau[np.ix_(rows, cols)] -= np.outer(factors[rows], tableau[row, cols])
+    rows = factors.nonzero()[0]
+    tableau[rows] -= factors[rows, None] * tableau[row]
+    basis[row], nonbasic[col] = nonbasic[col], basis[row]
 
 
-def _run_simplex(tableau: np.ndarray, basis: np.ndarray) -> tuple[int, int]:
+def _run_simplex(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray) -> tuple[int, int]:
     """Maximize over the tableau in place; returns (iterations, Bland switches).
 
+    Column k holds variable nonbasic[k]; row r's basic variable is basis[r].
     The last row holds the reduced costs c_j - z_j with minus the current
-    objective in the rhs cell.  Entering column: most positive reduced cost
-    (Dantzig); leaving row: minimum ratio, ties to the largest pivot element
-    (Harris).  After a run of degenerate pivots both switch to Bland's
-    smallest-index rule for anti-cycling, until a pivot makes progress.
-    Each pivot is a rank-1 update of the nonzero block only (`_pivot`).
+    objective in the rhs cell.  Entering variable: most positive reduced cost
+    (Dantzig), ties to the smallest variable index; leaving row: minimum
+    ratio, ties to the largest pivot element (Harris).  After a run of
+    degenerate pivots both switch to Bland's smallest-index rule for
+    anti-cycling, until a pivot makes progress.
     """
     n_rows = tableau.shape[0] - 1
-    iters = switches = 0
-    degenerate_run = 0
+    rhs = tableau[:n_rows, -1]
+    ratios = np.empty(n_rows)
+    iters = switches = degenerate_run = 0
     while True:
         if iters >= _MAX_PIVOTS:
             raise MaxIterations(f"simplex exceeded {_MAX_PIVOTS} iterations")
         reduced = tableau[-1, :-1]
-        bland = degenerate_run >= _DEGENERATE_LIMIT
-        entering = np.flatnonzero(reduced > _PIVOT_TOL)
-        if len(entering) == 0:
+        top = np.fmax.reduce(reduced, initial=-np.inf)  # skips NaN costs: none of them may enter
+        if top <= _PIVOT_TOL:
             return iters, switches
-        col = int(entering[0] if bland else np.argmax(reduced))
-        ratios = np.full(n_rows, np.inf)
-        positive = tableau[:n_rows, col] > _PIVOT_TOL
-        ratios[positive] = tableau[:n_rows, -1][positive] / tableau[:n_rows, col][positive]
+        bland = degenerate_run >= _DEGENERATE_LIMIT
+        entering = (reduced > _PIVOT_TOL if bland else reduced == top).nonzero()[0]
+        col = int(entering[nonbasic[entering].argmin()])
+        column = tableau[:n_rows, col]
+        positive = column > _PIVOT_TOL
         if not positive.any():
             raise Unbounded("no leaving row: the LP is unbounded")
+        ratios.fill(np.inf)
+        np.divide(rhs, column, out=ratios, where=positive)
         best = ratios.min()
-        rows = np.nonzero(ratios <= best + _PIVOT_TOL * (1 + abs(best)))[0]
-        row = int(rows[np.argmin(basis[rows])] if bland else rows[np.argmax(tableau[rows, col])])
+        rows = (ratios <= best + _PIVOT_TOL * (1 + abs(best))).nonzero()[0]
+        row = int(rows[basis[rows].argmin()] if bland else rows[column[rows].argmax()])
         degenerate_run = degenerate_run + 1 if best <= _PIVOT_TOL else 0
         switches += degenerate_run == _DEGENERATE_LIMIT
-        _pivot(tableau, row, col)
-        basis[row] = col
+        _pivot(tableau, nonbasic, basis, row, col)
         iters += 1
 
 
@@ -114,21 +122,22 @@ def lp_solve(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> LPSolution:
         raise ValueError("b_ub must be >= 0, so that x = 0 is a feasible start")
     if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("c, a_ub and b_ub must be finite")
-    # columns: x vars | slacks | rhs; the last row holds the reduced costs
-    tableau = np.zeros((n_rows + 1, n_vars + n_rows + 1))
+    # columns: the nonbasic variables (x first, slacks n_vars + r) | rhs; the last row holds the reduced costs
+    tableau = np.zeros((n_rows + 1, n_vars + 1))
     tableau[:n_rows, :n_vars] = a
     tableau[:n_rows, -1] = b
-    basis = n_vars + np.arange(n_rows)
-    tableau[np.arange(n_rows), basis] = 1.0
     tableau[-1, :n_vars] = c
+    basis, nonbasic = n_vars + np.arange(n_rows), np.arange(n_vars)
 
-    iters, switches = _run_simplex(tableau, basis)
+    iters, switches = _run_simplex(tableau, basis, nonbasic)
 
     x = np.zeros(n_vars + n_rows)
     x[basis] = tableau[:n_rows, -1]
     objective = float(c @ x[:n_vars])
-    # the slack of row r has reduced cost -y_r
-    duals = -tableau[-1, n_vars:-1]
+    # a nonbasic slack of row r has reduced cost -y_r; a basic one has dual 0
+    duals = np.zeros(n_rows)
+    slack = nonbasic >= n_vars
+    duals[nonbasic[slack] - n_vars] = -tableau[-1, :-1][slack]
     gap = abs(objective - float(duals @ b))
     if gap > _GAP_TOL * (1.0 + abs(objective)):
         raise LPNumericalFailure(f"duality gap {gap:.3e} exceeds tolerance at objective {objective:.6g}")

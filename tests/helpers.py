@@ -4,8 +4,10 @@
 ``duality._regions`` and ``dist.product_grid`` compute as arrays; the tests
 compare against them.  ``reference_region_kernel`` is the region kernel on
 float valuations, one (item, rival) pair per step, that ``iu.region_kernel``
-replaced.  ``random_law`` draws laws for the property tests, and
-``prior_dependent_links`` keeps a chain's records outside the regular branch.
+replaced.  ``reference_lp_solve`` is the simplex on the full tableau, one
+slack column per row, that ``lp.lp_solve`` replaced.  ``random_law`` draws
+laws for the property tests, and ``prior_dependent_links`` keeps a chain's
+records outside the regular branch.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
+from auctionbench import lp
 from auctionbench.dist import (
     DEFAULT_CAPS,
     Caps,
@@ -23,6 +26,7 @@ from auctionbench.dist import (
     Valuation,
     product_grid,
 )
+from auctionbench.errors import LPNumericalFailure, MaxIterations, Unbounded
 from auctionbench.iu import KERNEL_CELLS
 from auctionbench.report import CheckRecord
 
@@ -82,6 +86,82 @@ def reference_region_kernel(
                     term *= survivals[jp][rival.values_arr.searchsorted(cols[jp] - u, side=side)]
             out[lo : lo + block, j] = term.cumsum(axis=0)[-1]
     return out.reshape(vals.shape)
+
+
+def _reference_pivot(tableau: np.ndarray, row: int, col: int) -> None:
+    """Rank-1 elimination on the block where the pivot column and row are nonzero.
+
+    Elsewhere the dense update subtracts exactly 0, so the result is the same.
+    """
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    rows, cols = np.flatnonzero(factors), np.flatnonzero(tableau[row])
+    tableau[np.ix_(rows, cols)] -= np.outer(factors[rows], tableau[row, cols])
+
+
+def _reference_simplex(tableau: np.ndarray, basis: np.ndarray) -> tuple[int, int]:
+    """Maximize over the full tableau in place; returns (iterations, Bland switches).
+
+    Same rules and constants as ``lp._run_simplex``, read from ``lp`` at each
+    call so that a monkeypatch reaches both.  Column j is variable j, so
+    np.argmax's first maximum is the smallest variable index.
+    """
+    n_rows = tableau.shape[0] - 1
+    iters = switches = 0
+    degenerate_run = 0
+    while True:
+        if iters >= lp._MAX_PIVOTS:
+            raise MaxIterations(f"simplex exceeded {lp._MAX_PIVOTS} iterations")
+        reduced = tableau[-1, :-1]
+        bland = degenerate_run >= lp._DEGENERATE_LIMIT
+        entering = np.flatnonzero(reduced > lp._PIVOT_TOL)
+        if len(entering) == 0:
+            return iters, switches
+        col = int(entering[0] if bland else np.argmax(reduced))
+        ratios = np.full(n_rows, np.inf)
+        positive = tableau[:n_rows, col] > lp._PIVOT_TOL
+        ratios[positive] = tableau[:n_rows, -1][positive] / tableau[:n_rows, col][positive]
+        if not positive.any():
+            raise Unbounded("no leaving row: the LP is unbounded")
+        best = ratios.min()
+        rows = np.nonzero(ratios <= best + lp._PIVOT_TOL * (1 + abs(best)))[0]
+        row = int(rows[np.argmin(basis[rows])] if bland else rows[np.argmax(tableau[rows, col])])
+        degenerate_run = degenerate_run + 1 if best <= lp._PIVOT_TOL else 0
+        switches += degenerate_run == lp._DEGENERATE_LIMIT
+        _reference_pivot(tableau, row, col)
+        basis[row] = col
+        iters += 1
+
+
+def reference_lp_solve(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> lp.LPSolution:
+    """``lp.lp_solve`` on the (rows + 1) x (variables + rows + 1) tableau [A | I | b].
+
+    The same pivots as ``lp.lp_solve``; the duals are read from the slack columns.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    a = np.asarray(a_ub, dtype=np.float64)
+    b = np.asarray(b_ub, dtype=np.float64)
+    n_rows, n_vars = a.shape
+    # columns: x vars | slacks | rhs; the last row holds the reduced costs
+    tableau = np.zeros((n_rows + 1, n_vars + n_rows + 1))
+    tableau[:n_rows, :n_vars] = a
+    tableau[:n_rows, -1] = b
+    basis = n_vars + np.arange(n_rows)
+    tableau[np.arange(n_rows), basis] = 1.0
+    tableau[-1, :n_vars] = c
+
+    iters, switches = _reference_simplex(tableau, basis)
+
+    x = np.zeros(n_vars + n_rows)
+    x[basis] = tableau[:n_rows, -1]
+    objective = float(c @ x[:n_vars])
+    # the slack of row r has reduced cost -y_r
+    duals = -tableau[-1, n_vars:-1]
+    gap = abs(objective - float(duals @ b))
+    if gap > lp._GAP_TOL * (1.0 + abs(objective)):
+        raise LPNumericalFailure(f"duality gap {gap:.3e} exceeds tolerance at objective {objective:.6g}")
+    return lp.LPSolution(x[:n_vars], objective, duals, iters, switches, gap)
 
 
 def random_law(rng: np.random.Generator, max_support: int = 5, max_value: float = 10.0) -> ScalarDistribution:

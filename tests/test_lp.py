@@ -25,9 +25,10 @@ from auctionbench import (
     vcg_revenue,
 )
 from auctionbench import lp
-from auctionbench.errors import InstanceTooLarge, Unbounded
+from auctionbench.errors import InstanceTooLarge, LPNumericalFailure, MaxIterations, Unbounded
 from auctionbench.generators import random_item, random_setting
 from auctionbench.lp import MechanismLP, _pivot
+from helpers import reference_lp_solve
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -202,9 +203,44 @@ def defect_probe(seed, op_id):
     return item
 
 
+def items_setting(items, n):
+    dists = tuple(make_item_distribution([float(v) for v in item["values"]], item["probs"]) for item in items)
+    return AuctionSetting(items=dists, n=n, n_prime=max(n, 2))
+
+
 def one_item_setting(item, n):
-    dist = make_item_distribution([float(v) for v in item["values"]], item["probs"])
-    return AuctionSetting(items=(dist,), n=n, n_prime=2)
+    return items_setting([item], n)
+
+
+def lp_oracle_lps(seeds):
+    """The distinct LPs of `lp_oracle` runs: timed ops, defect probes and pinned LPs, as {op id: MechanismLP}."""
+    workloads = load_perfbench("workloads")
+    lps, seen = {}, set()
+    for seed in seeds:
+        for op in workloads.lp_oracle(seed, None) + workloads.lp_defects(seed, None):
+            key = json.dumps([op["items"], op["n"]])
+            if key not in seen:
+                seen.add(key)
+                lps[f"seed {seed} {op['id']}"] = MechanismLP(items_setting(op["items"], op["n"]), op["n"])
+    return lps
+
+
+def solve_record(solver, c, a_ub, b_ub):
+    """What a solve returns or raises: (repr(objective), iterations, switches, gap, x, duals) or (type, message)."""
+    try:
+        sol = solver(c, a_ub, b_ub)
+    except (LPNumericalFailure, MaxIterations, Unbounded) as exc:
+        return type(exc), str(exc)
+    return repr(sol.objective), sol.iterations, sol.bland_switches, sol.duality_gap, sol.x, sol.duals
+
+
+def assert_reference_pivots(c, a_ub, b_ub, name=""):
+    """lp_solve and the full-tableau reference give the same numbers, bit for bit, or the same error."""
+    got, want = solve_record(lp_solve, c, a_ub, b_ub), solve_record(reference_lp_solve, c, a_ub, b_ub)
+    assert got[:4] == want[:4], name
+    if len(want) > 2:
+        assert np.array_equal(got[4], want[4]) and np.array_equal(got[5], want[5]), name
+    return got
 
 
 @st.composite
@@ -217,20 +253,28 @@ def one_item(draw):
 
 class TestPivot:
     def test_sparse_update_equals_the_dense_rank_one_update(self):
+        # the slack-free tableau against the nonbasic columns of the full one, [A | I | b]
         rng = make_rng(25)
         for _ in range(200):
-            shape = tuple(rng.integers(2, 12, size=2))
-            # structural zeros, as in the mechanism LP's tableau
-            tableau = rng.normal(size=shape) * (rng.random(shape) < 0.3)
-            row, col = (int(rng.integers(k)) for k in shape)
-            tableau[row, col] = rng.uniform(0.5, 2.0)
-            dense = tableau.copy()
-            dense[row] /= dense[row, col]
-            factors = dense[:, col].copy()
-            factors[row] = 0.0
-            dense -= np.outer(factors, dense[row])
-            _pivot(tableau, row, col)
-            assert np.array_equal(tableau, dense)
+            n_rows, n_vars = (int(k) for k in rng.integers(2, 12, size=2))
+            # structural zeros, as in the mechanism LP's tableau; the last row holds the costs
+            condensed = rng.normal(size=(n_rows + 1, n_vars + 1)) * (rng.random((n_rows + 1, n_vars + 1)) < 0.3)
+            full = np.zeros((n_rows + 1, n_vars + n_rows + 1))
+            full[:, :n_vars], full[:, -1] = condensed[:, :-1], condensed[:, -1]
+            full[np.arange(n_rows), n_vars + np.arange(n_rows)] = 1.0
+            basis, nonbasic = n_vars + np.arange(n_rows), np.arange(n_vars)
+            for _ in range(3):
+                row, col = int(rng.integers(n_rows)), int(rng.integers(n_vars))
+                condensed[row, col] = full[row, nonbasic[col]] = rng.uniform(0.5, 2.0)
+                entering, leaving = nonbasic[col], basis[row]
+                full[row] /= full[row, entering]
+                factors = full[:, entering].copy()
+                factors[row] = 0.0
+                full -= np.outer(factors, full[row])
+                _pivot(condensed, nonbasic, basis, row, col)
+                assert (basis[row], nonbasic[col]) == (entering, leaving)
+                assert np.array_equal(condensed[:, :-1], full[:, nonbasic])
+                assert np.array_equal(condensed[:, -1], full[:, -1])
 
 
 class TestLPSolve:
@@ -329,6 +373,48 @@ class TestLPSolve:
             sol = lp_solve(c, a, b)
             assert np.all(sol.duals >= -1e-8)
             assert np.all(a.T @ sol.duals >= c - 1e-7)
+
+
+class TestReferenceSolver:
+    """The slack-free tableau pivots as the full tableau [A | I | b] did (`helpers.reference_lp_solve`)."""
+
+    def test_lp_oracle_lps(self):
+        lps = lp_oracle_lps(range(10))
+        assert {"seed 0 pinned_lp256", "seed 0 pinned_gap", "seed 0 pinned_stall"} <= lps.keys()
+        for name, mech_lp in lps.items():
+            assert_reference_pivots(mech_lp.c, mech_lp.a_ub, mech_lp.b_ub, name)
+
+    def test_in_cap_random_draws(self):
+        # draw 11 fails the same way after about 1 s (3 s on the full tableau), so it is skipped
+        rng = make_rng(12345)
+        errors = {}
+        for draw in range(150):
+            setting = random_setting(rng, max_items=3, max_support=3, max_bidders=3)
+            if draw == 11:
+                continue
+            try:
+                mech_lp = MechanismLP(setting, setting.n)
+            except InstanceTooLarge:
+                continue
+            got = assert_reference_pivots(mech_lp.c, mech_lp.a_ub, mech_lp.b_ub, f"draw {draw}")
+            if len(got) == 2:
+                errors[draw] = got[0]
+        assert errors == {114: LPNumericalFailure}
+
+    def test_forced_bland(self, monkeypatch):
+        monkeypatch.setattr(lp, "_DEGENERATE_LIMIT", 1)
+        switches = 0
+        for name, mech_lp in lp_oracle_lps([0]).items():
+            # under Bland's rule from the first degenerate pivot on, the stall LP runs to MaxIterations (84 s)
+            if name != "seed 0 pinned_stall":
+                switches += assert_reference_pivots(mech_lp.c, mech_lp.a_ub, mech_lp.b_ub, name)[2]
+        assert switches > 0
+
+    def test_pivot_cap_and_unbounded(self, monkeypatch):
+        mech_lp = MechanismLP(one_item_setting(defect_probe(0, "p64_8_n2_1"), 2), 2)
+        monkeypatch.setattr(lp, "_MAX_PIVOTS", 3)
+        assert assert_reference_pivots(mech_lp.c, mech_lp.a_ub, mech_lp.b_ub)[0] is MaxIterations
+        assert assert_reference_pivots(np.array([1.0]), np.zeros((0, 1)), np.zeros(0))[0] is Unbounded
 
 
 class TestOptimalRevenue:
@@ -508,6 +594,13 @@ class TestMechanismLPOracles:
         setting = one_item_setting(item, spec["n"])
         value, _ = optimal_revenue(setting, spec["n"])
         assert value == pytest.approx(srev(setting, spec["n"]), abs=1e-6)
+
+    def test_pinned_stall_instance_matches_highs(self):
+        # two 4-atom items, n=2: the LP once stalled here, and the benchmark's refs record that failure
+        pytest.importorskip("scipy")
+        spec = json.loads((PERFBENCH / "pinned" / "stall.json").read_text())
+        value, _ = optimal_revenue(items_setting(spec["items"], spec["n"]), spec["n"])
+        assert value == pytest.approx(load_highs_oracle()(spec["items"], spec["n"]), rel=1e-6, abs=1e-6)
 
     def test_agrees_with_highs(self):
         pytest.importorskip("scipy")
