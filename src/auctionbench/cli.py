@@ -311,9 +311,9 @@ def cmd_analyze(args) -> int:
     if args.tolerance is not None:
         cfg.tolerance = args.tolerance
     rep = run_analysis(cfg)
-    output = rep.to_json() if args.format == "json" else _format_table(rep)
-    _write_out(args.out, rep.to_json())
-    print(output)
+    json_text = rep.to_json() if args.format == "json" or args.out else ""
+    _write_out(args.out, json_text)
+    print(json_text if args.format == "json" else _format_table(rep))
     return EXIT_OK if all_hold(rep.checks) else EXIT_CHECK_FAILED
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .dist import (
     AuctionSetting,
+    ItemDistribution,
     MASS_TOL,
     MaxVector,
     ScalarDistribution,
@@ -73,6 +74,24 @@ def _blocks(widths: list[int], budget: int):
     yield lo, len(widths)
 
 
+def _ragged_arange(counts: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(k) for k in counts."""
+    ends = counts.cumsum()
+    return np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+
+
+def _segments(
+    item: ItemDistribution, lo: np.ndarray, m: np.ndarray, r: np.ndarray, span: np.ndarray, digit: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Item j's utility, capped utility and mass at atoms lo + digit, span cells a row, the rows end to end.
+
+    Digit 0 carries F_j(M_j), the mass at or below M_j.
+    """
+    atom = np.repeat(lo, span) + digit
+    u = np.maximum(item.values_arr[atom] - np.repeat(m, span), 0.0)
+    return u, u * (u <= np.repeat(r, span)), np.where(digit == 0, item.cdf_arr[atom], item.probs_arr[atom])
+
+
 def build_utility_stats(inst: Instance) -> UtilityStats:
     """Exact per-M statistics over the joint max-vector support, as columns.
 
@@ -80,11 +99,17 @@ def build_utility_stats(inst: Instance) -> UtilityStats:
     below M_j, so the laws of U and U_hat live on the box of the product grid
     that starts, per item, at the last atom lo_j at or below M_j (the first
     atom if there is none), lo_j carrying the mass cdf_arr[lo_j].  Each M is
-    one dense row of its box's cells in ``itertools.product`` order, padded
-    with massless cells, and rows sorted by box width are worked in blocks of
-    at most PAIR_BUDGET cells.  U and U_hat are summed in item order, as the
-    per-M ``convolve`` fold adds them; the columns are mass-weighted row sums,
-    so they may differ from the per-law methods in the last bits.
+    one dense row of its box's cells in ``itertools.product`` order, padded to
+    the block's widest row, and rows sorted by box width are worked in blocks
+    of at most PAIR_BUDGET cells.  A block's cells are one ragged product over
+    the items in item order: a row's prefix of digits 0..j-1 is repeated once
+    per atom of item j and each copy takes that atom's term, truncated to the
+    prefixes the padded row reads.  Item 0's digit wraps past the box, so a
+    pad cell repeats the row's own cells, with mass 0: the pads' utilities
+    set argsort's tie order and so the bits of pair_mass.  U and U_hat are
+    summed in item order, as the per-M ``convolve`` fold adds them; the
+    columns are mass-weighted row sums, so they may differ from the per-law
+    methods in the last bits.
     """
     items = inst.setting.items
     m_vecs, probs = product_grid(inst.ghost_max.per_item, inst.setting.caps.product_support)
@@ -92,7 +117,7 @@ def build_utility_stats(inst: Instance) -> UtilityStats:
     r_totals = functools.reduce(operator.add, [item.posted_revenue(m) for item, m in zip(items, m_cols)])
     lo = np.stack([np.maximum(item.values_arr.searchsorted(m, "right") - 1, 0) for item, m in zip(items, m_cols)])
     sides = np.array([[len(item.values)] for item in items]) - lo
-    # strides[j] = sides[j + 1] * ... * sides[m - 1]; digit j of cell c is c // strides[j] % sides[j]
+    # strides[j] = sides[j + 1] * ... * sides[m - 1], the cells under one prefix of digits 0..j
     strides = np.cumprod(np.vstack((np.ones_like(sides[:1]), sides[:0:-1])), axis=0)[::-1]
     widths = strides[0] * sides[0]
     # rows in order of box width, so each block is a slice
@@ -102,31 +127,44 @@ def build_utility_stats(inst: Instance) -> UtilityStats:
 
     columns = np.empty((6, len(probs)))
     for a, b in _blocks(widths.tolist(), PAIR_BUDGET):
-        cells = np.arange(widths[b - 1])
-        r = r_sorted[a:b, None]
-        u = u_hat = 0.0
-        mass = (cells < widths[a:b, None]).astype(np.float64)
-        for item, m_col, lo_j, side, stride in zip(items, m_sorted, lo, sides, strides):
-            digit = cells // stride[a:b, None] % side[a:b, None]
-            atom = lo_j[a:b, None] + digit
-            u_j = np.maximum(item.values_arr[atom] - m_col[a:b, None], 0.0)
-            u, u_hat = u + u_j, u_hat + np.where(u_j <= r, u_j, 0.0)
-            mass = mass * np.where(digit == 0, item.cdf_arr[atom], item.probs_arr[atom])
+        width, rows, r = widths[b - 1], b - a, r_sorted[a:b]
+        # the padded row reads ceil(width / strides[j]) prefixes of digits 0..j
+        counts = -(-width // strides[:, a:b])
+        # digit 0 wraps past the box, so the pads repeat the row's own cells, with mass 0
+        top = _ragged_arange(counts[0])
+        digit = top % np.repeat(sides[0, a:b], counts[0])
+        u, u_hat, mass = _segments(items[0], lo[0, a:b], m_sorted[0, a:b], r, counts[0], digit)
+        mass[top != digit] = 0.0
+        for j in range(1, len(items)):
+            # each prefix takes the row's side digits of item j, a row's last prefix only those its padded row reads
+            side, prefixes = sides[j, a:b], counts[j - 1]
+            u_j, u_hat_j, mass_j = _segments(items[j], lo[j, a:b], m_sorted[j, a:b], r, side, _ragged_arange(side))
+            repeats = np.repeat(side, prefixes)
+            repeats[prefixes.cumsum() - 1] = counts[j] - (prefixes - 1) * side
+            ends = repeats.cumsum()
+            # copy k of a prefix reads its row's segment at digit k
+            take = np.arange(ends[-1]) + np.repeat(np.repeat(side.cumsum() - side, prefixes) - ends + repeats, repeats)
+            u = np.repeat(u, repeats) + u_j.take(take)
+            u_hat = np.repeat(u_hat, repeats) + u_hat_j.take(take)
+            mass = np.repeat(mass, repeats) * mass_j.take(take)
+        u, u_hat, mass = (cells.reshape(rows, width) for cells in (u, u_hat, mass))
         mean = (mass * u_hat).sum(axis=1)
-        fee = np.maximum(mean - 2.0 * r[:, 0], 0.0)
+        fee = np.maximum(mean - 2.0 * r, 0.0)
         var = (mass * (u_hat - mean[:, None]) ** 2).sum(axis=1)
         # Pr(U_hat >= x) = 1 - the mass strictly below x
         accept = 1.0 - np.where(u_hat < fee[:, None], mass, 0.0).sum(axis=1)
         nice = 1.0 - np.where(u_hat < mean[:, None] / 2.0, mass, 0.0).sum(axis=1)
         # E[U(s) 1(U(s) <= U(w))] = sum_a Pr(U = a) a Pr(U >= a): sort each row by U and
         # read Pr(U < a) at the first cell of a's run of equal values
-        rows = np.arange(b - a)[:, None]
-        by_u = u.argsort(axis=1)
-        u, mass = u[rows, by_u], mass[rows, by_u]
+        by_u = u.argsort(axis=1) + np.arange(0, rows * width, width)[:, None]
+        u, mass = u.take(by_u), mass.take(by_u)
         below = np.zeros_like(mass)
         mass[:, :-1].cumsum(axis=1, out=below[:, 1:])
-        run_head = np.maximum.accumulate(np.where(u != np.roll(u, 1, axis=1), cells, 0), axis=1)
-        pair = (mass * u * (1.0 - below[rows, run_head])).sum(axis=1)
+        # below is non-decreasing along a row, so its running max over the run heads is its value at the last head
+        head = np.zeros_like(u, dtype=bool)
+        np.not_equal(u[:, 1:], u[:, :-1], out=head[:, 1:])
+        run_below = np.maximum.accumulate(np.where(head, below, 0.0), axis=1)
+        pair = (mass * u * (1.0 - run_below)).sum(axis=1)
         columns[:, a:b] = mean, var, fee, accept, nice, pair
     e_u_hat, var_u_hat, fee_pd, fee_accept, nice_prob, pair_mass = columns[:, order.argsort()]
     return UtilityStats(m_vecs, probs, r_totals, e_u_hat, var_u_hat, fee_pd, fee_accept, nice_prob, pair_mass)

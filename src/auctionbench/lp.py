@@ -110,7 +110,8 @@ def lp_solve(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> LPSolution:
     an optimal solution with row duals after checking the duality gap.  Raises
     ValueError on inconsistent shapes, a negative or NaN b_ub entry or any
     entry of c, a_ub or b_ub that is not finite, Unbounded when the objective
-    is unbounded above, MaxIterations on stall.
+    is unbounded above, MaxIterations on stall, LPNumericalFailure when the
+    objective is not finite or the duality gap is not within tolerance.
     """
     c = np.asarray(c, dtype=np.float64)
     a = np.asarray(a_ub, dtype=np.float64)
@@ -139,7 +140,8 @@ def lp_solve(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> LPSolution:
     slack = nonbasic >= n_vars
     duals[nonbasic[slack] - n_vars] = -tableau[-1, :-1][slack]
     gap = abs(objective - float(duals @ b))
-    if gap > _GAP_TOL * (1.0 + abs(objective)):
+    # an overflowed tableau gives an infinite objective or a NaN gap; neither passes
+    if not (math.isfinite(objective) and gap <= _GAP_TOL * (1.0 + abs(objective))):
         raise LPNumericalFailure(f"duality gap {gap:.3e} exceeds tolerance at objective {objective:.6g}")
     return LPSolution(x[:n_vars], objective, duals, iters, switches, gap)
 

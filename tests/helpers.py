@@ -5,18 +5,23 @@
 compare against them.  ``reference_region_kernel`` is the region kernel on
 float valuations, one (item, rival) pair per step, that ``iu.region_kernel``
 replaced.  ``reference_lp_solve`` is the simplex on the full tableau, one
-slack column per row, that ``lp.lp_solve`` replaced.  ``random_law`` draws
+slack column per row, that ``lp.lp_solve`` replaced.
+``reference_build_utility_stats`` is the utility-statistics builder on
+per-cell digits (two integer divisions per item and cell) that
+``decomposition.build_utility_stats`` replaced.  ``random_law`` draws
 laws for the property tests, and ``prior_dependent_links`` keeps a chain's
 records outside the regular branch.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import Iterator
 
 import numpy as np
 
-from auctionbench import lp
+from auctionbench import decomposition, lp
 from auctionbench.dist import (
     DEFAULT_CAPS,
     Caps,
@@ -27,7 +32,7 @@ from auctionbench.dist import (
     product_grid,
 )
 from auctionbench.errors import LPNumericalFailure, MaxIterations, Unbounded
-from auctionbench.iu import KERNEL_CELLS
+from auctionbench.iu import KERNEL_CELLS, Instance
 from auctionbench.report import CheckRecord
 
 
@@ -162,6 +167,57 @@ def reference_lp_solve(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> lp.
     if gap > lp._GAP_TOL * (1.0 + abs(objective)):
         raise LPNumericalFailure(f"duality gap {gap:.3e} exceeds tolerance at objective {objective:.6g}")
     return lp.LPSolution(x[:n_vars], objective, duals, iters, switches, gap)
+
+
+def reference_build_utility_stats(inst: Instance) -> decomposition.UtilityStats:
+    """``decomposition.build_utility_stats`` with every cell's digits recomputed per item.
+
+    The same blocks (``decomposition.PAIR_BUDGET``, read at each call so that a
+    monkeypatch reaches both), padded row length and sum order; digit j of
+    cell c is c // strides[j] % sides[j], so a pad cell wraps onto the row's
+    own cells.
+    """
+    items = inst.setting.items
+    m_vecs, probs = product_grid(inst.ghost_max.per_item, inst.setting.caps.product_support)
+    m_cols = m_vecs.T
+    r_totals = functools.reduce(operator.add, [item.posted_revenue(m) for item, m in zip(items, m_cols)])
+    lo = np.stack([np.maximum(item.values_arr.searchsorted(m, "right") - 1, 0) for item, m in zip(items, m_cols)])
+    sides = np.array([[len(item.values)] for item in items]) - lo
+    strides = np.cumprod(np.vstack((np.ones_like(sides[:1]), sides[:0:-1])), axis=0)[::-1]
+    widths = strides[0] * sides[0]
+    order = widths.argsort(kind="stable")
+    widths, r_sorted = widths[order], r_totals[order]
+    m_sorted, lo, sides, strides = (per_item[:, order] for per_item in (m_cols, lo, sides, strides))
+
+    columns = np.empty((6, len(probs)))
+    for a, b in decomposition._blocks(widths.tolist(), decomposition.PAIR_BUDGET):
+        cells = np.arange(widths[b - 1])
+        r = r_sorted[a:b, None]
+        u = u_hat = 0.0
+        mass = (cells < widths[a:b, None]).astype(np.float64)
+        for item, m_col, lo_j, side, stride in zip(items, m_sorted, lo, sides, strides):
+            digit = cells // stride[a:b, None] % side[a:b, None]
+            atom = lo_j[a:b, None] + digit
+            u_j = np.maximum(item.values_arr[atom] - m_col[a:b, None], 0.0)
+            u, u_hat = u + u_j, u_hat + np.where(u_j <= r, u_j, 0.0)
+            mass = mass * np.where(digit == 0, item.cdf_arr[atom], item.probs_arr[atom])
+        mean = (mass * u_hat).sum(axis=1)
+        fee = np.maximum(mean - 2.0 * r[:, 0], 0.0)
+        var = (mass * (u_hat - mean[:, None]) ** 2).sum(axis=1)
+        accept = 1.0 - np.where(u_hat < fee[:, None], mass, 0.0).sum(axis=1)
+        nice = 1.0 - np.where(u_hat < mean[:, None] / 2.0, mass, 0.0).sum(axis=1)
+        rows = np.arange(b - a)[:, None]
+        by_u = u.argsort(axis=1)
+        u, mass = u[rows, by_u], mass[rows, by_u]
+        below = np.zeros_like(mass)
+        mass[:, :-1].cumsum(axis=1, out=below[:, 1:])
+        run_head = np.maximum.accumulate(np.where(u != np.roll(u, 1, axis=1), cells, 0), axis=1)
+        pair = (mass * u * (1.0 - below[rows, run_head])).sum(axis=1)
+        columns[:, a:b] = mean, var, fee, accept, nice, pair
+    e_u_hat, var_u_hat, fee_pd, fee_accept, nice_prob, pair_mass = columns[:, order.argsort()]
+    return decomposition.UtilityStats(
+        m_vecs, probs, r_totals, e_u_hat, var_u_hat, fee_pd, fee_accept, nice_prob, pair_mass
+    )
 
 
 def random_law(rng: np.random.Generator, max_support: int = 5, max_value: float = 10.0) -> ScalarDistribution:

@@ -36,7 +36,7 @@ from auctionbench.errors import InstanceTooLarge, TooFewBidders
 from auctionbench.generators import random_setting
 from auctionbench.report import all_hold
 from auctionbench.simple_auctions import ronen_r_star
-from helpers import joint, prior_dependent_links, reference_region_kernel
+from helpers import joint, prior_dependent_links, reference_build_utility_stats, reference_region_kernel
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -338,6 +338,55 @@ class TestBatchedUtilityLaws:
         assert law_u.tail(stats.fee_pd[0]) > law_u_hat.tail(stats.fee_pd[0])
         assert law_u.expectation() > law_u_hat.expectation()
         assert_stats_bit_identical(setting, 1)
+
+
+def integer_setting(seed: int, m: int, atoms: int) -> AuctionSetting:
+    """The benchmark ladder's shape: m items of `atoms` distinct integer values in 1..999, n = 2, n' = 40."""
+    rng = make_rng(seed)
+    items = []
+    for _ in range(m):
+        weights = rng.random(atoms) + 0.05
+        values = np.sort(rng.choice(np.arange(1, 1000), atoms, replace=False))
+        items.append(make_item_distribution(values.tolist(), (weights / weights.sum()).tolist()))
+    return AuctionSetting(items=tuple(items), n=2, n_prime=40)
+
+
+def assert_equals_reference(inst):
+    """Every column of build_utility_stats equals the per-cell digit builder's, bit for bit."""
+    stats, want = build_utility_stats(inst), reference_build_utility_stats(inst)
+    for name, column, expected in zip(stats._fields, stats, want):
+        assert np.array_equal(column, expected), name
+
+
+class TestReferenceBuilder:
+    """The ragged-product builder gives the per-cell digit builder's bits, pads included."""
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+    def test_configs(self, config):
+        setting = load_config(config).setting
+        assert_equals_reference(Instance(setting, setting.n_prime))
+
+    def test_drawn_settings(self):
+        for seed in range(1000):
+            setting = random_setting(make_rng(seed), max_items=3, max_support=4)
+            assert_equals_reference(Instance(setting, setting.n_prime))
+
+    @pytest.mark.parametrize("m, atoms", [(2, 16), (4, 6)])
+    def test_ladder_shapes(self, m, atoms):
+        for seed in range(3):
+            assert_equals_reference(Instance(integer_setting(seed, m, atoms), 40))
+
+    def test_rows_wider_than_a_block(self, monkeypatch):
+        # at 8 cells a block, a row wider than the budget is a block of its own
+        # and narrower rows still share blocks padded to the widest of them
+        monkeypatch.setattr(decomposition, "PAIR_BUDGET", 8)
+        for config in CONFIGS:
+            setting = load_config(config).setting
+            assert_equals_reference(Instance(setting, setting.n_prime))
+        for seed in range(100):
+            setting = random_setting(make_rng(seed), max_items=3, max_support=4)
+            assert_equals_reference(Instance(setting, setting.n_prime))
+        assert_equals_reference(Instance(integer_setting(0, 4, 6), 40))
 
 
 class EventProbabilities(NamedTuple):

@@ -312,6 +312,12 @@ class TestLPSolve:
         with pytest.raises(ValueError, match="must be finite"):
             lp_solve(np.array(c), np.array(a), np.array(b))
 
+    def test_overflowed_tableau_is_a_numerical_failure(self):
+        # finite entries whose pivot overflows: the objective reads inf and the
+        # duality gap NaN, which a plain `gap > tol` test lets through
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(LPNumericalFailure, match="gap nan"):
+            lp_solve(np.array([1e200]), np.array([[1e-150], [1.0], [1e-200]]), np.array([1e200, 1e300, 1e250]))
+
     def test_degenerate_does_not_cycle(self):
         c = np.array([1.0, 1.0])
         a = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
