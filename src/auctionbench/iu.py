@@ -49,8 +49,10 @@ if TYPE_CHECKING:
 
 MC_STREAM = 17  # substream label for the benchmark estimator
 MC_CHUNK = 1 << 16  # most draws monte_carlo_iu samples at once; caps.joint_terms // (n x m) when smaller
-# atoms x valuation rows per region_kernel block; bounds the kernel's temporaries
-KERNEL_CELLS = 1 << 18
+# atoms x valuation rows per region_kernel block; bounds the kernel's temporaries.  Of 2^14-2^18, 2^16
+# was the fastest on one 4,096-atom item and 8-10% behind the fastest on 24k rows of 16 binary items,
+# whose peak it holds to 6.2 MiB against 15.9 MiB at 2^18
+KERNEL_CELLS = 1 << 16
 # monte_carlo_iu re-ranks its valuation codes before their radix passes this
 _CODE_LIMIT = 1 << 63
 RANK_TABLE = 1 << 20  # largest radix _rank ranks through a presence table (9 bytes a slot)
@@ -252,44 +254,50 @@ def _rank(code: np.ndarray, radix: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Distinct count, each code's rank in code order and one index per rank, for codes below `radix`.
 
     A presence table (O(radix)) up to RANK_TABLE slots and 16 per code, a sort (`np.unique`) above.
+    The ranks come in the narrowest unsigned type that holds the count less one.
     """
     if radix > min(RANK_TABLE, 16 * len(code)):
         distinct, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-        return len(distinct), inverse, first
+        return len(distinct), inverse.astype(np.min_scalar_type(len(distinct) - 1)), first
     seen = np.zeros(radix, dtype=bool)
     seen[code] = True
     rank = np.cumsum(seen, dtype=np.intp) - 1
-    inverse = rank[code]
-    first = np.empty(rank[-1] + 1, dtype=np.intp)
+    count = int(rank[-1]) + 1
+    inverse = rank.astype(np.min_scalar_type(count - 1)).take(code)
+    first = np.empty(count, dtype=np.intp)
     first[inverse] = np.arange(len(code))
-    return len(first), inverse, first
+    return count, inverse, first
 
 
 def _choice_edges(probs: np.ndarray) -> np.ndarray:
-    """The CDF edges `Generator.choice` searches for atom probabilities `probs`.
+    """The CDF edges `Generator.choice` searches for atom probabilities `probs`, as raw Philox words.
 
     As choice builds them: the cumsum divided by its last entry, that entry then
     dropped.  `ScalarDistribution.cdf_arr` sets its last entry to 1.0 instead.
+    choice's uniform is (w >> 11) x 2^-53 for a raw 64-bit word w, so it is at
+    or above an edge e exactly when w >= ceil(e x 2^53) << 11; an edge of 1.0,
+    which no uniform reaches, is dropped.
     """
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    return cdf[:-1]
+    edges = cdf[:-1]
+    return np.ceil(edges[edges < 1.0] * 2.0**53).astype(np.uint64) << np.uint64(11)
 
 
 def _draw_atoms(rng: np.random.Generator, edges: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill `out` with the atom indices `rng.choice(len(edges) + 1, len(out), p=probs)` draws.
+    """Fill `out` with the atom indices `rng.choice(len(probs), len(out), p=probs)` draws.
 
-    Inverse-CDF on the same uniforms choice reads: an index is the number of
-    `edges` (:func:`_choice_edges`) at or below its uniform, counted one
+    Inverse-CDF on the raw words under the uniforms choice reads: an index is the
+    number of `edges` (:func:`_choice_edges`) at or below its word, counted one
     comparison per edge up to COMPARE_ATOMS atoms and by binary search above.
     """
-    u = rng.random(len(out))
+    words = rng.bit_generator.random_raw(len(out))
     if len(edges) >= COMPARE_ATOMS:
-        out[...] = edges.searchsorted(u, side="right")
+        out[...] = edges.searchsorted(words, side="right")
     else:
         out[...] = 0
         for edge in edges:
-            out += u >= edge
+            out += words >= edge
     return out
 
 
@@ -307,17 +315,22 @@ def monte_carlo_iu(setting: AuctionSetting, n: int, n_prime: int, samples: int, 
     region-kernel cells; more than caps.joint_terms raises EnumerationCapExceeded.
 
     Each item's atom indices come from :func:`_draw_atoms`: inverse-CDF on the
-    uniforms `rng.choice` reads, counted by comparison up to COMPARE_ATOMS
-    atoms, so they are choice's indices without its binary search.
+    raw Philox words under the uniforms `rng.choice` reads, counted by
+    comparison up to COMPARE_ATOMS atoms, so they are choice's indices without
+    its float conversion or its binary search.
 
     Draws come in chunks of MC_CHUNK, or of caps.joint_terms // (n x m) where
     that is smaller.  They come from the finite product support and mostly
     repeat, so each chunk keys its valuations by one mixed-radix code of their
-    atom indices (re-ranked, not refused, where the radix would pass int64),
-    ranks them with :func:`_rank` and evaluates Phi once per distinct
-    valuation in one kernel call; each item's max over bidders then gathers
-    Phi back bidder by bidder into a running maximum.  The kernel is row by row, max is exact and
-    the per-sample sums keep their item order, so the estimate is the one a
+    atom indices, in the narrowest type that holds the product support (int64,
+    re-ranked rather than refused, where the radix would pass _CODE_LIMIT),
+    ranks them with :func:`_rank` into the narrowest type that holds the
+    distinct count and evaluates Phi once per distinct valuation in one kernel
+    call; each item's max over bidders then gathers Phi back bidder by bidder
+    into a running maximum.  So on small supports a drawn valuation is held in
+    bytes, not words: its m atom indices, its code, its rank and the rank's
+    copy in (n, batch) order.  The kernel is row by row, max is exact and the
+    per-sample sums keep their item order, so the estimate is the one a
     per-draw evaluation gives, bit for bit.
     """
     if samples < 1:
@@ -331,6 +344,8 @@ def monte_carlo_iu(setting: AuctionSetting, n: int, n_prime: int, samples: int, 
     # draws per chunk: the random stream and the memory of one chunk
     chunk = min(MC_CHUNK, setting.caps.joint_terms // (n * setting.m))
     sizes = [len(item.values) for item in setting.items]
+    support = setting.product_support_size
+    code_type = np.min_scalar_type(support - 1) if support <= _CODE_LIMIT else np.dtype(np.int64)
     edges = [_choice_edges(item.probs_arr) for item in setting.items]
     rng = make_rng(seed, MC_STREAM)
     total = 0.0
@@ -341,12 +356,14 @@ def monte_carlo_iu(setting: AuctionSetting, n: int, n_prime: int, samples: int, 
         # per-item atom indices of the batch x n drawn valuations, folded into
         # one mixed-radix code per valuation
         idx = np.empty((setting.m, batch * n), dtype=np.min_scalar_type(max(sizes) - 1))
-        code = np.zeros(batch * n, dtype=np.int64)
+        code = np.zeros(batch * n, dtype=code_type)
         radix = 1
         for j in range(setting.m):
             _draw_atoms(rng, edges[j], idx[j])
             if radix * sizes[j] > _CODE_LIMIT:
-                radix, code, _ = _rank(code, radix)
+                # the ranks come narrow: back to int64 before the next digit folds in
+                radix, ranks, _ = _rank(code, radix)
+                code = ranks.astype(np.int64)
             code *= sizes[j]
             code += idx[j]
             radix *= sizes[j]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from auctionbench import (
@@ -342,6 +342,29 @@ class TestKernelBlocks:
             codes = np.stack([rng.choice(len(item.values), size=(4, 3)) for item in setting.items], axis=-1)
             self.assert_blocks_change_no_bit(monkeypatch, codes, setting.items, maxvec)
 
+    def test_many_rows_peak_memory(self, monkeypatch):
+        # the m = 16 Monte-Carlo shape: 16 binary items under 7 ghosts, 24,042 distinct rows
+        # of 160,000 draws.  The (rows, m) output takes 2.9 MiB; with blocks of 2^16 cells
+        # the peak is 6.2 MiB, and blocks of 2^18 cells take it to 15.9 MiB.  No bit moves
+        # with the block size
+        item = make_item_distribution([1, 1.25], [0.75, 0.25])
+        setting = AuctionSetting(items=(item,) * 16, n=1, n_prime=8, caps=Caps(product_support=1 << 16))
+        maxvec = max_vector_distribution(setting, 7)
+        rng = make_rng(5)
+        codes = np.unique(np.stack([rng.choice(2, 160_000, p=item.probs_arr) for _ in range(16)], axis=-1), axis=0)
+        assert len(codes) > 24_000
+        tracemalloc.start()
+        try:
+            whole = region_kernel(codes, setting.items, maxvec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20
+        module = importlib.import_module("auctionbench.iu")
+        for cells in (1 << 14, 1 << 15, 1 << 17, 1 << 18):
+            monkeypatch.setattr(module, "KERNEL_CELLS", cells)
+            assert (region_kernel(codes, setting.items, maxvec) == whole).all()
+
     def test_cap_below_the_atom_count_gives_one_row_blocks(self, monkeypatch):
         # KERNEL_CELLS below the atom count still walks one row at a time
         setting = load_config(CONFIGS / "two_items.json").setting
@@ -625,8 +648,45 @@ class TestMonteCarlo:
             assert_mc_matches_per_draw(monkeypatch, wide, 2, 3, 3000 if chunk > 7 else 100, 9, chunk)
             assert sorts
 
+    @pytest.mark.parametrize("chunk", [1 << 16, 7])
+    def test_narrow_code_boundaries_match_per_draw_reference(self, monkeypatch, chunk):
+        # product supports on each side of the 8- and 16-bit code types: 8 and 16 binary
+        # items, and one item of 257 or 65,537 equal-mass atoms (both primes), the wider
+        # one under no ghosts (n' = 1), so its kernel reads one atom.  3,000 draws reach all 257 atoms
+        # of the one item, so its ranks take 16 bits; 7 draws a chunk rank in 8
+        coin = make_item_distribution([1, 2], [0.5, 0.5])
+
+        def flat(atoms):
+            return make_item_distribution(list(range(1, atoms + 1)), [1 / atoms] * atoms)
+
+        module = importlib.import_module("auctionbench.iu")
+        rank = module._rank
+        types = set()
+
+        def recorded(code, radix):
+            count, inverse, first = rank(code, radix)
+            types.add((code.dtype, inverse.dtype))
+            return count, inverse, first
+
+        monkeypatch.setattr(module, "_rank", recorded)
+        cases = [  # items, n', code type, rank type in a chunk of 3,000 draws
+            ((coin,) * 8, 3, np.uint8, np.uint8),
+            ((flat(257),), 3, np.uint16, np.uint16),
+            ((coin,) * 16, 3, np.uint16, np.uint16),
+            ((flat(65_537),), 1, np.uint32, np.uint16),
+        ]
+        for items, n_prime, code_type, rank_type in cases:
+            setting = AuctionSetting(items=items, n=1, n_prime=n_prime, caps=Caps(product_support=1 << 17))
+            types.clear()
+            assert_mc_matches_per_draw(monkeypatch, setting, 1, n_prime, 3000 if chunk > 7 else 100, 10, chunk)
+            assert types == {(np.dtype(code_type), np.dtype(rank_type if chunk > 7 else np.uint8))}
+
     @settings(max_examples=80, deadline=None)
     @given(probs=choice_probs(), key=st.integers(0, 2**64 - 1), size=st.integers(1, 3000))
+    # a last mass of 2^-60 puts the last edge on 1.0, which no word reaches: by comparison,
+    # and past COMPARE_ATOMS atoms by binary search
+    @example(probs=np.array([0.5, 0.5, 2.0**-60]), key=1, size=3000)
+    @example(probs=np.append(np.full(COMPARE_ATOMS + 35, 1 / (COMPARE_ATOMS + 35)), 2.0**-60), key=2, size=3000)
     def test_draw_atoms_is_generator_choice(self, probs, key, size):
         # the same Philox key gives choice's indices and leaves the same state,
         # so both draws read the same uniforms; this pins the draw to the numpy it runs on
@@ -635,6 +695,25 @@ class TestMonteCarlo:
         out = np.empty(size, dtype=np.min_scalar_type(len(probs) - 1))
         assert np.array_equal(_draw_atoms(got_rng, _choice_edges(probs), out), want)
         assert same_state(got_rng.bit_generator.state, want_rng.bit_generator.state)
+
+    @settings(max_examples=80, deadline=None)
+    @given(probs=choice_probs())
+    @example(probs=np.array([0.5, 0.5, 2.0**-60]))
+    def test_choice_edges_are_the_least_words_at_each_edge(self, probs):
+        # choice's uniform of a raw word w is (w >> 11) x 2^-53: each threshold word is
+        # the least whose uniform reaches its edge, and only edges of 1.0 are dropped
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        edges = cdf[:-1]
+        words = _choice_edges(probs)
+        assert (edges[len(words) :] == 1.0).all() and (edges[: len(words)] < 1.0).all()
+
+        def uniform(word):
+            return (word >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+        reached = edges[: len(words)]
+        assert (uniform(words) >= reached).all()
+        assert (uniform(words[words > 0] - np.uint64(1)) < reached[words > 0]).all()
 
     @pytest.mark.parametrize("chunk", MC_CHUNKS)
     def test_wide_and_single_atom_items_match_per_draw_reference(self, monkeypatch, chunk, point_mass, d3):
@@ -646,17 +725,21 @@ class TestMonteCarlo:
         assert_mc_matches_per_draw(monkeypatch, setting, 2, 3, 3000 if chunk > 7 else 100, 6, chunk)
 
     def test_chunk_transient_memory(self):
-        # one full chunk: 65,536 samples x 8 bidders x 4 binary items.  Each item's
-        # 4 MiB of uniforms is dropped after its draw; the peak is 14.0 MiB, and
-        # uniforms held through the rank, kernel and gather phases take it to 18.0 MiB
+        # one full chunk: 65,536 samples x 8 bidders x 4 binary items, 524,288 drawn
+        # valuations.  Their atom indices, codes, ranks and the ranks' (n, batch) copy
+        # take a byte each, and each item's 4 MiB of raw words is dropped after its
+        # draw: the peak is 7.1 MiB.  int64 codes and intp ranks take it to 14.0 MiB.
+        # numpy imports numpy.random on first use, so the generator is warmed before
+        # tracing starts, or a run of this test alone traces that import too
         setting = load_config(CONFIGS / "near_uniform_many_items.json").setting
+        make_rng(0)
         tracemalloc.start()
         try:
             monte_carlo_iu(setting, 8, 8, 1 << 16, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 14.5 * (1 << 20)
+        assert peak <= 8 << 20
 
     def test_phi_once_per_distinct_valuation(self, monkeypatch):
         # 4 binary items: at most 16 distinct valuations per chunk, against
