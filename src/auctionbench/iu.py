@@ -322,8 +322,9 @@ def monte_carlo_iu(setting: AuctionSetting, n: int, n_prime: int, samples: int, 
     Draws come in chunks of MC_CHUNK, or of caps.joint_terms // (n x m) where
     that is smaller.  They come from the finite product support and mostly
     repeat, so each chunk keys its valuations by one mixed-radix code of their
-    atom indices, in the narrowest type that holds the product support (int64,
-    re-ranked rather than refused, where the radix would pass _CODE_LIMIT),
+    atom indices, in the narrowest type that holds the product support and
+    every item's atom count (int64, re-ranked rather than refused, where the
+    radix would pass _CODE_LIMIT),
     ranks them with :func:`_rank` into the narrowest type that holds the
     distinct count and evaluates Phi once per distinct valuation in one kernel
     call; each item's max over bidders then gathers Phi back bidder by bidder
@@ -345,7 +346,9 @@ def monte_carlo_iu(setting: AuctionSetting, n: int, n_prime: int, samples: int, 
     chunk = min(MC_CHUNK, setting.caps.joint_terms // (n * setting.m))
     sizes = [len(item.values) for item in setting.items]
     support = setting.product_support_size
-    code_type = np.min_scalar_type(support - 1) if support <= _CODE_LIMIT else np.dtype(np.int64)
+    # the type holds each code and each radix the fold multiplies by: one item of 256 atoms is a
+    # support of 256 whose codes fit in 8 bits, but its `code *= 256` needs 16
+    code_type = np.min_scalar_type(max(support - 1, *sizes)) if support <= _CODE_LIMIT else np.dtype(np.int64)
     edges = [_choice_edges(item.probs_arr) for item in setting.items]
     rng = make_rng(seed, MC_STREAM)
     total = 0.0

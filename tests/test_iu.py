@@ -345,8 +345,7 @@ class TestKernelBlocks:
     def test_many_rows_peak_memory(self, monkeypatch):
         # the m = 16 Monte-Carlo shape: 16 binary items under 7 ghosts, 24,042 distinct rows
         # of 160,000 draws.  The (rows, m) output takes 2.9 MiB; with blocks of 2^16 cells
-        # the peak is 6.2 MiB, and blocks of 2^18 cells take it to 15.9 MiB.  No bit moves
-        # with the block size
+        # the peak is 6.2 MiB, and blocks of 2^18 cells take it to 15.9 MiB, with the same bits
         item = make_item_distribution([1, 1.25], [0.75, 0.25])
         setting = AuctionSetting(items=(item,) * 16, n=1, n_prime=8, caps=Caps(product_support=1 << 16))
         maxvec = max_vector_distribution(setting, 7)
@@ -360,10 +359,8 @@ class TestKernelBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 8 << 20
-        module = importlib.import_module("auctionbench.iu")
-        for cells in (1 << 14, 1 << 15, 1 << 17, 1 << 18):
-            monkeypatch.setattr(module, "KERNEL_CELLS", cells)
-            assert (region_kernel(codes, setting.items, maxvec) == whole).all()
+        monkeypatch.setattr(importlib.import_module("auctionbench.iu"), "KERNEL_CELLS", 1 << 18)
+        assert (region_kernel(codes, setting.items, maxvec) == whole).all()
 
     def test_cap_below_the_atom_count_gives_one_row_blocks(self, monkeypatch):
         # KERNEL_CELLS below the atom count still walks one row at a time
@@ -653,8 +650,11 @@ class TestMonteCarlo:
         # product supports on each side of the 8- and 16-bit code types: 8 and 16 binary
         # items, and one item of 257 or 65,537 equal-mass atoms (both primes), the wider
         # one under no ghosts (n' = 1), so its kernel reads one atom.  3,000 draws reach all 257 atoms
-        # of the one item, so its ranks take 16 bits; 7 draws a chunk rank in 8
+        # of the one item, so its ranks take 16 bits; 7 draws a chunk rank in 8.  One item of 256
+        # or 65,536 atoms, alone or between point masses (radix still 1), is a support whose codes
+        # fit the narrower type, but the fold multiplies by the atom count, so the code is wider
         coin = make_item_distribution([1, 2], [0.5, 0.5])
+        point = make_item_distribution([1], [1.0])
 
         def flat(atoms):
             return make_item_distribution(list(range(1, atoms + 1)), [1 / atoms] * atoms)
@@ -671,8 +671,12 @@ class TestMonteCarlo:
         monkeypatch.setattr(module, "_rank", recorded)
         cases = [  # items, n', code type, rank type in a chunk of 3,000 draws
             ((coin,) * 8, 3, np.uint8, np.uint8),
+            ((flat(256),), 3, np.uint16, np.uint8),
+            ((point, flat(256), point), 3, np.uint16, np.uint8),
             ((flat(257),), 3, np.uint16, np.uint16),
             ((coin,) * 16, 3, np.uint16, np.uint16),
+            ((flat(65_536),), 1, np.uint32, np.uint16),
+            ((point, flat(65_536)), 1, np.uint32, np.uint16),
             ((flat(65_537),), 1, np.uint32, np.uint16),
         ]
         for items, n_prime, code_type, rank_type in cases:
