@@ -55,8 +55,11 @@ MC_CHUNK = 1 << 16  # most draws monte_carlo_iu samples at once; caps.joint_term
 KERNEL_CELLS = 1 << 16
 # monte_carlo_iu re-ranks its valuation codes before their radix passes this
 _CODE_LIMIT = 1 << 63
-RANK_TABLE = 1 << 20  # largest radix _rank ranks through a presence table (9 bytes a slot)
+RANK_TABLE = 1 << 20  # largest radix _rank ranks through a presence table (at most 5 bytes a slot)
 COMPARE_ATOMS = 64  # most atoms _draw_atoms counts by comparison; a binary search above
+# draws per slice where a step would hold 8 B a draw: the raw Philox words _draw_atoms reads, a binary
+# search's intp result, the intp copy `take` makes of its indices
+DRAW_SLICE = 1 << 15
 # region_kernel reads rival factors from per-rival tables, not a search per cell, once a block holds
 # this many rows per table cell: a table costs a dozen numpy calls per rival to build and read
 TABLE_READS = 16
@@ -223,12 +226,14 @@ def region_kernel(codes: np.ndarray, items: Sequence[ScalarDistribution], maxvec
 
 
 def benchmark_values(codes: np.ndarray, p_region: np.ndarray, items: Sequence[ItemDistribution]) -> np.ndarray:
-    """Phi_j(v) = v_j (1 - P_j(v)) + max(phi_tilde_j(v_j), 0) P_j(v), elementwise over (..., m) atom codes."""
-    phi = np.empty(p_region.shape)
+    """Phi_j(v) = v_j (1 - P_j(v)) + max(phi_tilde_j(v_j), 0) P_j(v), elementwise over (..., m) atom codes.
+
+    Phi is written over `p_region`, which is returned.
+    """
     for j, item in enumerate(items):
         code, pj = codes[..., j], p_region[..., j]
-        phi[..., j] = item.values_arr[code] * (1.0 - pj) + item.ironed.phi_plus[code] * pj
-    return phi
+        pj[...] = item.values_arr[code] * (1.0 - pj) + item.ironed.phi_plus[code] * pj
+    return p_region
 
 
 def build_iu_tables(inst: Instance) -> IUTables:
@@ -237,7 +242,7 @@ def build_iu_tables(inst: Instance) -> IUTables:
     valuations, vprobs = setting.valuations()
     codes = product_codes([len(item.values) for item in setting.items])
     p_region = region_kernel(codes, setting.items, inst.ghost_max)
-    phi = benchmark_values(codes, p_region, setting.items)
+    phi = benchmark_values(codes, p_region.copy(), setting.items)
     law_phi = tuple(
         ScalarDistribution.from_atoms(zip(phi[:, j].tolist(), vprobs.tolist()), renorm_tol=1e-9)
         for j in range(setting.m)
@@ -250,23 +255,39 @@ def iu(setting: AuctionSetting, n: int, n_prime: int) -> float:
     return Instance(setting, n_prime).iu_tables.iu(n)
 
 
-def _rank(code: np.ndarray, radix: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Distinct count, each code's rank in code order and one index per rank, for codes below `radix`.
+def _rank(code: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct codes, ascending, and each code's rank among them, for codes below `radix`.
 
     A presence table (O(radix)) up to RANK_TABLE slots and 16 per code, a sort (`np.unique`) above.
-    The ranks come in the narrowest unsigned type that holds the count less one.
+    The ranks come in the narrowest unsigned type that holds the distinct count less one; the
+    table's are read DRAW_SLICE codes at a time, as `take` copies its indices to intp.
     """
     if radix > min(RANK_TABLE, 16 * len(code)):
-        distinct, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-        return len(distinct), inverse.astype(np.min_scalar_type(len(distinct) - 1)), first
+        distinct, inverse = np.unique(code, return_inverse=True)
+        return distinct, inverse.astype(np.min_scalar_type(len(distinct) - 1))
     seen = np.zeros(radix, dtype=bool)
     seen[code] = True
-    rank = np.cumsum(seen, dtype=np.intp) - 1
-    count = int(rank[-1]) + 1
-    inverse = rank.astype(np.min_scalar_type(count - 1)).take(code)
-    first = np.empty(count, dtype=np.intp)
-    first[inverse] = np.arange(len(code))
-    return count, inverse, first
+    distinct = np.flatnonzero(seen)
+    rank = np.empty(radix, dtype=np.min_scalar_type(len(distinct) - 1))  # read only where a code lies
+    rank[distinct] = np.arange(len(distinct))
+    inverse = np.empty(len(code), dtype=rank.dtype)
+    for lo in range(0, len(code), DRAW_SLICE):
+        # every code is in range, so wrap moves none
+        rank.take(code[lo : lo + DRAW_SLICE], out=inverse[lo : lo + DRAW_SLICE], mode="wrap")
+    return distinct, inverse
+
+
+def _decode(code: np.ndarray, sizes: Sequence[int], known: np.ndarray) -> np.ndarray:
+    """The atom indices of mixed-radix codes, one column per code: an (items, len(code)) array.
+
+    The last len(sizes) digits, radices `sizes` with the last item least significant, come by
+    divmod; the quotient left over names a column of `known`, the atom indices of the items before.
+    """
+    rows = np.empty((len(known) + len(sizes), len(code)), dtype=known.dtype)
+    for j in range(len(sizes) - 1, -1, -1):
+        code, rows[len(known) + j] = np.divmod(code, sizes[j])
+    rows[: len(known)] = known[:, code]
+    return rows
 
 
 def _choice_edges(probs: np.ndarray) -> np.ndarray:
@@ -290,14 +311,18 @@ def _draw_atoms(rng: np.random.Generator, edges: np.ndarray, out: np.ndarray) ->
     Inverse-CDF on the raw words under the uniforms choice reads: an index is the
     number of `edges` (:func:`_choice_edges`) at or below its word, counted one
     comparison per edge up to COMPARE_ATOMS atoms and by binary search above.
+    Philox is counter-based, so the words come DRAW_SLICE at a time in the order
+    one call would read them.
     """
-    words = rng.bit_generator.random_raw(len(out))
-    if len(edges) >= COMPARE_ATOMS:
-        out[...] = edges.searchsorted(words, side="right")
-    else:
-        out[...] = 0
-        for edge in edges:
-            out += words >= edge
+    for lo in range(0, len(out), DRAW_SLICE):
+        part = out[lo : lo + DRAW_SLICE]
+        words = rng.bit_generator.random_raw(len(part))
+        if len(edges) >= COMPARE_ATOMS:
+            part[...] = edges.searchsorted(words, side="right")
+        else:
+            part[...] = 0
+            for edge in edges:
+                part += words >= edge
     return out
 
 
@@ -321,18 +346,22 @@ def monte_carlo_iu(setting: AuctionSetting, n: int, n_prime: int, samples: int, 
 
     Draws come in chunks of MC_CHUNK, or of caps.joint_terms // (n x m) where
     that is smaller.  They come from the finite product support and mostly
-    repeat, so each chunk keys its valuations by one mixed-radix code of their
-    atom indices, in the narrowest type that holds the product support and
-    every item's atom count (int64, re-ranked rather than refused, where the
-    radix would pass _CODE_LIMIT),
-    ranks them with :func:`_rank` into the narrowest type that holds the
-    distinct count and evaluates Phi once per distinct valuation in one kernel
-    call; each item's max over bidders then gathers Phi back bidder by bidder
-    into a running maximum.  So on small supports a drawn valuation is held in
-    bytes, not words: its m atom indices, its code, its rank and the rank's
-    copy in (n, batch) order.  The kernel is row by row, max is exact and the
-    per-sample sums keep their item order, so the estimate is the one a
-    per-draw evaluation gives, bit for bit.
+    repeat, so each chunk draws one item's atom indices at a time into one
+    buffer and folds them into one mixed-radix code per valuation, in the
+    narrowest type that holds the product support and every item's atom count
+    (int64, re-ranked rather than refused, where the radix would pass
+    _CODE_LIMIT; each rank keeps the atom indices it stands for).
+    :func:`_rank` returns the distinct codes and each draw's rank in the
+    narrowest type that holds the distinct count; each distinct valuation's
+    atom indices are decoded from its code by :func:`_decode`, and Phi is
+    evaluated once per distinct valuation in one kernel call, written over the
+    kernel's output; each item's max over bidders then gathers Phi back bidder
+    by bidder into a running maximum.  So on small supports a drawn valuation
+    is held in bytes, not words: one item's atom index at a time, its code,
+    its rank and the rank's copy in (n, batch) order; a distinct one in its m
+    atom indices and m float64 values of Phi.  The kernel is row by row, max
+    is exact and the per-sample sums keep their item order, so the estimate is
+    the one a per-draw evaluation gives, bit for bit.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -354,25 +383,27 @@ def monte_carlo_iu(setting: AuctionSetting, n: int, n_prime: int, samples: int, 
     total = 0.0
     total_sq = 0.0
     done = 0
+    # one item's atom indices at a time, folded into one mixed-radix code per drawn valuation
+    digits = np.empty(min(chunk, samples) * n, dtype=np.min_scalar_type(max(sizes) - 1))
     while done < samples:
         batch = min(chunk, samples - done)
-        # per-item atom indices of the batch x n drawn valuations, folded into
-        # one mixed-radix code per valuation
-        idx = np.empty((setting.m, batch * n), dtype=np.min_scalar_type(max(sizes) - 1))
+        draws = digits[: batch * n]
         code = np.zeros(batch * n, dtype=code_type)
         radix = 1
+        known, first = np.empty((0, 1), dtype=digits.dtype), 0  # the atom indices of items before `first`, per rank
         for j in range(setting.m):
-            _draw_atoms(rng, edges[j], idx[j])
+            _draw_atoms(rng, edges[j], draws)
             if radix * sizes[j] > _CODE_LIMIT:
-                # the ranks come narrow: back to int64 before the next digit folds in
-                radix, ranks, _ = _rank(code, radix)
+                # re-rank, keeping each rank's digits; the ranks come narrow: back to int64 before the next fold
+                distinct, ranks = _rank(code, radix)
+                known, first, radix = _decode(distinct, sizes[first:j], known), j, len(distinct)
                 code = ranks.astype(np.int64)
             code *= sizes[j]
-            code += idx[j]
+            code += draws
             radix *= sizes[j]
-        _, inverse, first = _rank(code, radix)
+        distinct, inverse = _rank(code, radix)
         inverse = np.ascontiguousarray(inverse.reshape(batch, n).T)
-        codes = idx[:, first].T
+        codes = _decode(distinct, sizes[first:], known).T
         phi = benchmark_values(codes, region_kernel(codes, setting.items, maxvec), setting.items)
         stat = np.zeros(batch)
         for col in phi.T:

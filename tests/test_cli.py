@@ -22,6 +22,7 @@ from auctionbench.cli import (
     EXIT_CONFIG,
     EXIT_LP,
     EXIT_OK,
+    SWEEP_ROWS,
     _verify_suites,
     load_config,
     main,
@@ -537,6 +538,30 @@ class TestSweep:
         assert main(argv) == EXIT_CAPS
         assert calls == []
         assert capsys.readouterr().err.startswith("enumeration cap: valuations x max-vectors = ")
+
+    def test_row_cap_refused_before_any_instance(self, tmp_path, monkeypatch, capsys):
+        # n' = 2 .. 10^12 would build 10^12 - 1 rows, an Instance each; past SWEEP_ROWS
+        # the range is refused in one line plus a hint that names the n' flags.  The spy
+        # fails on the first Instance, so an unbounded sweep fails here rather than hangs
+        def no_instance(*args, **kwargs):
+            raise AssertionError("sweep built an Instance past its row cap")
+
+        monkeypatch.setattr(importlib.import_module("auctionbench.cli"), "Instance", no_instance)
+        path = write_config(tmp_path, D2_CONFIG)
+        argv = ["sweep", "--config", path, "--n-prime-min", "2", "--n-prime-max", str(10**12)]
+        assert main(argv) == EXIT_CAPS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"enumeration cap: sweep rows = {10**12 - 1} exceeds cap {SWEEP_ROWS}",
+            f"hint: narrow --n-prime-min .. --n-prime-max to at most {SWEEP_ROWS} rows, one per n' >= n",
+        ]
+        # rows start at n' = n: 1 .. SWEEP_ROWS + 1 at n = 2 is SWEEP_ROWS rows, one more is refused
+        payload = dict(D2_CONFIG, n=2)
+        path = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", path, "--n-prime-min", "1", "--n-prime-max", str(SWEEP_ROWS + 2)]) == EXIT_CAPS
+        with pytest.raises(AssertionError, match="past its row cap"):
+            main(["sweep", "--config", path, "--n-prime-min", "1", "--n-prime-max", str(SWEEP_ROWS + 1)])
 
     @pytest.mark.parametrize(
         "lo, hi, size",

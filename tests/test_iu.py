@@ -135,6 +135,21 @@ def assert_mc_matches_per_draw(monkeypatch, setting, n, n_prime, samples, seed, 
     assert tuple(got) == per_draw_monte_carlo_iu(setting, n, n_prime, samples, seed, chunk=chunk)
 
 
+def estimator_peak(setting, n, n_prime, samples):
+    """The tracemalloc peak of one monte_carlo_iu call.
+
+    numpy imports numpy.random on first use, so the generator is warmed before
+    tracing starts, or a run of one test alone traces that import too.
+    """
+    make_rng(0)
+    tracemalloc.start()
+    try:
+        monte_carlo_iu(setting, n, n_prime, samples, seed=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # the default draw chunk, one that splits the samples, and a tiny one
 MC_CHUNKS = [1 << 16, 7000, 7]
 
@@ -664,9 +679,9 @@ class TestMonteCarlo:
         types = set()
 
         def recorded(code, radix):
-            count, inverse, first = rank(code, radix)
+            distinct, inverse = rank(code, radix)
             types.add((code.dtype, inverse.dtype))
-            return count, inverse, first
+            return distinct, inverse
 
         monkeypatch.setattr(module, "_rank", recorded)
         cases = [  # items, n', code type, rank type in a chunk of 3,000 draws
@@ -730,20 +745,29 @@ class TestMonteCarlo:
 
     def test_chunk_transient_memory(self):
         # one full chunk: 65,536 samples x 8 bidders x 4 binary items, 524,288 drawn
-        # valuations.  Their atom indices, codes, ranks and the ranks' (n, batch) copy
-        # take a byte each, and each item's 4 MiB of raw words is dropped after its
-        # draw: the peak is 7.1 MiB.  int64 codes and intp ranks take it to 14.0 MiB.
-        # numpy imports numpy.random on first use, so the generator is warmed before
-        # tracing starts, or a run of this test alone traces that import too
+        # valuations.  One item's atom indices, the codes, the ranks and the ranks' (n, batch)
+        # copy take a byte each, and raw words and intp indices come DRAW_SLICE at a time:
+        # the peak is 3.1 MiB.  Every item's indices at once (1.5 MiB more) or one item's raw
+        # words at once (4 MiB) passes the bound
         setting = load_config(CONFIGS / "near_uniform_many_items.json").setting
-        make_rng(0)
-        tracemalloc.start()
-        try:
-            monte_carlo_iu(setting, 8, 8, 1 << 16, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 << 20
+        assert estimator_peak(setting, 8, 8, 1 << 16) <= 4 << 20
+
+    def test_many_items_estimator_memory(self):
+        # the m = 16 benchmark shape: 16 binary items, n = n' = 8, 20,000 samples, one chunk of
+        # 160,000 drawn valuations, about 24,000 distinct.  Their P and Phi share one (rows, m)
+        # float64 buffer: the peak is 7.5 MiB, and a second 2.9 MiB buffer passes the bound
+        item = make_item_distribution([1, 1.25], [0.75, 0.25])
+        setting = AuctionSetting(items=(item,) * 16, n=1, n_prime=8, caps=Caps(product_support=1 << 16))
+        assert estimator_peak(setting, 8, 8, 20_000) <= 8 << 20
+
+    def test_many_distinct_rows_estimator_memory(self):
+        # 64 binary items at n' = 40, 400 samples: 16,000 drawn valuations, almost all
+        # distinct, so the (rows, m) float64 buffer takes 7.8 MiB.  The code passes
+        # _CODE_LIMIT at the last item and is re-ranked by a sort.  The peak is 13.7 MiB, and
+        # a second such buffer passes the bound
+        coin = make_item_distribution([1, 2], [0.5, 0.5])
+        setting = AuctionSetting(items=(coin,) * 64, n=8, n_prime=40, caps=Caps(product_support=1 << 64))
+        assert estimator_peak(setting, 40, 40, 400) <= 16 << 20
 
     def test_phi_once_per_distinct_valuation(self, monkeypatch):
         # 4 binary items: at most 16 distinct valuations per chunk, against
