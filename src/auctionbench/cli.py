@@ -265,7 +265,7 @@ def run_analysis(cfg: InstanceConfig) -> AnalysisReport:
     rep.scalars["iu_n"] = inst.iu_tables.iu(n)
     rep.scalars["iu_n_prime"] = inst.iu_tables.iu(np_)
     rep.checks.extend(_shared_checks(inst, make_rng(cfg.seed, 3), tol))
-    rep.scalars["srev_n"] = next(c.lhs for c in rep.checks if c.name == "bulow_klemperer")
+    rep.scalars["srev_n"] = srev(setting, n)
     rep.scalars["srev_n_prime"] = inst.srev_nprime
     chain = main_theorem_verdict(inst, n, setting.epsilon, tol=tol)
     rep.scalars["single"] = chain.single
@@ -418,7 +418,7 @@ def cmd_verify(args) -> int:
     rng = make_rng(args.seed)
     summary: dict[str, list[CheckRecord]] = {}
     failures = 0
-    for _ in range(args.count):
+    for index in range(args.count):
         setting = random_setting(
             rng,
             max_items=args.max_items,
@@ -434,7 +434,8 @@ def cmd_verify(args) -> int:
             if not check.holds:
                 failures += 1
                 print(
-                    f"FAIL {check.name}: {check.statement} lhs={check.lhs!r} rhs={check.rhs!r}",
+                    f"FAIL {check.name} in setting {index}: {check.statement}",
+                    f"lhs={check.lhs!r} rhs={check.rhs!r}",
                     file=sys.stderr,
                 )
     print(f"  {'check':28s} {'runs':>6s} {'worst slack':>14s}  verdict")

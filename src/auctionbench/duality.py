@@ -14,7 +14,7 @@ import numpy as np
 
 from .dist import AuctionSetting, MaxVector, product_codes, product_grid
 from .errors import EnumerationCapExceeded, size_text
-from .lp import Mechanism, optimal_revenue
+from .lp import Mechanism
 from .myerson import iron_restricted
 from .report import holds_leq
 
@@ -133,30 +133,23 @@ class DualCertificate(NamedTuple):
     bound_holds: bool
 
 
-def verify_dual_certificate(
-    setting: AuctionSetting,
-    n: int,
-    m_vec: MaxVector,
-    mechanism: Mechanism | None = None,
-) -> DualCertificate:
-    """Check the certificate for one max vector against the optimal mechanism, or `mechanism` (n bidders, this setting).
+def verify_dual_certificate(setting: AuctionSetting, m_vec: MaxVector, mechanism: Mechanism) -> DualCertificate:
+    """Check the certificate for one max vector against `mechanism`, a symmetric mechanism on this setting.
 
     Verifies conservation of the combined flow, agreement of the flow virtual values with the simplified
     region form, and that the region-mixed virtual welfare (with the non-negative part of the ironed
     virtual value) dominates the mechanism's revenue under its own interim allocations, within 1e-6.
     """
-    if mechanism is None:
-        _, mechanism = optimal_revenue(setting, n)
-    elif mechanism.n != n or len(mechanism.valuations) != setting.product_support_size:
-        nv, mech_nv = setting.product_support_size, len(mechanism.valuations)
-        raise ValueError(f"mechanism for {mechanism.n} bidders on {mech_nv} valuations, not {n} on {nv}")
+    want = (setting.product_support_size, setting.m)  # (valuations, items)
+    if mechanism.interim_alloc.shape != want:
+        raise ValueError(f"interim allocation of shape {mechanism.interim_alloc.shape}, not {want}")
     flow = dual_flow(setting, m_vec)
     g = _grid(setting)
     kernel = np.where(_regions(g, m_vec), _gather(g.idx, [item.ironed.phi_plus for item in setting.items]), g.vals)
     # the mechanism is symmetric: every bidder's interim allocation is bidder 0's
-    bound = mechanism.vprobs @ (mechanism.interim_alloc[0] * kernel).sum(axis=1)
+    bound = mechanism.vprobs @ (mechanism.interim_alloc * kernel).sum(axis=1)
     return DualCertificate(
         float(np.abs(flow_residuals(setting, flow)).max()),
         float(np.abs(phi_from_flow(setting, flow) - region_form_phi(setting, m_vec)).max()),
-        holds_leq(mechanism.revenue, n * float(bound), 1e-6),
+        holds_leq(mechanism.revenue, mechanism.n * float(bound), 1e-6),
     )

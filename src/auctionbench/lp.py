@@ -2,7 +2,8 @@
 
 Bidders are i.i.d., so a symmetric mechanism is optimal (Daskalakis and Weinberg,
 2012): the LP keeps bidder 0's ex-post rule, with ex-post feasibility (interim
-feasibility is a known multi-item pitfall) and incentive rows on interim quantities.
+feasibility is a known multi-item pitfall) and incentive rows on interim quantities,
+and the solved mechanism is bidder 0's interim rule.
 
 The solver is a self-contained one-phase dense simplex so the oracle has no
 dependency beyond numpy and pivots deterministically.  It needs b_ub >= 0:
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import AuctionSetting, Valuation
-from .errors import InstanceTooLarge, LPNumericalFailure, MaxIterations, TooFewBidders, Unbounded
+from .dist import AuctionSetting
+from .errors import InstanceTooLarge, LPNumericalFailure, MaxIterations, TooFewBidders, Unbounded, size_text
 
 # LP size caps: ordered profile count, and (rows + 1) x (variables + rows + 1) cells, an upper
 # bound on lp_solve's (rows + 1) x (variables + 1) tableau, its memory and the work of a pivot.
@@ -148,14 +149,12 @@ def lp_solve(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> LPSolution:
 
 @dataclass
 class Mechanism:
-    """Solved symmetric mechanism; `pbar` and `interim_alloc` repeat bidder 0's row as read-only views."""
+    """Solved symmetric mechanism for n bidders, as bidder 0's interim rule: every bidder's is the same."""
 
     n: int
-    valuations: tuple[Valuation, ...]
-    vprobs: np.ndarray
-    pi: np.ndarray  # (m, valuations, rivals' multisets): Pr(bidder 0 gets item j)
-    pbar: np.ndarray  # (n, valuations): interim payment
-    interim_alloc: np.ndarray  # (n, valuations, m)
+    vprobs: np.ndarray  # (valuations,) in `AuctionSetting.valuations` order
+    pbar: np.ndarray  # (valuations,): interim payment
+    interim_alloc: np.ndarray  # (valuations, m): Pr(get item j)
     revenue: float
 
 
@@ -191,13 +190,14 @@ class MechanismLP:
             raise TooFewBidders("need n >= 1")
         self.n = n
         self.m = m = setting.m
-        self.valuations, self.vprobs = vals, vprobs = setting.valuations()
+        vals, vprobs = setting.valuations()
+        self.vprobs = vprobs
         self.n_vals = n_vals = len(vals)
         # the exponent is capped so a huge n costs nothing: 2^bit_length > cap
         if n_vals ** min(n, PROFILE_CAP.bit_length()) > PROFILE_CAP:
             raise InstanceTooLarge(f"{n_vals}^{n} profiles exceed the cap {PROFILE_CAP}")
-        if n * n_vals * m * 8 > np.iinfo(np.intp).max:
-            raise InstanceTooLarge(f"{n} bidders: the per-bidder views of the mechanism exceed numpy's array size")
+        if n >= 1 << 63:  # one valuation passes the profile cap at any n; its counts must fit int64
+            raise InstanceTooLarge(f"{size_text(n)} bidders: profile counts exceed int64")
         rivals, profiles = _multisets(n - 1, n_vals), _multisets(n, n_vals)
         n_s, n_alloc = len(rivals), len(profiles) * m
         self.n_pi = m * n_vals * n_s
@@ -244,12 +244,11 @@ class MechanismLP:
         sol = lp_solve(self.c, self.a_ub, self.b_ub)
         pi = sol.x[: self.n_pi].reshape(self.m, self.n_vals, -1)
         plus, minus = sol.x[self.n_pi :].reshape(2, self.n_vals)
-        pbar = np.broadcast_to(plus - minus, (self.n, self.n_vals))
-        interim = np.broadcast_to(np.einsum("s,jvs->vj", self.rival_probs, pi), (self.n, self.n_vals, self.m))
-        return Mechanism(self.n, self.valuations, self.vprobs, pi, pbar, interim, sol.objective)
+        interim = np.einsum("s,jvs->vj", self.rival_probs, pi)
+        return Mechanism(self.n, self.vprobs, plus - minus, interim, sol.objective)
 
 
 def optimal_revenue(setting: AuctionSetting, n: int) -> tuple[float, Mechanism]:
-    """Maximum expected revenue of any truthful auction, with its certificate."""
+    """Maximum expected revenue of any truthful auction, with the mechanism that attains it."""
     mech = MechanismLP(setting, n).solve()
     return mech.revenue, mech

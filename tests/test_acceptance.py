@@ -259,7 +259,7 @@ def test_criterion_11_dual_certificate():
         _, mech = optimal_revenue(setting, 1)
         maxvec = max_vector_distribution(setting, setting.n_prime - 1)
         for m_vec, _prob in joint(maxvec):
-            cert = verify_dual_certificate(setting, 1, m_vec, mechanism=mech)
+            cert = verify_dual_certificate(setting, m_vec, mech)
             worst_res = max(worst_res, cert.flow_residual_max)
             worst_phi = max(worst_phi, cert.phi_match_max)
             assert cert.bound_holds

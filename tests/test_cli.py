@@ -307,6 +307,7 @@ class TestHugeBidderCounts:
         assert elapsed < 2.0
 
 
+@pytest.mark.memory_bound
 def test_exact_analyze_memory_at_the_in_cap_extreme():
     # one item of 4,096 equal-mass atoms at n' = 50: 4,096 valuations x 4,096 max
     # vectors is exactly caps.joint_terms; the region kernel's row blocks keep the
@@ -599,6 +600,18 @@ class TestVerifyCommand:
         assert rows["iron_dominated"] == rows["tie_break"] == "ok"
         assert code == EXIT_CHECK_FAILED
 
+    def test_fail_lines_name_their_setting(self, capsys):
+        # the settings are drawn in sequence, so a shorter run is a prefix of a longer one
+        def fail_lines(count):
+            main(["verify", "--seed", "0", "--count", str(count)])
+            lines = capsys.readouterr().err.splitlines()
+            assert all(line.split()[2:4] == ["in", "setting"] for line in lines)
+            return [(int(line.split()[4].rstrip(":")), line) for line in lines]
+
+        long_run = fail_lines(12)
+        assert {index for index, _ in long_run} - set(range(5)), "the longer run fails past the prefix"
+        assert fail_lines(5) == [(index, line) for index, line in long_run if index < 5] != []
+
     def test_zero_count(self, capsys):
         assert main(["verify", "--seed", "1", "--count", "0"]) == 0
 
@@ -682,8 +695,8 @@ class TestOneBuildPerCommand:
         srev_calls = _count_calls(monkeypatch, "myerson", "srev")
         code = main(["analyze", "--config", str(CONFIGS / "two_items.json"), "--format", "json"])
         assert code == EXIT_CHECK_FAILED  # chain_g_bk is a known discrete counterexample
-        # SRev(n') for the chain and the shared checks, SRev(n) for Bulow-Klemperer
-        assert len(srev_calls) == 2
+        # SRev(n') once, for the chain and the shared checks; SRev(n) for Bulow-Klemperer and the report's srev_n
+        assert sorted(n for _, n in srev_calls) == [1, 1, 3]
         counts = {name: len(c) for name, c in calls.items()}
         assert counts.pop("iron") == 2  # one per item
         assert counts.pop("max_vector_distribution") == 1  # the Instance's ghost law, reused by the checks

@@ -282,6 +282,7 @@ class TestUtilityStats:
             assert (stats.nice_prob[high] >= 7.0 / 9.0 - 1e-12).all()
 
 
+    @pytest.mark.memory_bound
     def test_stats_keep_only_columns(self):
         # fee_positive.json has 3,125 max vectors; a law per M held 8.5 MiB, and
         # the blocks of at most PAIR_BUDGET box cells bound the working memory

@@ -77,8 +77,8 @@ def assert_matches_reference(setting, m_vec):
 def assert_verdicts_match_reference(setting, mech):
     for m_vec, _prob in joint(max_vector_distribution(setting, setting.n_prime - 1)):
         assert_matches_reference(setting, m_vec)
-        cert = duality.verify_dual_certificate(setting, mech.n, m_vec, mechanism=mech)
-        assert cert.bound_holds == verify_dual_certificate(setting, mech.n, m_vec, mechanism=mech).bound_holds
+        cert = duality.verify_dual_certificate(setting, m_vec, mech)
+        assert cert.bound_holds == verify_dual_certificate(setting, m_vec, mech).bound_holds
 
 
 class TestLambdaPrime:
@@ -153,7 +153,7 @@ class TestLambdaStar:
 class TestCertificate:
     def test_point_mass(self, point_mass):
         setting = AuctionSetting(items=(point_mass,), n=1, n_prime=2)
-        cert = duality.verify_dual_certificate(setting, 1, (1.0,))
+        cert = duality.verify_dual_certificate(setting, (1.0,), optimal_revenue(setting, 1)[1])
         assert cert.flow_residual_max <= 1e-12
         assert cert.phi_match_max <= 1e-12
         assert cert.bound_holds
@@ -161,15 +161,16 @@ class TestCertificate:
     def test_d2_every_max(self, setting_d2):
         _, mech = optimal_revenue(setting_d2, 1)
         for m_vec in [(1.0,), (2.0,)]:
-            cert = duality.verify_dual_certificate(setting_d2, 1, m_vec, mechanism=mech)
+            cert = duality.verify_dual_certificate(setting_d2, m_vec, mech)
             assert cert.flow_residual_max <= 1e-12
             assert cert.phi_match_max <= 1e-9
             assert cert.bound_holds
 
     def test_d3_seeded_max(self, d3):
         setting = AuctionSetting(items=(d3,), n=1, n_prime=2)
+        _, mech = optimal_revenue(setting, 1)
         for m_vec in [(4.0,), (5.0,), (10.0,)]:
-            cert = duality.verify_dual_certificate(setting, 1, m_vec)
+            cert = duality.verify_dual_certificate(setting, m_vec, mech)
             assert cert.bound_holds
             assert cert.phi_match_max <= 1e-9
 
@@ -182,7 +183,7 @@ class TestCertificate:
             _, mech = optimal_revenue(setting, 1)
             maxvec = max_vector_distribution(setting, setting.n_prime - 1)
             for m_vec, _prob in joint(maxvec):
-                cert = duality.verify_dual_certificate(setting, 1, m_vec, mechanism=mech)
+                cert = duality.verify_dual_certificate(setting, m_vec, mech)
                 assert cert.flow_residual_max <= 1e-9
                 assert cert.phi_match_max <= 1e-9
                 assert cert.bound_holds
@@ -194,7 +195,7 @@ class TestCertificate:
             setting = AuctionSetting(items=items, n=1, n_prime=int(rng.integers(2, 5)))
             _, mech = optimal_revenue(setting, 1)
             for m_vec, _prob in joint(max_vector_distribution(setting, setting.n_prime - 1)):
-                cert = duality.verify_dual_certificate(setting, 1, m_vec, mechanism=mech)
+                cert = duality.verify_dual_certificate(setting, m_vec, mech)
                 assert cert.flow_residual_max <= 1e-9
                 assert cert.phi_match_max <= 1e-9
                 assert cert.bound_holds
@@ -209,30 +210,33 @@ class TestCertificate:
             for n in (1, 2, 3):
                 _, mech = optimal_revenue(setting, n)
                 for m_vec, _prob in joint(maxvec):
+                    # every bidder's interim allocation is bidder 0's
                     bound = sum(
                         mech.vprobs[vidx]
-                        * mech.interim_alloc[i, vidx, j]
+                        * mech.interim_alloc[vidx, j]
                         * (item.ironed.phi_plus[item.values.index(v[j])] if region_of(v, m_vec) == j else v[j])
                         for i in range(n)
-                        for vidx, v in enumerate(mech.valuations)
+                        for vidx, v in enumerate(setting.valuations()[0])
                         for j, item in enumerate(setting.items)
                     )
-                    cert = duality.verify_dual_certificate(setting, n, m_vec, mechanism=mech)
+                    cert = duality.verify_dual_certificate(setting, m_vec, mech)
                     assert cert.bound_holds == holds_leq(mech.revenue, bound, 1e-6)
 
-    def test_a_mechanism_for_other_arguments_is_refused(self, setting_d2, setting_two_items):
+    def test_a_mechanism_for_other_arguments_is_refused(self, setting_d2, setting_two_items, d2):
+        # n is the mechanism's own; a mechanism on another support is refused
         _, mech = optimal_revenue(setting_d2, 1)
-        with pytest.raises(ValueError, match="1 bidders on 2 valuations, not 3 on 2"):
-            duality.verify_dual_certificate(setting_d2, 3, (1.0,), mechanism=mech)
-        with pytest.raises(ValueError, match="1 bidders on 2 valuations, not 1 on 4"):
-            duality.verify_dual_certificate(setting_two_items, 1, (1.0, 1.0), mechanism=mech)
+        with pytest.raises(ValueError, match=r"interim allocation of shape \(2, 1\), not \(4, 2\)"):
+            duality.verify_dual_certificate(setting_two_items, (1.0, 1.0), mech)
+        _, mech = optimal_revenue(AuctionSetting(items=(d2,) * 2, n=1, n_prime=2), 3)
+        with pytest.raises(ValueError, match=r"interim allocation of shape \(4, 2\), not \(2, 1\)"):
+            duality.verify_dual_certificate(setting_d2, (1.0,), mech)
 
     def test_point_mass_at_a_million_bidders(self, point_mass):
         # one point-mass item: the LP is tiny at any n, and so is the check
         setting = AuctionSetting(items=(point_mass,), n=1, n_prime=2)
         _, mech = optimal_revenue(setting, 10**6)
         t0 = time.perf_counter()
-        cert = duality.verify_dual_certificate(setting, 10**6, (1.0,), mechanism=mech)
+        cert = duality.verify_dual_certificate(setting, (1.0,), mech)
         assert time.perf_counter() - t0 < 0.5
         assert cert.bound_holds
 
@@ -480,20 +484,17 @@ class DualCertificate(NamedTuple):
 
 def verify_dual_certificate(
     setting: AuctionSetting,
-    n: int,
     m_vec: MaxVector,
-    mechanism: Mechanism | None = None,
+    mechanism: Mechanism,
     tol: float = 1e-6,
 ) -> DualCertificate:
-    """Check the certificate for one max vector against the optimal mechanism.
+    """Check the certificate for one max vector against the given mechanism.
 
     Verifies conservation of the combined flow, agreement of the flow virtual
     values with the simplified region form, and that the region-mixed virtual
     welfare (with the non-negative part of the ironed virtual value) dominates
-    the LP-optimal revenue under the LP's own interim allocations.
+    the mechanism's revenue under its own interim allocations.
     """
-    if mechanism is None:
-        _, mechanism = optimal_revenue(setting, n)
     flow = combine_flows(build_lambda_prime(setting, m_vec), build_lambda_star(setting, m_vec))
     residuals = flow_residuals(setting, flow)
     flow_residual_max = max(abs(r) for r in residuals.values())
@@ -506,12 +507,12 @@ def verify_dual_certificate(
 
     # the mechanism is symmetric: every bidder's interim allocation is bidder 0's
     bound = 0.0
-    for vidx, v in enumerate(mechanism.valuations):
+    for vidx, v in enumerate(setting.valuations()[0]):
         region = region_of(v, m_vec)
         fv = mechanism.vprobs[vidx]
         for j, item in enumerate(setting.items):
             kernel = item.ironed.phi_plus[item.values.index(v[j])] if region == j else v[j]
-            bound += fv * mechanism.interim_alloc[0, vidx, j] * kernel
+            bound += fv * mechanism.interim_alloc[vidx, j] * kernel
     return DualCertificate(
         flow_residual_max,
         phi_match_max,

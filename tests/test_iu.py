@@ -357,6 +357,7 @@ class TestKernelBlocks:
             codes = np.stack([rng.choice(len(item.values), size=(4, 3)) for item in setting.items], axis=-1)
             self.assert_blocks_change_no_bit(monkeypatch, codes, setting.items, maxvec)
 
+    @pytest.mark.memory_bound
     def test_many_rows_peak_memory(self, monkeypatch):
         # the m = 16 Monte-Carlo shape: 16 binary items under 7 ghosts, 24,042 distinct rows
         # of 160,000 draws.  The (rows, m) output takes 2.9 MiB; with blocks of 2^16 cells
@@ -743,6 +744,7 @@ class TestMonteCarlo:
         setting = AuctionSetting(items=(wide, point_mass, d3), n=2, n_prime=3)
         assert_mc_matches_per_draw(monkeypatch, setting, 2, 3, 3000 if chunk > 7 else 100, 6, chunk)
 
+    @pytest.mark.memory_bound
     def test_chunk_transient_memory(self):
         # one full chunk: 65,536 samples x 8 bidders x 4 binary items, 524,288 drawn
         # valuations.  One item's atom indices, the codes, the ranks and the ranks' (n, batch)
@@ -752,6 +754,7 @@ class TestMonteCarlo:
         setting = load_config(CONFIGS / "near_uniform_many_items.json").setting
         assert estimator_peak(setting, 8, 8, 1 << 16) <= 4 << 20
 
+    @pytest.mark.memory_bound
     def test_many_items_estimator_memory(self):
         # the m = 16 benchmark shape: 16 binary items, n = n' = 8, 20,000 samples, one chunk of
         # 160,000 drawn valuations, about 24,000 distinct.  Their P and Phi share one (rows, m)
@@ -760,6 +763,7 @@ class TestMonteCarlo:
         setting = AuctionSetting(items=(item,) * 16, n=1, n_prime=8, caps=Caps(product_support=1 << 16))
         assert estimator_peak(setting, 8, 8, 20_000) <= 8 << 20
 
+    @pytest.mark.memory_bound
     def test_many_distinct_rows_estimator_memory(self):
         # 64 binary items at n' = 40, 400 samples: 16,000 drawn valuations, almost all
         # distinct, so the (rows, m) float64 buffer takes 7.8 MiB.  The code passes

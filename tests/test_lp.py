@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import json
 import math
+import re
 import time
 import tracemalloc
 from pathlib import Path
@@ -473,13 +474,22 @@ class TestOptimalRevenue:
         # 2^(10^8) profiles: n_vals^n is never formed in full
         with pytest.raises(InstanceTooLarge, match="profiles"):
             MechanismLP(AuctionSetting(items=(d2,), n=10**8, n_prime=10**8), 10**8)
-        # one valuation fits any n whose per-bidder views numpy can shape
+        # one valuation passes the profile cap at any n, but its profile counts must fit int64
         setting = AuctionSetting(items=(point_mass,), n=1, n_prime=2)
-        assert MechanismLP(setting, 2**60 - 1).solve().pbar.shape == (2**60 - 1, 1)
-        for n in (2**60, 10**300):
-            with pytest.raises(InstanceTooLarge, match="array size"):
+        for n, text in ((2**63, str(2**63)), (10**300, "about 2^996")):
+            start = time.perf_counter()
+            with pytest.raises(InstanceTooLarge, match=f"^{re.escape(text)} bidders: profile counts exceed int64$"):
                 MechanismLP(setting, n)
+            assert time.perf_counter() - start < 1.0
 
+    def test_one_valuation_solves_below_the_int64_bound(self, point_mass):
+        # the mechanism has no bidder axis, so no n-sized view bounds n
+        setting = AuctionSetting(items=(point_mass,), n=1, n_prime=2)
+        mech = MechanismLP(setting, 2**62).solve()
+        assert mech.pbar.shape == (1,) and mech.interim_alloc.shape == (1, 1)
+        assert mech.revenue == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.memory_bound
     def test_one_valuation_solves_at_any_bidder_count(self, point_mass):
         # one profile multiset: 3 variables and 2 rows, with no array of length n
         n = 10**8
@@ -495,7 +505,7 @@ class TestOptimalRevenue:
             tracemalloc.stop()
         assert mech_lp.a_ub.shape == (2, 3)
         assert mech.revenue == pytest.approx(1.0, rel=1e-12)
-        assert mech.pbar.shape == (n, 1) and mech.interim_alloc.shape == (n, 1, 1)
+        assert mech.pbar.shape == (1,) and mech.interim_alloc.shape == (1, 1)
         assert elapsed < 1.0
         assert peak < 1 << 20
 
@@ -514,12 +524,8 @@ class TestOptimalRevenue:
         # interim allocation of the high type should be near 1 for some bidder
         assert np.all(mech.interim_alloc >= -1e-9)
         assert np.all(mech.interim_alloc <= 1 + 1e-9)
-        # revenue recomputed from interim payments
-        total = sum(
-            mech.vprobs[vidx] * mech.pbar[i, vidx]
-            for i in range(mech.n)
-            for vidx in range(len(mech.valuations))
-        )
+        # revenue recomputed from interim payments: n bidders, each paying bidder 0's pbar
+        total = mech.n * sum(mech.vprobs[vidx] * mech.pbar[vidx] for vidx in range(len(mech.vprobs)))
         assert total == pytest.approx(mech.revenue, abs=1e-8)
 
 

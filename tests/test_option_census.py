@@ -21,7 +21,6 @@ OPTIONS = [
     "dist.chebyshev_check(tol)",
     "dist.make_rng(stream)",
     "dist.variance_ub_check(tol)",
-    "duality.verify_dual_certificate(mechanism)",
     "generators.random_item(max_support)",
     "generators.random_item(max_value)",
     "generators.random_regular_item(max_support)",
